@@ -408,76 +408,83 @@ def _bi_set_ref_class(ctx, name, fields=None, methods=None, contains=None):
 
 
 def _registry():
+    """Every builtin with its purity class, which `purity.default_policy`
+    reads: pure, state_read, rng, foreign, dynamic, global_ref or
+    local_assign."""
     null = values.null_value()
     table = []
 
-    def add(name, fn, formals=None, lazy=False, invisible=False):
-        table.append((name, fn, formals, lazy, invisible))
+    def add(name, fn, purity, formals=None, lazy=False, invisible=False):
+        table.append((name, fn, purity, formals, lazy, invisible))
 
     for op in ("+", "-"):
-        add(op, _make_additive(op))
+        add(op, _make_additive(op), "pure")
     for op in ("*", "/"):
-        add(op, _make_binary_arith(op))
+        add(op, _make_binary_arith(op), "pure")
     for op in ("<", "<=", ">", ">=", "==", "!="):
-        add(op, _make_compare(op))
-    add("!", _bi_not, [("x", REQUIRED)])
+        add(op, _make_compare(op), "pure")
+    add("!", _bi_not, "pure", [("x", REQUIRED)])
     for op in ("&&", "||"):
-        add(op, _make_shortcircuit(op), lazy=True)
+        add(op, _make_shortcircuit(op), "pure", lazy=True)
 
-    add("c", _bi_c)
-    add("list", _bi_list)
-    add("length", _bi_length, [("x", REQUIRED)])
-    add("sum", _bi_sum, [("x", REQUIRED)])
-    add("paste", _bi_paste)
-    add("el", _bi_el, [("x", REQUIRED), ("i", REQUIRED)])
-    add("names", _bi_names, [("x", REQUIRED)])
-    add("attr", _bi_attr, [("x", REQUIRED), ("which", REQUIRED)])
-    add("set_attr", _bi_set_attr, [("x", REQUIRED), ("which", REQUIRED), ("value", null)])
-    add("class", _bi_class, [("x", REQUIRED)])
-    add("inherits", _bi_inherits, [("x", REQUIRED), ("what", REQUIRED)])
-    add("is_null", _bi_is_null, [("x", REQUIRED)])
-    add("identity", _bi_identity, [("x", REQUIRED)])
-    add("invisible", _bi_invisible, [("x", null)], invisible=True)
-    add("print.default", _bi_print_default, [("x", REQUIRED)], invisible=True)
-    add("stop", _bi_stop, [("message", None)])
-    add("copy", _bi_copy, [("x", REQUIRED)])
+    add("c", _bi_c, "pure")
+    add("list", _bi_list, "pure")
+    add("length", _bi_length, "pure", [("x", REQUIRED)])
+    add("sum", _bi_sum, "pure", [("x", REQUIRED)])
+    add("paste", _bi_paste, "pure")
+    add("el", _bi_el, "pure", [("x", REQUIRED), ("i", REQUIRED)])
+    add("names", _bi_names, "pure", [("x", REQUIRED)])
+    add("attr", _bi_attr, "pure", [("x", REQUIRED), ("which", REQUIRED)])
+    add("set_attr", _bi_set_attr, "pure", [("x", REQUIRED), ("which", REQUIRED), ("value", null)])
+    add("class", _bi_class, "pure", [("x", REQUIRED)])
+    add("inherits", _bi_inherits, "pure", [("x", REQUIRED), ("what", REQUIRED)])
+    add("is_null", _bi_is_null, "pure", [("x", REQUIRED)])
+    add("identity", _bi_identity, "pure", [("x", REQUIRED)])
+    add("invisible", _bi_invisible, "pure", [("x", null)], invisible=True)
+    add("print.default", _bi_print_default, "pure", [("x", REQUIRED)], invisible=True)
+    add("stop", _bi_stop, "pure", [("message", None)])
+    add("copy", _bi_copy, "pure", [("x", REQUIRED)])
 
-    add("environment", _bi_environment, [])
-    add("globalenv", _bi_globalenv, [])
-    add("assign", _bi_assign, [("name", REQUIRED), ("value", REQUIRED), ("envir", None)])
+    add("environment", _bi_environment, "pure", [])
+    add("globalenv", _bi_globalenv, "global_ref", [])
+    add("assign", _bi_assign, "local_assign",
+        [("name", REQUIRED), ("value", REQUIRED), ("envir", None)])
 
-    add("options", _bi_options, [("name", REQUIRED), ("value", REQUIRED)], invisible=True)
-    add("get_option", _bi_get_option, [("name", REQUIRED)])
-    add("get_option_from", _bi_get_option_from, [("opts", REQUIRED), ("name", REQUIRED)])
-    add("set_seed", _bi_set_seed, [("seed", REQUIRED)], invisible=True)
-    add("rng_draw", _bi_rng_draw, [("n", REQUIRED)])
-    add("foreign", _bi_foreign)
+    add("options", _bi_options, "state_read", [("name", REQUIRED), ("value", REQUIRED)],
+        invisible=True)
+    add("get_option", _bi_get_option, "state_read", [("name", REQUIRED)])
+    add("get_option_from", _bi_get_option_from, "pure", [("opts", REQUIRED), ("name", REQUIRED)])
+    add("set_seed", _bi_set_seed, "rng", [("seed", REQUIRED)], invisible=True)
+    add("rng_draw", _bi_rng_draw, "rng", [("n", REQUIRED)])
+    add("foreign", _bi_foreign, "foreign")
 
-    add("UseMethod", _bi_use_method, [("generic", REQUIRED)])
+    add("UseMethod", _bi_use_method, "dynamic", [("generic", REQUIRED)])
 
-    add("setClass", _bi_set_class,
+    add("setClass", _bi_set_class, "dynamic",
         [("name", REQUIRED), ("slots", null), ("contains", null), ("virtual", null)],
         invisible=True)
-    add("setGeneric", _bi_set_generic,
+    add("setGeneric", _bi_set_generic, "dynamic",
         [("name", REQUIRED), ("def", null), ("signature", null)], invisible=True)
-    add("setMethod", _bi_set_method,
+    add("setMethod", _bi_set_method, "dynamic",
         [("name", REQUIRED), ("signature", REQUIRED), ("definition", REQUIRED)],
         invisible=True)
-    add("standardGeneric", _bi_standard_generic, [("name", REQUIRED)])
-    add("new", _bi_new)
-    add("slot", _bi_slot, [("obj", REQUIRED), ("name", REQUIRED)])
-    add("slot_set", _bi_slot_set, [("obj", REQUIRED), ("name", REQUIRED), ("value", REQUIRED)])
+    add("standardGeneric", _bi_standard_generic, "dynamic", [("name", REQUIRED)])
+    add("new", _bi_new, "dynamic")
+    add("slot", _bi_slot, "pure", [("obj", REQUIRED), ("name", REQUIRED)])
+    add("slot_set", _bi_slot_set, "pure",
+        [("obj", REQUIRED), ("name", REQUIRED), ("value", REQUIRED)])
 
-    add("setRefClass", _bi_set_ref_class,
+    add("setRefClass", _bi_set_ref_class, "dynamic",
         [("name", REQUIRED), ("fields", null), ("methods", null), ("contains", null)])
     return table
 
 
-BUILTIN_NAMES = tuple(name for name, *_ in _registry()) + ("print",)
+BUILTIN_PURITY = {name: purity for name, _, purity, *_ in _registry()}
+BUILTIN_NAMES = tuple(BUILTIN_PURITY) + ("print",)
 
 
 def install(interp):
-    for name, fn, formals, lazy, invisible in _registry():
+    for name, fn, _, formals, lazy, invisible in _registry():
         payload = BuiltinPayload(
             name=name, fn=fn, formals=formals, lazy=lazy, invisible=invisible
         )

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import printer, purity, reader
-from .interpreter import Interpreter
+from .interpreter import HOST_RECURSION_LIMIT, Interpreter
 from .reader import MlsSyntaxError
 from .values import MlsError
 
@@ -141,7 +141,7 @@ def cmd_analyze(paths, report_format: str = "text") -> int:
 
 
 def main(argv=None) -> int:
-    sys.setrecursionlimit(20000)
+    sys.setrecursionlimit(HOST_RECURSION_LIMIT)
     parser = argparse.ArgumentParser(prog="mls", description="MLS interpreter and analyzer")
     sub = parser.add_subparsers(dest="command", required=True)
 

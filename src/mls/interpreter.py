@@ -21,6 +21,12 @@ RANDOM_SEED_NAME = ".Random.seed"
 OPTIONS_NAME = ".Options"
 DEFAULT_SEED = 0
 
+# Interpreter recursion rides the host stack: one MLS call costs up to 24
+# host frames, and the reader about 15 per level of nesting.  The CLI and
+# every Interpreter raise the host limit to this one budget.
+MAX_CALL_DEPTH = 1000
+HOST_RECURSION_LIMIT = 24 * MAX_CALL_DEPTH
+
 
 @dataclass
 class BuiltinPayload:
@@ -53,6 +59,31 @@ class CallFrame:
     label: Optional[str] = None
 
 
+def match_formals(formals, args, loc=None):
+    """Match (name or None, actual) pairs to (name, default) formals:
+    exact names first, then the still-unmatched formals in order by
+    position.  Returns the dict of matched formals and the list of
+    positional actuals left over; the caller decides what an unmatched
+    formal or a leftover actual means."""
+    matched = {}
+    positional = []
+    for name, actual in args:
+        if not name:
+            positional.append(actual)
+        elif name in matched:
+            raise MlsError(f"formal argument '{name}' matched by multiple arguments", loc)
+        elif any(name == formal for formal, _ in formals):
+            matched[name] = actual
+        else:
+            raise MlsError(f"unused argument '{name}'", loc)
+    for formal, _ in formals:
+        if not positional:
+            break
+        if formal not in matched:
+            matched[formal] = positional.pop(0)
+    return matched, positional
+
+
 class UseMethodExit(Exception):
     """Raised by UseMethod to return the selected method's value as the
     value of the generic call."""
@@ -63,13 +94,13 @@ class UseMethodExit(Exception):
 
 
 class Interpreter:
-    def __init__(self, stdout=None, stderr=None, max_call_depth=1000):
+    def __init__(self, stdout=None, stderr=None, max_call_depth=MAX_CALL_DEPTH):
+        """`max_call_depth` caps MLS call nesting; the host limit fits the
+        default, so a larger cap may end in a host RecursionError."""
         from . import builtins as builtin_defs
         from . import s4
 
-        # interpreter recursion rides the host stack: one MLS frame costs
-        # several host frames, so raise the host limit and cap MLS depth
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 24 * max_call_depth))
+        sys.setrecursionlimit(max(sys.getrecursionlimit(), HOST_RECURSION_LIMIT))
         self.max_call_depth = max_call_depth
         self.stdout = stdout
         self.stderr = stderr
@@ -228,42 +259,17 @@ class Interpreter:
             result = payload.fn(ctx, forced)
         else:
             forced = [(n, p.force(self)) for n, p in args]
-            kwargs = self._match_builtin(payload, forced, loc)
-            result = payload.fn(ctx, **kwargs)
+            matched, extra = match_formals(payload.formals, forced, loc)
+            if extra:
+                raise MlsError(f"unused arguments for '{payload.name}'", loc)
+            for name, default in payload.formals:
+                if name not in matched:
+                    if default is REQUIRED:
+                        raise MlsError(f"argument '{name}' is missing, with no default", loc)
+                    matched[name] = default
+            result = payload.fn(ctx, **matched)
         self.visible = not payload.invisible
         return result
-
-    def _match_builtin(self, payload: BuiltinPayload, forced, loc) -> dict:
-        slots = {name: None for name, _ in payload.formals}
-        filled = set()
-        positional = []
-        for name, v in forced:
-            if name:
-                if name not in slots:
-                    raise MlsError(f"unused argument '{name}'", loc)
-                if name in filled:
-                    raise MlsError(
-                        f"formal argument '{name}' matched by multiple arguments", loc
-                    )
-                slots[name] = v
-                filled.add(name)
-            else:
-                positional.append(v)
-        for name, _ in payload.formals:
-            if name not in filled and positional:
-                slots[name] = positional.pop(0)
-                filled.add(name)
-        if positional:
-            raise MlsError(f"unused arguments for '{payload.name}'", loc)
-        out = {}
-        for name, default in payload.formals:
-            if name in filled:
-                out[name] = slots[name]
-            elif default is REQUIRED:
-                raise MlsError(f"argument '{name}' is missing, with no default", loc)
-            else:
-                out[name] = default
-        return out
 
     def match_arguments(self, closure: values.Closure, args, loc=None, label=None) -> Environment:
         """Build the call environment: each formal becomes a lazy promise
@@ -271,32 +277,13 @@ class Interpreter:
         new environment itself); unmatched formals without defaults bind a
         missing marker that errors when forced."""
         call_env = Environment(closure.enclosure, f"call:{label or 'function'}")
-        slots = {name: None for name, _ in closure.formals}
-        filled = set()
-        positional = []
-        for name, p in args:
-            if name:
-                if name not in slots:
-                    raise MlsError(f"unused argument '{name}'", loc)
-                if name in filled:
-                    raise MlsError(
-                        f"formal argument '{name}' matched by multiple arguments", loc
-                    )
-                slots[name] = p
-                filled.add(name)
-            else:
-                positional.append(p)
-        for name, _ in closure.formals:
-            if name not in filled and positional:
-                slots[name] = positional.pop(0)
-                filled.add(name)
-        if positional:
-            extra = positional[0]
-            detail = syntax.deparse(extra.expr) if extra.expr is not None else "value"
+        matched, extra = match_formals(closure.formals, args, loc)
+        if extra:
+            detail = syntax.deparse(extra[0].expr) if extra[0].expr is not None else "value"
             raise MlsError(f"unused argument ({detail})", loc)
         for name, default in closure.formals:
-            if name in filled:
-                call_env.frame[name] = Binding.lazy(slots[name])
+            if name in matched:
+                call_env.frame[name] = Binding.lazy(matched[name])
             elif default is not None:
                 call_env.frame[name] = Binding.lazy(Promise(default, call_env))
             else:

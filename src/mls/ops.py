@@ -19,7 +19,7 @@ def _as_number_list(v: Value, op: str, loc):
     if v.kind == values.LOGICAL:
         return [int(x) for x in v.payload], values.INTEGER
     if v.kind in (values.INTEGER, values.DOUBLE):
-        return list(v.payload), v.kind
+        return v.payload, v.kind
     raise MlsError(f"non-numeric argument to binary operator '{op}'", loc)
 
 
@@ -99,7 +99,7 @@ def compare_binary(op: str, a: Value, b: Value, loc=None) -> Value:
     if values.STRING in (a.kind, b.kind):
         if a.kind != values.STRING or b.kind != values.STRING:
             raise MlsError(f"comparison ({op}) requires compatible types", loc)
-        xs, ys = list(a.payload), list(b.payload)
+        xs, ys = a.payload, b.payload
     else:
         xs, _ = _as_number_list(a, op, loc)
         ys, _ = _as_number_list(b, op, loc)

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from . import reader, syntax, values
-from .builtins import BUILTIN_NAMES
+from .builtins import BUILTIN_NAMES, BUILTIN_PURITY
 from .values import MlsError
 
 NONLOCAL_ASSIGNMENT = "NonlocalAssignment"
@@ -137,25 +137,23 @@ class BuiltinPolicy:
         )
 
 
+def _builtin_groups() -> tuple:
+    """The names in each BuiltinPolicy set, in field order: every builtin
+    under the purity class it is registered with, plus the prelude's
+    `print` generic, which is pure."""
+    groups = {f.name: set() for f in fields(BuiltinPolicy)}
+    for name, kind in BUILTIN_PURITY.items():
+        groups[kind].add(name)
+    groups["pure"].add("print")
+    return tuple(frozenset(g) for g in groups.values())
+
+
+_BUILTIN_GROUPS = _builtin_groups()
+
+
 def default_policy() -> BuiltinPolicy:
-    return BuiltinPolicy(
-        pure={
-            "+", "-", "*", "/", "<", "<=", ">", ">=", "==", "!=", "!", "&&", "||",
-            "c", "list", "length", "sum", "paste", "el", "names",
-            "attr", "set_attr", "class", "inherits", "is_null", "identity",
-            "invisible", "print", "print.default", "stop", "copy",
-            "slot", "slot_set", "get_option_from", "environment",
-        },
-        state_read={"options", "get_option"},
-        rng={"set_seed", "rng_draw"},
-        foreign={"foreign"},
-        dynamic={
-            "UseMethod", "standardGeneric", "setClass", "setGeneric", "setMethod",
-            "setRefClass", "new",
-        },
-        global_ref={"globalenv"},
-        local_assign={"assign"},
-    )
+    """A fresh policy: callers may change its sets."""
+    return BuiltinPolicy(*[set(g) for g in _BUILTIN_GROUPS])
 
 
 # ---------------------------------------------------------------------------

@@ -202,8 +202,10 @@ def field_set(interp, obj: Value, name: str, v: Value, loc=None):
 
 
 def copy_instance(interp, obj: Value, loc=None) -> Value:
-    """Explicit escape from aliasing: fresh backing environment with
-    deep-copied fields; nested reference instances are copied recursively."""
+    """Explicit escape from aliasing: a fresh backing environment whose
+    fields share the original's values (values are never written after
+    construction); reference instances held directly in fields are copied
+    recursively."""
     cdef = interp.ref_classes.get(obj.payload.class_name)
     if cdef is None:
         raise MlsError(f"unknown reference class '{obj.payload.class_name}'", loc)
@@ -218,11 +220,9 @@ def copy_instance(interp, obj: Value, loc=None) -> Value:
         binding = old.frame.get(fname)
         current = binding.value if binding is not None else values.null_value()
         if current.kind == values.REF_INSTANCE:
-            copied = copy_instance(interp, current, loc)
-        else:
-            copied = values.deep_copy(current)
+            current = copy_instance(interp, current, loc)
         backing.frame[fname] = Binding.immediate(
-            copied, field=FieldSpec(spec.declared_class, spec.read_only)
+            current, field=FieldSpec(spec.declared_class, spec.read_only)
         )
     for mname, fn in cdef.methods.items():
         backing.frame[mname] = Binding.immediate(_re_enclosed(fn, backing))

@@ -5,6 +5,11 @@ kind-specific payload, and an ordered attribute map.  Vectors are the
 basic data (a scalar is just a length-1 vector).  Environments and
 reference-class instances are the only kinds with aliasing identity;
 everything else behaves as if assignment copied it.
+
+A Value, its payload and its attribute map are never written after the
+value is built: every modifying operation builds a fresh value.  Values
+may therefore share payloads and attributes freely, and copying one is
+never needed.
 """
 
 from __future__ import annotations
@@ -29,10 +34,6 @@ S4_INSTANCE = "s4instance"
 REF_INSTANCE = "refinstance"
 
 VECTOR_KINDS = (LOGICAL, INTEGER, DOUBLE, STRING)
-
-# Kinds whose payload is shared, never duplicated: copying the Value
-# copies the reference.
-REFERENCE_KINDS = (ENVIRONMENT, REF_INSTANCE)
 
 _BASE_CLASS_NAMES = {
     NULL: "NULL",
@@ -179,7 +180,7 @@ def set_attribute(v: Value, name: str, attr: Value) -> Value:
                 f"names attribute length {len(attr.payload)} differs from "
                 f"element count {len(v.payload)}"
             )
-    out = Value(v.kind, _copy_payload(v), dict(v.attributes))
+    out = Value(v.kind, v.payload, dict(v.attributes))
     if is_null(attr):
         out.attributes.pop(name, None)
     else:
@@ -187,28 +188,16 @@ def set_attribute(v: Value, name: str, attr: Value) -> Value:
     return out
 
 
-def _copy_payload(v: Value):
-    if v.kind in VECTOR_KINDS:
-        return list(v.payload)
-    if v.kind == LIST:
-        return [deep_copy(item) for item in v.payload]
-    if v.kind == S4_INSTANCE:
-        return S4Payload(
-            v.payload.class_name,
-            {k: deep_copy(sv) for k, sv in v.payload.slot_values.items()},
-        )
-    # closures, builtins, expressions are immutable; environments and
-    # ref instances keep their aliasing identity
-    return v.payload
-
-
 def deep_copy(v: Value) -> Value:
-    """Structural copy with independent mutable state.
+    """The copy that `copy()` makes of anything but a reference instance.
 
-    Environment and reference-class payloads are not duplicated: the
-    reference itself is copied, so aliasing is preserved.
+    Values are never written after construction, so a non-reference
+    value is its own copy.  Environments, and reference instances nested
+    in other values, keep their aliasing identity: the copy is the
+    reference.  `refclasses.copy_instance` gives a reference instance
+    itself a fresh backing environment.
     """
-    return Value(v.kind, _copy_payload(v), {k: deep_copy(a) for k, a in v.attributes.items()})
+    return v
 
 
 def _double_eq(a: float, b: float) -> bool:

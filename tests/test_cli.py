@@ -141,3 +141,16 @@ def test_console_entry_point(corpus_dir):
     )
     assert proc.returncode == 0
     assert "120" in proc.stdout
+
+
+def test_deep_parenthesis_nesting_runs_and_analyzes(tmp_path):
+    depth = 1330
+    script = tmp_path / "nested.mls"
+    script.write_text(f"f <- function(x) {'(' * depth}x{')' * depth}\nf(1)\n")
+    for command in ("run", "analyze"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "mls", command, str(script)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr[-300:]

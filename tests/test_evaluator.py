@@ -155,6 +155,21 @@ def test_default_cycle_detected(interp):
         run(interp, "f <- function(a = b, b = a) a; f()")
 
 
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("length(1, 2)", "unused arguments for 'length'"),
+        ("length(y = 1)", "unused argument 'y'"),
+        ("length(x = 1, x = 2)", "formal argument 'x' matched by multiple arguments"),
+        ("el(1)", "argument 'i' is missing, with no default"),
+    ],
+)
+def test_builtin_argument_matching_errors(interp, src, message):
+    with pytest.raises(MlsError) as exc:
+        run(interp, src)
+    assert exc.value.message == message
+
+
 # -- laziness ------------------------------------------------------------------
 
 def test_unforced_error_argument_is_harmless(interp):

@@ -1,8 +1,11 @@
+import io
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mls import values
+from mls import reader, values
+from mls.interpreter import Interpreter
 from mls.values import MlsError
 
 
@@ -74,12 +77,16 @@ def test_attribute_roundtrip():
     assert values.get_attribute(v, "class").payload == ["lm"]
 
 
-def test_deep_copy_vectors_independent():
-    original = values.int_vec([1, 2, 3])
-    copy = values.deep_copy(original)
-    copy.payload[0] = 99
-    assert original.payload == [1, 2, 3]
-    assert values.values_equal(values.deep_copy(original), original)
+def printed(interp, source):
+    """What `mls run` would print for `source`, run in `interp`."""
+    start = len(interp.stdout.getvalue())
+    interp.run_top_level(reader.parse_program(source))
+    return interp.stdout.getvalue()[start:]
+
+
+def test_copy_vectors_independent(capture):
+    src = "x <- c(1, 2, 3); y <- copy(x); y[1] <- 99; y; x"
+    assert printed(capture, src) == "[1] 99 2 3\n[1] 1 2 3\n"
 
 
 def test_deep_copy_null_identity():
@@ -92,12 +99,20 @@ def test_deep_copy_preserves_environment_aliasing(interp):
     assert copy.payload is env_value.payload
 
 
-def test_deep_copy_nested_lists():
-    inner = values.int_vec([1])
-    outer = values.list_value([inner])
-    copy = values.deep_copy(outer)
-    copy.payload[0].payload[0] = 42
-    assert inner.payload == [1]
+def test_copy_nested_lists_independent(capture):
+    original = printed(capture, "x <- list(list(1, 2), 3); x")
+    src = "y <- copy(x); inner <- el(y, 1); inner[1] <- 99; y[1] <- inner; el(el(y, 1), 1); x"
+    assert printed(capture, src) == "[1] 99\n" + original
+
+
+def test_copy_of_list_still_aliases_reference_instance(capture):
+    src = (
+        'A <- setRefClass("A", fields = list(n = "numeric"))\n'
+        "a <- A$new(n = 1); l <- list(a); l2 <- copy(l)\n"
+        "a$n <- 5\n"
+        "el(l2, 1)$n"
+    )
+    assert printed(capture, src) == "[1] 5\n"
 
 
 def test_values_equal_nan():
@@ -127,3 +142,48 @@ def test_attribute_roundtrip_property(name, items):
 def test_deep_copy_structural_equality_property(xs):
     v = values.int_vec(xs)
     assert values.values_equal(values.deep_copy(v), v)
+
+
+_ALIAS_EDITS = st.lists(
+    st.one_of(
+        st.tuples(st.just("attr"), st.sampled_from(["units", "class"]), st.sampled_from("abc")),
+        st.tuples(st.just("index"), st.integers(1, 3), st.sampled_from(["7", "2.5", '"s"'])),
+        st.tuples(
+            st.just("field"), st.sampled_from(["a", "b", "new"]), st.sampled_from(["7", "NULL"])
+        ),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _edit_source(target, edit):
+    kind, key, rhs = edit
+    if kind == "attr":
+        return f'{target} <- set_attr({target}, "{key}", "{rhs}")'
+    if kind == "index":
+        return f"{target}[{key}] <- {rhs}"
+    return f"{target}${key} <- {rhs}"
+
+
+@given(
+    is_list=st.booleans(),
+    items=st.lists(st.integers(-9, 9), min_size=3, max_size=5),
+    edits=_ALIAS_EDITS,
+)
+def test_editing_an_alias_never_changes_the_original(is_list, items, edits):
+    """set_attr, `x[i] <-` and `x$f <-` on an alias, at top level or on a
+    function's argument, leave the original printing as it did."""
+    interp = Interpreter(stdout=io.StringIO())
+    if is_list:
+        literal = "list(" + ", ".join(f"{k} = {x}" for k, x in zip("abcde", items)) + ")"
+    else:
+        literal = "c(" + ", ".join(map(str, items)) + ")"
+        edits = [e for e in edits if e[0] != "field"]  # `$<-` applies to lists only
+    original = printed(interp, f"x <- {literal}; x")
+    lines = []
+    for e in edits:
+        lines.append(f"y <- x; {_edit_source('y', e)}")
+        lines.append(f"f <- function(a) {{ {_edit_source('a', e)}; a }}; r <- f(x)")
+    src = "\n".join(lines + ["x"])
+    assert printed(interp, src) == original
