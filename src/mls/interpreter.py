@@ -1,10 +1,16 @@
 """The MLS evaluator.
 
-Function calls bind arguments as lazy promises and evaluate bodies in a
-fresh environment chained to the closure's enclosure.  Locality is
-preserved because nothing ever mutates a value in place: modification
-forms build a new value and rebind the local name.  The only aliasing
-values are environments and reference-class instances.
+Each expression node compiles once, on first evaluation, into a Python
+closure.  Calls to closures bind their arguments as lazy promises and
+evaluate bodies in a fresh environment chained to the closure's
+enclosure.  Eager builtins, which would force every promise at once,
+receive their argument values instead, evaluated in call order in the
+caller's environment; `&&`, `||` and the S4 and reference-class
+specials still receive promises.
+
+Locality is preserved because nothing ever mutates a value in place:
+modification forms build a new value and rebind the local name.  The
+only aliasing values are environments and reference-class instances.
 """
 
 from __future__ import annotations
@@ -148,76 +154,10 @@ class Interpreter:
         return self.eval_program(reader.parse_program(source), env)
 
     def eval(self, e: syntax.Expr, env: Environment) -> Value:
-        if isinstance(e, syntax.Constant):
-            self.visible = True
-            return e.value
-        if isinstance(e, syntax.Symbol):
-            self.visible = True
-            return env.get_value(e.name, self, e.loc)
-        if isinstance(e, syntax.Call):
-            return self.eval_call(e, env)
-        if isinstance(e, syntax.Assign):
-            v = self.eval(e.value, env)
-            self.assign_local(e.target.name, v, env, e.loc)
-            self.visible = False
-            return v
-        if isinstance(e, syntax.SuperAssign):
-            v = self.eval(e.value, env)
-            self.assign_super(e.target.name, v, env, e.loc)
-            self.visible = False
-            return v
-        if isinstance(e, syntax.Block):
-            result = values.null_value()
-            self.visible = True
-            for stmt in e.body:
-                result = self.eval(stmt, env)
-            return result
-        if isinstance(e, syntax.If):
-            if ops.truthy(self.eval(e.cond, env), e.cond.loc):
-                return self.eval(e.then, env)
-            if e.orelse is not None:
-                return self.eval(e.orelse, env)
-            self.visible = False
-            return values.null_value()
-        if isinstance(e, syntax.While):
-            while ops.truthy(self.eval(e.cond, env), e.cond.loc):
-                self.eval(e.body, env)
-            self.visible = False
-            return values.null_value()
-        if isinstance(e, syntax.FunctionLiteral):
-            self.visible = True
-            return Value(values.CLOSURE, values.Closure(e.formals, e.body, env))
-        if isinstance(e, syntax.Index):
-            obj = self.eval(e.obj, env)
-            indices = [self.eval(i, env) for i in e.indices]
-            self.visible = True
-            return ops.index_get(obj, indices, e.loc)
-        if isinstance(e, syntax.IndexAssign):
-            return self._eval_index_assign(e, env)
-        if isinstance(e, syntax.FieldAccess):
-            obj = self.eval(e.obj, env)
-            self.visible = True
-            return self.field_get(obj, e.name, e.loc)
-        if isinstance(e, syntax.FieldAssign):
-            return self._eval_field_assign(e, env)
-        raise MlsError(f"cannot evaluate node {type(e).__name__}", e.loc)
+        """Evaluate `e` in `env` through its compiled closure."""
+        return compile_expr(e)(self, env)
 
     # -- calls ---------------------------------------------------------------
-
-    def eval_call(self, e: syntax.Call, env: Environment) -> Value:
-        if isinstance(e.callee, syntax.Symbol):
-            fn = self.lookup_function(e.callee.name, env, e.loc)
-            label = e.callee.name
-        else:
-            fn = self.eval(e.callee, env)
-            label = None
-        args = [(name, Promise(arg, env)) for name, arg in e.args]
-        try:
-            return self.call_value(fn, args, loc=e.loc, caller_env=env, label=label)
-        except MlsError as err:
-            if err.loc is None:
-                err.loc = e.loc
-            raise
 
     def lookup_function(self, name: str, env: Environment, loc=None) -> Value:
         cur = env
@@ -230,10 +170,15 @@ class Interpreter:
             cur = cur.parent
         raise MlsError(f"could not find function '{name}'", loc)
 
-    def call_value(self, fn: Value, args, loc=None, caller_env=None, label=None) -> Value:
-        """Apply a function value to (name, Promise) argument pairs."""
+    def call_value(self, fn: Value, args, loc=None, caller_env=None, label=None,
+                   forced=False) -> Value:
+        """Apply a function value to (name, Promise) argument pairs or, when
+        `forced`, an eager builtin to (name, Value) pairs evaluated in call
+        order."""
         caller_env = caller_env if caller_env is not None else self.global_env
         if fn.kind == values.BUILTIN:
+            if forced:
+                return self._apply_builtin(fn.payload, args, caller_env, loc)
             return self._call_builtin(fn.payload, args, caller_env, loc)
         if fn.kind == values.CLOSURE:
             call_env = self.match_arguments(fn.payload, args, loc, label)
@@ -241,25 +186,32 @@ class Interpreter:
         raise MlsError("attempt to apply non-function", loc)
 
     def _call_builtin(self, payload: BuiltinPayload, args, caller_env, loc) -> Value:
-        if payload.special is not None:
-            from . import refclasses, s4
+        """Apply a builtin to promises: lazy and special builtins take them
+        as they are, every other builtin takes their values in call order."""
+        if payload.special is None and not payload.lazy:
+            forced = [(n, p.force(self)) for n, p in args]
+            return self._apply_builtin(payload, forced, caller_env, loc)
+        if payload.special == "generic":
+            from . import s4
 
-            if payload.special == "generic":
-                result = s4.call_generic(self, payload.meta, args, caller_env, loc)
-            else:
-                forced = [(n, p.force(self)) for n, p in args]
-                result = refclasses.generator_new(self, payload.meta, forced, loc)
-            self.visible = not payload.invisible
-            return result
-        ctx = BuiltinContext(self, caller_env, loc)
-        if payload.lazy:
-            result = payload.fn(ctx, args)
-        elif payload.formals is None:
+            result = s4.call_generic(self, payload.meta, args, caller_env, loc)
+        elif payload.special == "ref_generator":
+            from . import refclasses
+
             forced = [(n, p.force(self)) for n, p in args]
-            result = payload.fn(ctx, forced)
+            result = refclasses.generator_new(self, payload.meta, forced, loc)
         else:
-            forced = [(n, p.force(self)) for n, p in args]
-            matched, extra = match_formals(payload.formals, forced, loc)
+            result = payload.fn(BuiltinContext(self, caller_env, loc), args)
+        self.visible = not payload.invisible
+        return result
+
+    def _apply_builtin(self, payload: BuiltinPayload, args, caller_env, loc) -> Value:
+        """Apply an eager builtin to (name, Value) pairs."""
+        ctx = BuiltinContext(self, caller_env, loc)
+        if payload.formals is None:
+            result = payload.fn(ctx, args)
+        else:
+            matched, extra = match_formals(payload.formals, args, loc)
             if extra:
                 raise MlsError(f"unused arguments for '{payload.name}'", loc)
             for name, default in payload.formals:
@@ -308,9 +260,6 @@ class Interpreter:
 
     # -- assignment ----------------------------------------------------------
 
-    def assign_local(self, name: str, v: Value, env: Environment, loc=None):
-        env.set_value(name, v, self, loc)
-
     def assign_super(self, name: str, v: Value, env: Environment, loc=None):
         cur = env.parent
         while cur is not None:
@@ -319,42 +268,6 @@ class Interpreter:
                 return
             cur = cur.parent
         self.global_env.set_value(name, v, self, loc)
-
-    def _eval_index_assign(self, e: syntax.IndexAssign, env: Environment) -> Value:
-        current = env.get_value(e.obj.name, self, e.loc)
-        indices = [self.eval(i, env) for i in e.indices]
-        v = self.eval(e.value, env)
-        updated = ops.index_assign(current, indices, v, e.loc)
-        self.assign_local(e.obj.name, updated, env, e.loc)
-        self.visible = False
-        return v
-
-    def _eval_field_assign(self, e: syntax.FieldAssign, env: Environment) -> Value:
-        from . import refclasses
-
-        v = self.eval(e.value, env)
-        if isinstance(e.obj, syntax.Symbol):
-            current = env.get_value(e.obj.name, self, e.loc)
-            if current.kind == values.REF_INSTANCE:
-                refclasses.field_set(self, current, e.name, v, e.loc)
-            elif current.kind == values.ENVIRONMENT:
-                current.payload.set_value(e.name, v, self, e.loc)
-            elif current.kind in (values.LIST, values.NULL):
-                updated = ops.field_assign_list(current, e.name, v, e.loc)
-                self.assign_local(e.obj.name, updated, env, e.loc)
-            else:
-                cls = values.implicit_class(current).payload[0]
-                raise MlsError(f"cannot set a field on an object of class '{cls}'", e.loc)
-        else:
-            target = self.eval(e.obj, env)
-            if target.kind == values.REF_INSTANCE:
-                refclasses.field_set(self, target, e.name, v, e.loc)
-            elif target.kind == values.ENVIRONMENT:
-                target.payload.set_value(e.name, v, self, e.loc)
-            else:
-                raise MlsError("cannot assign to a field of a temporary value", e.loc)
-        self.visible = False
-        return v
 
     # -- field access ----------------------------------------------------------
 
@@ -454,3 +367,242 @@ class Interpreter:
             v = self.eval(e, env)
             if self.visible:
                 self.print_value(v, env)
+
+
+# -- compiled evaluator ------------------------------------------------------------
+#
+# Each node compiles once, on its first evaluation, into a closure
+# `run(interp, env) -> Value` cached on the node (Feeley & Lapalme, "Using
+# closures for code generation", 1987).  A closure captures its children's
+# closures and constants from the tree, never an interpreter or an
+# environment, so one parsed program runs in any number of interpreters.
+# Function bodies compile on their first call, through `Interpreter.eval`.
+# Functions of other modules (`ops.*`, `interp.*`) are looked up at each
+# call, not bound at compile time, so wrappers installed on them (as a
+# tracer does) still see every call.
+
+
+def compile_expr(e: syntax.Expr):
+    """The closure that evaluates `e`, compiled and cached on first use."""
+    run = e._run
+    if run is None:
+        run = e._run = _COMPILERS.get(type(e), _compile_unknown)(e)
+    return run
+
+
+def _compile_constant(e: syntax.Constant):
+    value = e.value
+
+    def run(interp, env):
+        interp.visible = True
+        return value
+
+    return run
+
+
+def _compile_symbol(e: syntax.Symbol):
+    name, loc = e.name, e.loc
+
+    def run(interp, env):
+        interp.visible = True
+        return env.get_value(name, interp, loc)
+
+    return run
+
+
+def _compile_call(e: syntax.Call):
+    """The callee is resolved first.  An eager builtin (neither lazy nor
+    special) gets its argument values, evaluated in call order in the
+    caller's environment; every other function gets one promise per
+    argument.  The choice is made on the resolved function at each call,
+    so rebinding a builtin's name to a closure restores laziness."""
+    loc = e.loc
+    arg_exprs = e.args
+    arg_runs = [(name, compile_expr(arg)) for name, arg in e.args]
+    if isinstance(e.callee, syntax.Symbol):
+        fname, callee_run = e.callee.name, None
+    else:
+        fname, callee_run = None, compile_expr(e.callee)
+
+    def run(interp, env):
+        if callee_run is None:
+            fn = interp.lookup_function(fname, env, loc)
+        else:
+            fn = callee_run(interp, env)
+        try:
+            if fn.kind == values.BUILTIN and fn.payload.special is None and not fn.payload.lazy:
+                args = [(name, arg(interp, env)) for name, arg in arg_runs]
+                return interp.call_value(fn, args, loc, env, fname, forced=True)
+            args = [(name, Promise(arg, env)) for name, arg in arg_exprs]
+            return interp.call_value(fn, args, loc, env, fname)
+        except MlsError as err:
+            if err.loc is None:
+                err.loc = loc
+            raise
+
+    return run
+
+
+def _compile_assign(e):
+    """`name <- v` binds in the current frame; `name <<- v` in the first
+    enclosing frame that has `name`, else in the global one."""
+    name, loc, value_run = e.target.name, e.loc, compile_expr(e.value)
+    local = isinstance(e, syntax.Assign)
+
+    def run(interp, env):
+        v = value_run(interp, env)
+        if local:
+            env.set_value(name, v, interp, loc)
+        else:
+            interp.assign_super(name, v, env, loc)
+        interp.visible = False
+        return v
+
+    return run
+
+
+def _compile_block(e: syntax.Block):
+    body_runs = [compile_expr(stmt) for stmt in e.body]
+
+    def run(interp, env):
+        result = values.null_value()
+        interp.visible = True
+        for stmt in body_runs:
+            result = stmt(interp, env)
+        return result
+
+    return run
+
+
+def _compile_if(e: syntax.If):
+    cond_run, cond_loc, then_run = compile_expr(e.cond), e.cond.loc, compile_expr(e.then)
+    else_run = compile_expr(e.orelse) if e.orelse is not None else None
+
+    def run(interp, env):
+        if ops.truthy(cond_run(interp, env), cond_loc):
+            return then_run(interp, env)
+        if else_run is not None:
+            return else_run(interp, env)
+        interp.visible = False
+        return values.null_value()
+
+    return run
+
+
+def _compile_while(e: syntax.While):
+    cond_run, cond_loc, body_run = compile_expr(e.cond), e.cond.loc, compile_expr(e.body)
+
+    def run(interp, env):
+        while ops.truthy(cond_run(interp, env), cond_loc):
+            body_run(interp, env)
+        interp.visible = False
+        return values.null_value()
+
+    return run
+
+
+def _compile_function(e: syntax.FunctionLiteral):
+    formals, body = e.formals, e.body
+
+    def run(interp, env):
+        interp.visible = True
+        return Value(values.CLOSURE, values.Closure(formals, body, env))
+
+    return run
+
+
+def _compile_index(e: syntax.Index):
+    obj_run, loc = compile_expr(e.obj), e.loc
+    index_runs = [compile_expr(i) for i in e.indices]
+
+    def run(interp, env):
+        obj = obj_run(interp, env)
+        indices = [index(interp, env) for index in index_runs]
+        interp.visible = True
+        return ops.index_get(obj, indices, loc)
+
+    return run
+
+
+def _compile_index_assign(e: syntax.IndexAssign):
+    name, loc, value_run = e.obj.name, e.loc, compile_expr(e.value)
+    index_runs = [compile_expr(i) for i in e.indices]
+
+    def run(interp, env):
+        current = env.get_value(name, interp, loc)
+        indices = [index(interp, env) for index in index_runs]
+        v = value_run(interp, env)
+        updated = ops.index_assign(current, indices, v, loc)
+        env.set_value(name, updated, interp, loc)
+        interp.visible = False
+        return v
+
+    return run
+
+
+def _compile_field_access(e: syntax.FieldAccess):
+    obj_run, name, loc = compile_expr(e.obj), e.name, e.loc
+
+    def run(interp, env):
+        obj = obj_run(interp, env)
+        interp.visible = True
+        return interp.field_get(obj, name, loc)
+
+    return run
+
+
+def _compile_field_assign(e: syntax.FieldAssign):
+    """`x$f <- v` sets a field of an instance or environment bound to `x`,
+    or rebinds `x` to an updated list; `expr$f <- v` needs `expr` to be
+    an instance or environment."""
+    from . import refclasses
+
+    field, loc, value_run = e.name, e.loc, compile_expr(e.value)
+    name = e.obj.name if isinstance(e.obj, syntax.Symbol) else None
+    target_run = compile_expr(e.obj)
+
+    def run(interp, env):
+        v = value_run(interp, env)
+        target = target_run(interp, env)
+        if target.kind == values.REF_INSTANCE:
+            refclasses.field_set(interp, target, field, v, loc)
+        elif target.kind == values.ENVIRONMENT:
+            target.payload.set_value(field, v, interp, loc)
+        elif name is None:
+            raise MlsError("cannot assign to a field of a temporary value", loc)
+        elif target.kind in (values.LIST, values.NULL):
+            updated = ops.field_assign_list(target, field, v, loc)
+            env.set_value(name, updated, interp, loc)
+        else:
+            cls = values.implicit_class(target).payload[0]
+            raise MlsError(f"cannot set a field on an object of class '{cls}'", loc)
+        interp.visible = False
+        return v
+
+    return run
+
+
+def _compile_unknown(e: syntax.Expr):
+    message, loc = f"cannot evaluate node {type(e).__name__}", e.loc
+
+    def run(interp, env):
+        raise MlsError(message, loc)
+
+    return run
+
+
+_COMPILERS = {
+    syntax.Constant: _compile_constant,
+    syntax.Symbol: _compile_symbol,
+    syntax.Call: _compile_call,
+    syntax.Assign: _compile_assign,
+    syntax.SuperAssign: _compile_assign,
+    syntax.Block: _compile_block,
+    syntax.If: _compile_if,
+    syntax.While: _compile_while,
+    syntax.FunctionLiteral: _compile_function,
+    syntax.Index: _compile_index,
+    syntax.IndexAssign: _compile_index_assign,
+    syntax.FieldAccess: _compile_field_access,
+    syntax.FieldAssign: _compile_field_assign,
+}

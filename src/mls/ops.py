@@ -8,6 +8,7 @@ structure safely.
 from __future__ import annotations
 
 import math
+import operator
 
 from . import printer, values
 from .values import MlsError, Value
@@ -74,7 +75,7 @@ def arith_binary(op: str, a: Value, b: Value, loc=None) -> Value:
         out = [_safe_div(x, y) for x, y in zip(xs, ys)]
     else:
         kind = values.DOUBLE if values.DOUBLE in (ka, kb) else values.INTEGER
-        fn = {"+": lambda x, y: x + y, "-": lambda x, y: x - y, "*": lambda x, y: x * y}[op]
+        fn = _ARITH[op]
         out = [fn(x, y) for x, y in zip(xs, ys)]
         if kind == values.DOUBLE:
             out = [float(x) for x in out]
@@ -84,6 +85,8 @@ def arith_binary(op: str, a: Value, b: Value, loc=None) -> Value:
         result.attributes["names"] = names
     return result
 
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 _COMPARE = {
     "<": lambda x, y: x < y,

@@ -84,6 +84,8 @@ def dispatch_binary_op(interp, op: str, lhs: Value, rhs: Value, env, loc=None) -
     Returns None when neither operand selects a method, in which case
     the caller falls through to the builtin operator.
     """
+    if "class" not in lhs.attributes and "class" not in rhs.attributes:
+        return None
     left_fn, left_name = _find_operator_method(interp, op, lhs, env)
     right_fn, right_name = _find_operator_method(interp, op, rhs, env)
     if left_fn is not None and right_fn is not None and left_fn.payload is not right_fn.payload:

@@ -42,6 +42,11 @@ _POSTFIX_PREC = 9
 class Expr:
     loc: Loc = field(default=(0, 0), kw_only=True)
 
+    # The evaluator's compiled closure for this node, cached on first
+    # evaluation; a class attribute, not a field, so equality and repr
+    # ignore it.
+    _run = None
+
 
 @dataclass
 class Constant(Expr):

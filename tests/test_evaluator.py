@@ -1,12 +1,26 @@
+import io
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import PureProgramGenerator, frame_matches_snapshot, snapshot_frame
-from mls import values
+from mls import reader, values
+from mls.interpreter import Interpreter
 from mls.values import MlsError
 
 
 def run(interp, src):
     return interp.eval_source(src)
+
+
+def printed(exprs, setup=""):
+    """What `run_top_level` prints for `exprs` in a fresh interpreter."""
+    out = io.StringIO()
+    interp = Interpreter(stdout=out)
+    interp.eval_source(setup)
+    interp.run_top_level(exprs)
+    return out.getvalue()
 
 
 # -- arithmetic and coercion ---------------------------------------------------
@@ -56,6 +70,8 @@ def test_comparisons(interp):
 def test_short_circuit(interp):
     assert run(interp, "FALSE && stop()").payload == [False]
     assert run(interp, "TRUE || stop()").payload == [True]
+    assert run(interp, 'FALSE && stop("no")').payload == [False]
+    assert run(interp, 'TRUE || stop("no")').payload == [True]
     assert run(interp, "TRUE && FALSE").payload == [False]
 
 
@@ -98,6 +114,10 @@ def test_unbound_symbol_reports_location(interp):
         run(interp, "1 + nope")
     assert "object 'nope' not found" in exc.value.message
     assert exc.value.loc == (1, 5)
+    with pytest.raises(MlsError) as exc:
+        run(interp, "length(\n  nope)")
+    assert exc.value.message == "object 'nope' not found"
+    assert exc.value.loc == (2, 3)
 
 
 def test_environment_values_alias(interp):
@@ -193,6 +213,19 @@ def test_unforced_side_effect_never_runs(interp):
     interp.register_foreign("tick", lambda i, args: (ticks.append(1), values.scalar_int(1))[1])
     run(interp, 'h <- function(p, q) q; h(foreign("tick"), 7)')
     assert ticks == []
+
+
+def test_builtin_arguments_run_in_call_order_in_caller_env(capture):
+    capture.run_top_level(reader.parse_program("f <- function() { c(x <- 1, x <- 2); x }; f()"))
+    assert capture.out.getvalue() == "[1] 2\n"
+    assert not capture.global_env.has("x")
+
+
+def test_builtin_name_rebound_to_closure_is_lazy(capture):
+    capture.run_top_level(
+        reader.parse_program('length <- function(x) 99; length(stop("never"))')
+    )
+    assert capture.out.getvalue() == "[1] 99\n"
 
 
 # -- interpreter state builtins ------------------------------------------------------
@@ -325,6 +358,14 @@ def test_independent_interpreters_share_nothing():
 def test_runaway_recursion_is_a_clean_error(interp):
     with pytest.raises(MlsError, match="nested too deeply"):
         run(interp, "f <- function() f(); f()")
+    with pytest.raises(MlsError, match="nested too deeply"):
+        run(interp, "g <- function() 1 + g(); g()")
+
+
+def test_deep_sums_and_deep_recursion_fit_the_host_stack(interp):
+    assert run(interp, "x <- " + "+".join(["1"] * 4000)).payload == [4000]
+    run(interp, "f <- function(n) if (n == 0) 0 else 1 + f(n - 1)")
+    assert run(interp, "f(998)").payload == [998]  # 999 nested calls
 
 
 def test_chained_assignment(interp):
@@ -386,3 +427,23 @@ def test_random_pure_programs_preserve_globals():
         snap = snapshot_frame(interp.global_env)
         interp.eval_source(call)
         assert frame_matches_snapshot(interp.global_env, snap), program
+
+
+# -- compiled closures ---------------------------------------------------------------
+
+def test_one_parse_runs_in_interpreters_with_different_globals():
+    exprs = reader.parse_program("f <- function(n) n * k\nf(2)")
+    assert printed(exprs, "k <- 3") == "[1] 6\n"
+    assert printed(exprs, "k <- 5") == "[1] 10\n"
+    assert printed(exprs, "k <- 3") == "[1] 6\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_reused_parse_prints_like_a_fresh_parse(seed):
+    program, call = PureProgramGenerator(seed).program()
+    source = f"{program}\n{call}"
+    exprs = reader.parse_program(source)
+    first = printed(exprs)
+    assert printed(exprs) == first
+    assert printed(reader.parse_program(source)) == first
