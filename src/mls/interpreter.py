@@ -362,11 +362,17 @@ class Interpreter:
         self.call_value(fn, [(None, Promise.forced(v))], caller_env=env, label="print")
 
     def run_top_level(self, exprs, env: Environment = None):
+        """Evaluate and print each expression in turn.  Source nested deeper
+        than the host stack allows is an error at the top-level expression
+        that holds it."""
         env = env or self.global_env
         for e in exprs:
-            v = self.eval(e, env)
-            if self.visible:
-                self.print_value(v, env)
+            try:
+                v = self.eval(e, env)
+                if self.visible:
+                    self.print_value(v, env)
+            except RecursionError:
+                raise MlsError("evaluation nested too deeply", e.loc) from None
 
 
 # -- compiled evaluator ------------------------------------------------------------

@@ -3,6 +3,12 @@
 These implement value semantics directly: every operation builds a new
 value and never mutates its inputs, which is what lets bindings share
 structure safely.
+
+Work is done per value, not per element, wherever no element needs its
+own decision: `c()` builds its payload with one bulk copy per part and
+builds a names vector only when some part has an outer name or a
+`names` attribute, and an operator on two attribute-free numeric
+scalars computes its one element directly.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from . import printer, values
 from .values import MlsError, Value
 
 _NUMERIC_RANK = {values.LOGICAL: 0, values.INTEGER: 1, values.DOUBLE: 2, values.STRING: 3}
+_NUMBER_KINDS = (values.INTEGER, values.DOUBLE)
 
 
 def _as_number_list(v: Value, op: str, loc):
@@ -66,7 +73,27 @@ def arith_unary(op: str, v: Value, loc=None) -> Value:
     return out
 
 
+def _plain_scalars(a: Value, b: Value) -> bool:
+    """Whether both operands are attribute-free length-1 numbers, the case
+    the scalar paths of `arith_binary` and `compare_binary` take."""
+    return (
+        a.kind in _NUMBER_KINDS
+        and b.kind in _NUMBER_KINDS
+        and len(a.payload) == 1
+        and len(b.payload) == 1
+        and not a.attributes
+        and not b.attributes
+    )
+
+
 def arith_binary(op: str, a: Value, b: Value, loc=None) -> Value:
+    if _plain_scalars(a, b):
+        x, y = a.payload[0], b.payload[0]
+        if op == "/":
+            return Value(values.DOUBLE, [_safe_div(x, y)])
+        if a.kind == values.DOUBLE or b.kind == values.DOUBLE:
+            return Value(values.DOUBLE, [float(_ARITH[op](x, y))])
+        return Value(values.INTEGER, [_ARITH[op](x, y)])
     xs, ka = _as_number_list(a, op, loc)
     ys, kb = _as_number_list(b, op, loc)
     xs, ys = _recycle(xs, ys, loc)
@@ -99,6 +126,8 @@ _COMPARE = {
 
 
 def compare_binary(op: str, a: Value, b: Value, loc=None) -> Value:
+    if _plain_scalars(a, b):
+        return Value(values.LOGICAL, [bool(_COMPARE[op](a.payload[0], b.payload[0]))])
     if values.STRING in (a.kind, b.kind):
         if a.kind != values.STRING or b.kind != values.STRING:
             raise MlsError(f"comparison ({op}) requires compatible types", loc)
@@ -153,10 +182,8 @@ def concat(args, loc=None) -> Value:
     parts = [(n, v) for n, v in args if not values.is_null(v)]
     if not parts:
         return values.null_value()
-    as_list = any(v.kind not in values.VECTOR_KINDS for _, v in parts)
-    names = []
-    have_names = False
-    if as_list:
+    if any(v.kind not in values.VECTOR_KINDS for _, v in parts):
+        names = []
         items = []
         for name, v in parts:
             if v.kind == values.LIST:
@@ -171,20 +198,25 @@ def concat(args, loc=None) -> Value:
             else:
                 items.append(v)
                 names.append(name or "")
-        have_names = any(names)
         out = Value(values.LIST, items)
     else:
         kind = max((v.kind for _, v in parts), key=lambda k: _NUMERIC_RANK[k])
         items = []
-        for name, v in parts:
-            inner = values.element_names(v) or [""] * len(v.payload)
-            coerced = _coerce_vector_elements(v.payload, v.kind, kind)
-            for i, x in enumerate(coerced):
-                items.append(x)
-                names.append(_spliced_name(name, inner[i], i, len(coerced)))
-        have_names = any(names)
+        for _, v in parts:
+            if v.kind == kind:
+                items.extend(v.payload)
+            else:
+                items.extend(_coerce_vector_elements(v.payload, v.kind, kind))
         out = Value(kind, items)
-    if have_names:
+        # no outer name and no names attribute means every name is ""
+        names = None
+        if any(name or "names" in v.attributes for name, v in parts):
+            names = []
+            for name, v in parts:
+                n = len(v.payload)
+                inner = values.element_names(v) or [""] * n
+                names.extend(_spliced_name(name, inner[i], i, n) for i in range(n))
+    if names and any(names):
         out.attributes["names"] = values.string_vec(names)
     return out
 

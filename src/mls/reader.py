@@ -40,6 +40,11 @@ class Token:
         return (self.line, self.col)
 
 
+# Only ASCII digits make numbers: str.isdigit() also accepts characters
+# such as "²" that int() and float() reject.
+_DIGITS = frozenset("0123456789")
+
+
 def _is_sym_start(ch):
     return ch.isalpha() or ch in "._"
 
@@ -78,24 +83,24 @@ def tokenize(source: str) -> list:
                 col += 1
             continue
         start_line, start_col = line, col
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
+        if ch in _DIGITS or (ch == "." and i + 1 < n and source[i + 1] in _DIGITS):
             j = i
             is_double = False
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in _DIGITS:
                 j += 1
             if j < n and source[j] == ".":
                 is_double = True
                 j += 1
-                while j < n and source[j].isdigit():
+                while j < n and source[j] in _DIGITS:
                     j += 1
             if j < n and source[j] in "eE":
                 k = j + 1
                 if k < n and source[k] in "+-":
                     k += 1
-                if k < n and source[k].isdigit():
+                if k < n and source[k] in _DIGITS:
                     is_double = True
                     j = k
-                    while j < n and source[j].isdigit():
+                    while j < n and source[j] in _DIGITS:
                         j += 1
             text = source[i:j]
             if is_double or text.startswith("."):
@@ -116,6 +121,8 @@ def tokenize(source: str) -> list:
                     if j + 1 >= n:
                         break
                     esc = source[j + 1]
+                    if esc == "\n":
+                        line += 1
                     buf.append({"n": "\n", "t": "\t", "\\": "\\", '"': '"', "'": "'"}.get(esc, esc))
                     j += 2
                     continue
@@ -482,8 +489,14 @@ class Parser:
 
 
 def parse_program(source: str) -> list:
-    """Parse source text into a list of top-level expressions."""
-    return Parser(tokenize(source)).parse_program()
+    """Parse source text into a list of top-level expressions.  Nesting
+    deeper than the host stack allows is a syntax error at the token
+    where the parser gave up."""
+    parser = Parser(tokenize(source))
+    try:
+        return parser.parse_program()
+    except RecursionError:
+        raise MlsSyntaxError("expression nested too deeply", parser.peek().loc) from None
 
 
 def parse_one(source: str) -> syntax.Expr:

@@ -154,3 +154,33 @@ def test_deep_parenthesis_nesting_runs_and_analyzes(tmp_path):
             text=True,
         )
         assert proc.returncode == 0, proc.stderr[-300:]
+
+
+@pytest.mark.parametrize(
+    "source, code, out, err",
+    [
+        ("y <- 1 + \u00b2\n", 2, "", "error: unexpected character '\u00b2' (line 1, column 10)\n"),
+        ("x\u00b2 <- 1; x\u00b2\n", 0, "[1] 1\n", ""),
+        ('s <- "a\\\nb"\nnope\n', 1, "", "error: object 'nope' not found (line 3, column 1)\n"),
+    ],
+)
+def test_reader_edge_cases_through_the_cli(tmp_path, capsys, source, code, out, err):
+    script = tmp_path / "edge.mls"
+    script.write_text(source, encoding="utf-8")
+    assert run_cli(["run", str(script)], capsys) == (code, out, err)
+
+
+@pytest.mark.parametrize(
+    "source, code, message",
+    [
+        ("x <- " + "+".join(["1"] * 8000) + "\n", 1, "evaluation nested too deeply (line 1"),
+        ("x <- " + "(" * 5000 + "1" + ")" * 5000 + "\n", 2, "expression nested too deeply"),
+    ],
+)
+def test_host_recursion_is_an_mls_error_not_a_traceback(tmp_path, capsys, source, code, message):
+    script = tmp_path / "deep.mls"
+    script.write_text(source)
+    got, out, err = run_cli(["run", str(script)], capsys)
+    assert got == code
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in out + err

@@ -33,6 +33,13 @@ def test_basic_arithmetic(interp):
     assert run(interp, "7 / 2").payload == [3.5]
     assert run(interp, "7 / 2").kind == values.DOUBLE
     assert run(interp, "TRUE + TRUE").payload == [2]
+    assert run(interp, "TRUE + TRUE").kind == values.INTEGER
+    assert printed(reader.parse_program("2 * 3\n2 * 0.5")) == "[1] 6\n[1] 1\n"
+    assert run(interp, "2 * 3").kind == values.INTEGER
+    v = run(interp, "2 * 0.5")
+    assert (v.kind, type(v.payload[0])) == (values.DOUBLE, float)
+    v = run(interp, "1 < 2.5")
+    assert (v.kind, v.payload, type(v.payload[0])) == (values.LOGICAL, [True], bool)
 
 
 def test_vector_recycling(interp):
@@ -73,6 +80,106 @@ def test_short_circuit(interp):
     assert run(interp, 'FALSE && stop("no")').payload == [False]
     assert run(interp, 'TRUE || stop("no")').payload == [True]
     assert run(interp, "TRUE && FALSE").payload == [False]
+
+
+def _names(interp, src):
+    v = run(interp, f"names({src})")
+    return None if v.kind == values.NULL else v.payload
+
+
+@pytest.mark.parametrize(
+    "src, names",
+    [
+        ("c(a = 1, 2)", ["a", ""]),
+        ("c(a = c(1, 2))", ["a1", "a2"]),
+        ("c(a = c(p = 1, 2), 3)", ["p", "a2", ""]),
+        ("c(x = c(p = 1))", ["p"]),
+        ("c(c(p = 1), b = 2)", ["p", "b"]),
+        ("c(1, c(2, 3))", None),
+        ('c(set_attr(c(a = 1), "names", NULL), 2)', None),
+    ],
+)
+def test_concat_names(interp, src, names):
+    assert _names(interp, src) == names
+
+
+def test_concat_coercion(interp):
+    v = run(interp, "c(TRUE, 2)")
+    assert (v.kind, v.payload) == (values.INTEGER, [1, 2])
+    v = run(interp, "c(TRUE, 2, 1.5)")
+    assert (v.kind, v.payload) == (values.DOUBLE, [1.0, 2.0, 1.5])
+    assert all(type(x) is float for x in v.payload)
+    v = run(interp, 'c(1, "a", TRUE, 0.1, 1e-20, 1/0)')
+    assert (v.kind, v.payload) == (values.STRING, ["1", "a", "TRUE", "0.1", "1e-20", "Inf"])
+    assert run(interp, "c()").kind == values.NULL
+    assert run(interp, "c(NULL, NULL)").kind == values.NULL
+    v = run(interp, "c(NULL, a = NULL, 2)")
+    assert (v.kind, v.payload, v.attributes) == (values.INTEGER, [2], {})
+
+
+_ATOMS = st.sampled_from(["0", "7", "TRUE", "FALSE", '"s"', '"t u"'])
+_PART_NAMES = st.sampled_from(["", "", "a", "xy"])
+_INNER_NAMES = st.sampled_from(["", "", "p"])
+_CONCAT_PARTS = st.lists(
+    st.tuples(
+        _PART_NAMES,
+        st.one_of(
+            st.just(None),  # NULL
+            st.lists(st.tuples(_INNER_NAMES, _ATOMS), min_size=1, max_size=3),
+        ),
+    ),
+    max_size=4,
+)
+
+
+def _atom_kind(atom):
+    return "string" if atom.startswith('"') else "logical" if atom in ("TRUE", "FALSE") else "int"
+
+
+def _part_source(elements):
+    if len(elements) == 1 and not elements[0][0]:
+        return elements[0][1]
+    return "c(" + ", ".join(f"{n} = {a}" if n else a for n, a in elements) + ")"
+
+
+def _expected_concat_output(parts):
+    """The printed c(...) and names(c(...)) by R's rule, computed without mls."""
+    parts = [(outer, elements) for outer, elements in parts if elements is not None]
+    if not parts:
+        return "NULL\nNULL\n"
+
+    def coerce(atoms):  # logical < integer < character, as deparsed atoms
+        kinds = {_atom_kind(a) for a in atoms}
+        if "string" in kinds:
+            return ['"' + a.strip('"') + '"' for a in atoms]
+        if "int" in kinds:
+            return [{"TRUE": "1", "FALSE": "0"}.get(a, a) for a in atoms]
+        return atoms
+
+    # each part is built by its own c() first, then the parts are combined
+    shown = coerce([a for _, elements in parts for a in coerce([a for _, a in elements])])
+    names = []
+    for outer, elements in parts:
+        for i, (inner, _) in enumerate(elements):
+            if inner:
+                names.append(inner)
+            elif outer:
+                names.append(outer if len(elements) == 1 else f"{outer}{i + 1}")
+            else:
+                names.append("")
+    names_line = "[1] " + " ".join(f'"{n}"' for n in names) if any(names) else "NULL"
+    return f"[1] {' '.join(shown)}\n{names_line}\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CONCAT_PARTS)
+def test_concat_matches_reference_naming_rule(parts):
+    args = ", ".join(
+        (f"{outer} = " if outer else "") + ("NULL" if elements is None else _part_source(elements))
+        for outer, elements in parts
+    )
+    src = f"x <- c({args})\nprint(x)\nprint(names(x))"
+    assert printed(reader.parse_program(src)) == _expected_concat_output(parts)
 
 
 # -- environments and assignment -------------------------------------------------
@@ -331,6 +438,11 @@ def test_arithmetic_drops_attributes_except_names(interp):
     v = run(interp, 'x <- set_attr(c(a = 1, b = 2), "class", c("classy")); x + 1')
     assert "class" not in v.attributes
     assert v.attributes["names"].payload == ["a", "b"]
+    v = run(interp, 'set_attr(1, "class", c("classy")) * 2')
+    assert (v.kind, v.payload, v.attributes) == (values.INTEGER, [2], {})
+    assert _names(interp, "c(a = 1) + 1") == ["a"]
+    assert _names(interp, "1 - c(b = 2)") == ["b"]
+    assert _names(interp, "c(a = 1) == 1") == ["a"]
 
 
 def test_non_function_callee_errors(interp):

@@ -170,6 +170,27 @@ def test_strings_escapes_roundtrip():
     assert roundtrips(e)
 
 
+def test_only_ascii_digits_make_numbers():
+    for src in ("y <- 1 + \u00b2", "y <- \u0663"):  # superscript two, Arabic-Indic three
+        with pytest.raises(MlsSyntaxError, match="unexpected character") as exc:
+            reader.parse_program(src)
+        assert exc.value.loc == (1, len(src))
+    e = parse1("x\u00b2 <- 1")  # a digit-like character may still continue a name
+    assert e.target.name == "x\u00b2"
+    assert parse1("x <- 12.5e1").value.value.payload == [125.0]
+
+
+def test_escaped_newline_in_string_advances_the_line():
+    exprs = reader.parse_program('s <- "a\\\nb"\nnope')
+    assert exprs[0].value.value.payload == ["a\nb"]
+    assert exprs[1].loc == (3, 1)
+
+
+def test_nesting_deeper_than_the_host_stack_is_a_syntax_error():
+    with pytest.raises(MlsSyntaxError, match="nested too deeply"):
+        reader.parse_program("x <- " + "(" * 5000 + "1" + ")" * 5000)
+
+
 def test_dangling_else_deparse():
     inner = reader.parse_one("if (b) x")
     outer = syntax.If(reader.parse_one("a"), inner, reader.parse_one("y"))

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mls import reader, values
+from mls import ops, reader, values
 from mls.interpreter import Interpreter
-from mls.values import MlsError
+from mls.values import MlsError, Value
 
 
 def test_implicit_class_base_kinds():
@@ -187,3 +187,27 @@ def test_editing_an_alias_never_changes_the_original(is_list, items, edits):
         lines.append(f"f <- function(a) {{ {_edit_source('a', e)}; a }}; r <- f(x)")
     src = "\n".join(lines + ["x"])
     assert printed(interp, src) == original
+
+
+_SCALARS = st.one_of(
+    st.builds(values.scalar_int, st.integers(-10**6, 10**6)),
+    st.builds(values.scalar_double, st.floats()),
+    st.builds(values.scalar_bool, st.booleans()),
+)
+
+
+@given(
+    op=st.sampled_from(["+", "-", "*", "/", "<", "<=", ">", ">=", "==", "!="]),
+    a=_SCALARS,
+    b=_SCALARS,
+)
+def test_scalar_operators_match_the_vector_path(op, a, b):
+    """An operator on two attribute-free length-1 operands gives the first
+    element of the same operator on length-2 copies, in kind, value and
+    Python type."""
+    fn = ops.arith_binary if op in "+-*/" else ops.compare_binary
+    one = fn(op, a, b)
+    two = fn(op, Value(a.kind, a.payload * 2), Value(b.kind, b.payload * 2))
+    assert one.attributes == {} == two.attributes
+    assert values.values_equal(one, Value(two.kind, two.payload[:1]))
+    assert type(one.payload[0]) is type(two.payload[0])
