@@ -28,8 +28,8 @@ OPTIONS_NAME = ".Options"
 DEFAULT_SEED = 0
 
 # Interpreter recursion rides the host stack: one MLS call costs up to 24
-# host frames, and the reader about 15 per level of nesting.  The CLI and
-# every Interpreter raise the host limit to this one budget.
+# host frames, and the reader 4 or 5 per level of bracket or keyword
+# nesting.  The CLI and every Interpreter raise the host limit to this.
 MAX_CALL_DEPTH = 1000
 HOST_RECURSION_LIMIT = 24 * MAX_CALL_DEPTH
 
@@ -144,11 +144,8 @@ class Interpreter:
     # -- evaluation ----------------------------------------------------------
 
     def eval_program(self, exprs, env=None):
-        env = env or self.global_env
-        result = values.null_value()
-        for e in exprs:
-            result = self.eval(e, env)
-        return result
+        """Evaluate each expression in turn and return the last value."""
+        return self._run_each(exprs, env, echo=False)
 
     def eval_source(self, source: str, env=None):
         return self.eval_program(reader.parse_program(source), env)
@@ -159,7 +156,8 @@ class Interpreter:
 
     # -- calls ---------------------------------------------------------------
 
-    def lookup_function(self, name: str, env: Environment, loc=None) -> Value:
+    def find_function(self, name: str, env: Environment, loc=None) -> Optional[Value]:
+        """The first function bound to `name` from `env` outward, or None."""
         cur = env
         while cur is not None:
             b = cur.frame.get(name)
@@ -168,7 +166,13 @@ class Interpreter:
                 if values.is_function(v):
                     return v
             cur = cur.parent
-        raise MlsError(f"could not find function '{name}'", loc)
+        return None
+
+    def lookup_function(self, name: str, env: Environment, loc=None) -> Value:
+        fn = self.find_function(name, env, loc)
+        if fn is None:
+            raise MlsError(f"could not find function '{name}'", loc)
+        return fn
 
     def call_value(self, fn: Value, args, loc=None, caller_env=None, label=None,
                    forced=False) -> Value:
@@ -362,17 +366,23 @@ class Interpreter:
         self.call_value(fn, [(None, Promise.forced(v))], caller_env=env, label="print")
 
     def run_top_level(self, exprs, env: Environment = None):
-        """Evaluate and print each expression in turn.  Source nested deeper
+        """Evaluate each expression in turn and print its value if visible."""
+        self._run_each(exprs, env, echo=True)
+
+    def _run_each(self, exprs, env, echo):
+        """The one loop over top-level expressions.  Source nested deeper
         than the host stack allows is an error at the top-level expression
         that holds it."""
         env = env or self.global_env
+        result = values.null_value()
         for e in exprs:
             try:
-                v = self.eval(e, env)
-                if self.visible:
-                    self.print_value(v, env)
+                result = self.eval(e, env)
+                if echo and self.visible:
+                    self.print_value(result, env)
             except RecursionError:
                 raise MlsError("evaluation nested too deeply", e.loc) from None
+        return result
 
 
 # -- compiled evaluator ------------------------------------------------------------

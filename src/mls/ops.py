@@ -103,9 +103,8 @@ def arith_binary(op: str, a: Value, b: Value, loc=None) -> Value:
     else:
         kind = values.DOUBLE if values.DOUBLE in (ka, kb) else values.INTEGER
         fn = _ARITH[op]
+        # a DOUBLE payload holds floats, and int-op-float is a float
         out = [fn(x, y) for x, y in zip(xs, ys)]
-        if kind == values.DOUBLE:
-            out = [float(x) for x in out]
     result = Value(kind, out)
     names = _result_names(len(out), a, b)
     if names is not None:

@@ -5,6 +5,9 @@ superassignment, `$` field access, `[ ]` indexing, `function`
 literals, `if`/`else`, `while`, and `{ }` blocks.  Newlines separate
 statements except inside `( )` and `[ ]`, or when a line ends with an
 incomplete expression (an unfinished operator or an open construct).
+An operator is a call to the function it names; the parser reads its
+precedence from `syntax.BINARY_PRECEDENCE` and `PREFIX_PRECEDENCE` by
+precedence climbing (Pratt, "Top down operator precedence", 1973).
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from dataclasses import dataclass
 
 from . import syntax, values
 from .values import MlsError
-
-KEYWORDS = {"function", "if", "else", "while", "TRUE", "FALSE", "NULL"}
 
 _MULTI_OPS = ["<<-", "<-", "<=", ">=", "==", "!=", "&&", "||"]
 _SINGLE_OPS = "+-*/<>!=(){}[],;$"
@@ -28,12 +29,12 @@ class MlsSyntaxError(MlsError):
 
 @dataclass
 class Token:
-    type: str  # NUM INT STR SYM KW OP NEWLINE EOF
+    type: str  # NUM INT STR SYM KW OP EOF
     text: str
     value: object
     line: int
     col: int
-    after_newline: bool = False
+    after_newline: bool
 
     @property
     def loc(self):
@@ -58,17 +59,20 @@ def tokenize(source: str) -> list:
     line, col = 1, 1
     i = 0
     n = len(source)
-    # newline tokens are suppressed inside ( ) and [ ]; braces restore them
+    # newlines separate statements except inside ( ) and [ ]; braces restore it
     brackets = []
+    after_newline = False
 
     def emit(type_, text, value=None, tline=None, tcol=None):
-        tokens.append(Token(type_, text, value, tline or line, tcol or col))
+        nonlocal after_newline
+        tokens.append(Token(type_, text, value, tline or line, tcol or col, after_newline))
+        after_newline = False
 
     while i < n:
         ch = source[i]
         if ch == "\n":
             if not brackets or brackets[-1] == "{":
-                emit("NEWLINE", "\n")
+                after_newline = True
             i += 1
             line += 1
             col = 1
@@ -164,7 +168,7 @@ def tokenize(source: str) -> list:
             while j < n and _is_sym_part(source[j]):
                 j += 1
             text = source[i:j]
-            emit("KW" if text in KEYWORDS else "SYM", text, text, start_line, start_col)
+            emit("KW" if text in syntax.KEYWORDS else "SYM", text, text, start_line, start_col)
             col += j - i
             i = j
             continue
@@ -177,9 +181,7 @@ def tokenize(source: str) -> list:
             matched = ch
         if matched is None:
             raise MlsSyntaxError(f"unexpected character {ch!r}", (line, col))
-        if matched in "([":
-            brackets.append(matched)
-        elif matched == "{":
+        if matched in "([{":
             brackets.append(matched)
         elif matched in ")]}":
             if brackets:
@@ -189,18 +191,8 @@ def tokenize(source: str) -> list:
         i += len(matched)
         continue
 
-    tokens.append(Token("EOF", "", None, line, col))
-    # mark tokens that start a fresh line, then drop newline markers
-    out = []
-    pending_nl = False
-    for tok in tokens:
-        if tok.type == "NEWLINE":
-            pending_nl = True
-            continue
-        tok.after_newline = pending_nl
-        pending_nl = False
-        out.append(tok)
-    return out
+    emit("EOF", "")
+    return tokens
 
 
 class Parser:
@@ -255,7 +247,7 @@ class Parser:
     # -- expressions ---------------------------------------------------------
 
     def expression(self):
-        left = self.or_expr()
+        left = self.operand(0)
         tok = self.peek()
         if tok.type == "OP" and tok.text in ("<-", "<<-") and not tok.after_newline:
             op = self.advance()
@@ -285,49 +277,30 @@ class Parser:
             return syntax.FieldAssign(target.obj, target.name, value, loc=loc)
         raise MlsSyntaxError("invalid assignment target", op_tok.loc)
 
-    def binary_loop(self, ops, next_rule):
-        left = next_rule()
+    def operand(self, min_prec):
+        """Precedence climbing: the longest expression whose operators all
+        bind at least as tightly as `min_prec`.  A binary operator must
+        start on its left operand's line."""
+        tok = self.peek()
+        prec = syntax.PREFIX_PRECEDENCE.get(tok.text) if tok.type == "OP" else None
+        if prec is not None and prec >= min_prec:
+            self.advance()
+            inner = self.operand(prec)
+            left = syntax.Call(syntax.Symbol(tok.text, loc=tok.loc), [(None, inner)], loc=tok.loc)
+        else:
+            left = self.postfix()
         while True:
             tok = self.peek()
-            if tok.type == "OP" and tok.text in ops and not tok.after_newline:
-                self.advance()
-                right = next_rule()
-                left = syntax.Call(
-                    syntax.Symbol(tok.text, loc=tok.loc), [(None, left), (None, right)], loc=left.loc
-                )
-            else:
+            if tok.type != "OP" or tok.after_newline:
                 return left
-
-    def or_expr(self):
-        return self.binary_loop(("||",), self.and_expr)
-
-    def and_expr(self):
-        return self.binary_loop(("&&",), self.not_expr)
-
-    def not_expr(self):
-        tok = self.peek()
-        if tok.type == "OP" and tok.text == "!":
+            prec = syntax.BINARY_PRECEDENCE.get(tok.text)
+            if prec is None or prec < min_prec:
+                return left
             self.advance()
-            operand = self.not_expr()
-            return syntax.Call(syntax.Symbol("!", loc=tok.loc), [(None, operand)], loc=tok.loc)
-        return self.comparison()
-
-    def comparison(self):
-        return self.binary_loop(("<", "<=", ">", ">=", "==", "!="), self.additive)
-
-    def additive(self):
-        return self.binary_loop(("+", "-"), self.multiplicative)
-
-    def multiplicative(self):
-        return self.binary_loop(("*", "/"), self.unary)
-
-    def unary(self):
-        tok = self.peek()
-        if tok.type == "OP" and tok.text in ("-", "+"):
-            self.advance()
-            operand = self.unary()
-            return syntax.Call(syntax.Symbol(tok.text, loc=tok.loc), [(None, operand)], loc=tok.loc)
-        return self.postfix()
+            right = self.operand(prec + 1)
+            left = syntax.Call(
+                syntax.Symbol(tok.text, loc=tok.loc), [(None, left), (None, right)], loc=left.loc
+            )
 
     def postfix(self):
         expr = self.primary()

@@ -157,12 +157,9 @@ def generator_new(interp, cdef: RefClassDef, args, loc=None) -> Value:
             raise MlsError(f"field '{name}' initialized twice", loc)
         inits[name] = v
 
-    backing = Environment(cdef.def_env, f"ref:{cdef.name}")
+    field_values = {}
     for fname, spec in cdef.fields.items():
         if spec.active:
-            getter = _re_enclosed(spec.active_get, backing)
-            setter = _re_enclosed(spec.active_set, backing) if spec.active_set else None
-            backing.frame[fname] = Binding.active(getter, setter)
             continue
         if fname in inits:
             v = inits[fname]
@@ -173,9 +170,23 @@ def generator_new(interp, cdef: RefClassDef, args, loc=None) -> Value:
                 raise MlsError(
                     f"field '{fname}' of class '{cdef.name}' requires an explicit value", loc
                 )
-        backing.frame[fname] = Binding.immediate(
-            v, field=FieldSpec(spec.declared_class, spec.read_only)
-        )
+        field_values[fname] = v
+    return _build_instance(cdef, cdef.def_env, field_values)
+
+
+def _build_instance(cdef: RefClassDef, parent: Environment, field_values: dict) -> Value:
+    """An instance of `cdef` on a fresh backing environment under `parent`,
+    its stored fields bound to `field_values`, the rest re-enclosed over it."""
+    backing = Environment(parent, f"ref:{cdef.name}")
+    for fname, spec in cdef.fields.items():
+        if spec.active:
+            getter = _re_enclosed(spec.active_get, backing)
+            setter = _re_enclosed(spec.active_set, backing) if spec.active_set else None
+            backing.frame[fname] = Binding.active(getter, setter)
+        else:
+            backing.frame[fname] = Binding.immediate(
+                field_values[fname], field=FieldSpec(spec.declared_class, spec.read_only)
+            )
     for mname, fn in cdef.methods.items():
         backing.frame[mname] = Binding.immediate(_re_enclosed(fn, backing))
     instance = Value(values.REF_INSTANCE, RefPayload(cdef.name, backing))
@@ -210,25 +221,16 @@ def copy_instance(interp, obj: Value, loc=None) -> Value:
     if cdef is None:
         raise MlsError(f"unknown reference class '{obj.payload.class_name}'", loc)
     old = obj.payload.backing
-    backing = Environment(old.parent, f"ref:{cdef.name}")
+    field_values = {}
     for fname, spec in cdef.fields.items():
         if spec.active:
-            getter = _re_enclosed(spec.active_get, backing)
-            setter = _re_enclosed(spec.active_set, backing) if spec.active_set else None
-            backing.frame[fname] = Binding.active(getter, setter)
             continue
         binding = old.frame.get(fname)
         current = binding.value if binding is not None else values.null_value()
         if current.kind == values.REF_INSTANCE:
             current = copy_instance(interp, current, loc)
-        backing.frame[fname] = Binding.immediate(
-            current, field=FieldSpec(spec.declared_class, spec.read_only)
-        )
-    for mname, fn in cdef.methods.items():
-        backing.frame[mname] = Binding.immediate(_re_enclosed(fn, backing))
-    instance = Value(values.REF_INSTANCE, RefPayload(cdef.name, backing))
-    backing.frame[".self"] = Binding.immediate(instance)
-    return instance
+        field_values[fname] = current
+    return _build_instance(cdef, old.parent, field_values)
 
 
 def generator_field(interp, cdef: RefClassDef, name: str, loc=None) -> Value:

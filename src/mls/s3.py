@@ -13,15 +13,7 @@ from .values import MlsError, Value
 
 def lookup_method(interp, name: str, env) -> Value | None:
     """First function bound to `name` in the environment chain, if any."""
-    cur = env
-    while cur is not None:
-        b = cur.frame.get(name)
-        if b is not None:
-            v = b.resolve(interp)
-            if values.is_function(v):
-                return v
-        cur = cur.parent
-    return None
+    return interp.find_function(name, env)
 
 
 def inherits_value(v: Value, cls: str) -> bool:

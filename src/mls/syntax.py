@@ -8,6 +8,7 @@ analysis findings can point at source.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -15,26 +16,21 @@ from . import values
 
 Loc = tuple  # (line, column)
 
-BINARY_OPS = ("+", "-", "*", "/", "<", "<=", ">", ">=", "==", "!=", "&&", "||")
-UNARY_OPS = ("-", "+", "!")
-
-# precedence for deparse; higher binds tighter
-_PREC = {
-    "||": 1,
-    "&&": 2,
-    "!": 3,
-    "==": 4,
-    "!=": 4,
-    "<": 4,
-    "<=": 4,
-    ">": 4,
-    ">=": 4,
-    "+": 5,
-    "-": 5,
-    "*": 6,
-    "/": 6,
-    "unary": 7,
+# Operator precedence for the reader and deparse; higher binds tighter.
+# Binary operators are left-associative.  A prefix operator applies only
+# where its precedence is at least the one its position requires, so
+# `1 + !x` is a syntax error.
+BINARY_PRECEDENCE = {
+    "+": 5, "-": 5, "*": 6, "/": 6,
+    "<": 4, "<=": 4, ">": 4, ">=": 4, "==": 4, "!=": 4,
+    "&&": 2, "||": 1,
 }
+PREFIX_PRECEDENCE = {"-": 7, "+": 7, "!": 3}
+BINARY_OPS = tuple(BINARY_PRECEDENCE)
+UNARY_OPS = tuple(PREFIX_PRECEDENCE)
+
+KEYWORDS = frozenset({"function", "if", "else", "while", "TRUE", "FALSE", "NULL"})
+
 _POSTFIX_PREC = 9
 
 
@@ -271,17 +267,11 @@ def child_expressions(e: Expr) -> list:
 # ---------------------------------------------------------------------------
 # deparse
 
-_SIMPLE_NAME = None
+_SIMPLE_NAME = re.compile(r"^[A-Za-z._][A-Za-z0-9._]*$")
 
 
 def _is_simple_name(name: str) -> bool:
-    import re
-
-    global _SIMPLE_NAME
-    if _SIMPLE_NAME is None:
-        _SIMPLE_NAME = re.compile(r"^[A-Za-z._][A-Za-z0-9._]*$")
-    keywords = {"function", "if", "else", "while", "TRUE", "FALSE", "NULL"}
-    return bool(_SIMPLE_NAME.match(name)) and name not in keywords
+    return bool(_SIMPLE_NAME.match(name)) and name not in KEYWORDS
 
 
 def _quote_name(name: str) -> str:
@@ -336,18 +326,16 @@ def _dep(e: Expr, indent: int, prec: int) -> str:
     if isinstance(e, Symbol):
         return _quote_name(e.name)
     if isinstance(e, Call):
-        if isinstance(e.callee, Symbol) and e.callee.name in BINARY_OPS and len(e.args) == 2:
-            op = e.callee.name
-            p = _PREC[op]
+        op = e.callee.name if isinstance(e.callee, Symbol) else None
+        if len(e.args) == 2 and op in BINARY_PRECEDENCE:
+            p = BINARY_PRECEDENCE[op]
             lhs = _dep(e.args[0][1], indent, p)
             rhs = _dep(e.args[1][1], indent, p + 1)
             text = f"{lhs} {op} {rhs}"
             return f"({text})" if p < prec else text
-        if isinstance(e.callee, Symbol) and e.callee.name in UNARY_OPS and len(e.args) == 1:
-            op = e.callee.name
-            p = _PREC["!"] if op == "!" else _PREC["unary"]
-            inner = _dep(e.args[0][1], indent, p)
-            text = f"{op}{inner}"
+        if len(e.args) == 1 and op in PREFIX_PRECEDENCE:
+            p = PREFIX_PRECEDENCE[op]
+            text = f"{op}{_dep(e.args[0][1], indent, p)}"
             return f"({text})" if p < prec else text
         callee = _dep(e.callee, indent, _POSTFIX_PREC)
         args = ", ".join(
@@ -355,48 +343,43 @@ def _dep(e: Expr, indent: int, prec: int) -> str:
             for n, a in e.args
         )
         return f"{callee}({args})"
+    if isinstance(e, Block):
+        if not e.body:
+            return "{\n" + pad + "}"
+        inner = "\n".join("  " * (indent + 1) + _dep(s, indent + 1, 0) for s in e.body)
+        return "{\n" + inner + "\n" + pad + "}"
+    if isinstance(e, Index):
+        obj = _dep(e.obj, indent, _POSTFIX_PREC)
+        idx = ", ".join(_dep(i, indent, 0) for i in e.indices)
+        return f"{obj}[{idx}]"
+    if isinstance(e, FieldAccess):
+        return f"{_dep(e.obj, indent, _POSTFIX_PREC)}${_quote_name(e.name)}"
+    # the keyword and assignment forms bind more loosely than any operator
     if isinstance(e, FunctionLiteral):
         formals = ", ".join(
             f"{_quote_name(n)} = {_dep(d, indent, 0)}" if d is not None else _quote_name(n)
             for n, d in e.formals
         )
         text = f"function({formals}) {_dep(e.body, indent, 0)}"
-        return f"({text})" if prec > 0 else text
-    if isinstance(e, Assign):
-        text = f"{_dep(e.target, indent, 0)} <- {_dep(e.value, indent, 0)}"
-        return f"({text})" if prec > 0 else text
-    if isinstance(e, SuperAssign):
-        text = f"{_dep(e.target, indent, 0)} <<- {_dep(e.value, indent, 0)}"
-        return f"({text})" if prec > 0 else text
-    if isinstance(e, Block):
-        if not e.body:
-            return "{\n" + pad + "}"
-        inner = "\n".join("  " * (indent + 1) + _dep(s, indent + 1, 0) for s in e.body)
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(e, If):
+    elif isinstance(e, (Assign, SuperAssign)):
+        arrow = "<-" if isinstance(e, Assign) else "<<-"
+        text = f"{_dep(e.target, indent, 0)} {arrow} {_dep(e.value, indent, 0)}"
+    elif isinstance(e, If):
         # with an else branch, an else-less construct ending the then
         # branch must be parenthesized or the else would rebind to it
         then_prec = 1 if e.orelse is not None else 0
         text = f"if ({_dep(e.cond, indent, 0)}) {_dep(e.then, indent, then_prec)}"
         if e.orelse is not None:
             text += f" else {_dep(e.orelse, indent, 0)}"
-        return f"({text})" if prec > 0 else text
-    if isinstance(e, While):
+    elif isinstance(e, While):
         text = f"while ({_dep(e.cond, indent, 0)}) {_dep(e.body, indent, 0)}"
-        return f"({text})" if prec > 0 else text
-    if isinstance(e, Index):
-        obj = _dep(e.obj, indent, _POSTFIX_PREC)
-        idx = ", ".join(_dep(i, indent, 0) for i in e.indices)
-        return f"{obj}[{idx}]"
-    if isinstance(e, IndexAssign):
+    elif isinstance(e, IndexAssign):
         obj = _dep(e.obj, indent, _POSTFIX_PREC)
         idx = ", ".join(_dep(i, indent, 0) for i in e.indices)
         text = f"{obj}[{idx}] <- {_dep(e.value, indent, 0)}"
-        return f"({text})" if prec > 0 else text
-    if isinstance(e, FieldAccess):
-        return f"{_dep(e.obj, indent, _POSTFIX_PREC)}${_quote_name(e.name)}"
-    if isinstance(e, FieldAssign):
+    elif isinstance(e, FieldAssign):
         obj = _dep(e.obj, indent, _POSTFIX_PREC)
         text = f"{obj}${_quote_name(e.name)} <- {_dep(e.value, indent, 0)}"
-        return f"({text})" if prec > 0 else text
-    raise TypeError(f"unhandled node {type(e).__name__}")
+    else:
+        raise TypeError(f"unhandled node {type(e).__name__}")
+    return f"({text})" if prec > 0 else text

@@ -1,11 +1,17 @@
+import contextlib
 import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mls import cli
+from mls import cli, reader, syntax
+from mls.interpreter import HOST_RECURSION_LIMIT
 
 
 def run_cli(argv, capsys):
@@ -144,7 +150,7 @@ def test_console_entry_point(corpus_dir):
 
 
 def test_deep_parenthesis_nesting_runs_and_analyzes(tmp_path):
-    depth = 1330
+    depth = 5000
     script = tmp_path / "nested.mls"
     script.write_text(f"f <- function(x) {'(' * depth}x{')' * depth}\nf(1)\n")
     for command in ("run", "analyze"):
@@ -174,7 +180,9 @@ def test_reader_edge_cases_through_the_cli(tmp_path, capsys, source, code, out, 
     "source, code, message",
     [
         ("x <- " + "+".join(["1"] * 8000) + "\n", 1, "evaluation nested too deeply (line 1"),
-        ("x <- " + "(" * 5000 + "1" + ")" * 5000 + "\n", 2, "expression nested too deeply"),
+        # each level costs the reader at least one host frame
+        ("x <- " + "(" * HOST_RECURSION_LIMIT + "1" + ")" * HOST_RECURSION_LIMIT + "\n", 2,
+         "expression nested too deeply"),
     ],
 )
 def test_host_recursion_is_an_mls_error_not_a_traceback(tmp_path, capsys, source, code, message):
@@ -184,3 +192,52 @@ def test_host_recursion_is_an_mls_error_not_a_traceback(tmp_path, capsys, source
     assert got == code
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in out + err
+
+
+# -- every input ends in a documented exit code, never a traceback ------------
+
+_SOUP_TOKENS = (
+    list(reader._MULTI_OPS) + list(reader._SINGLE_OPS)
+    + sorted(syntax.KEYWORDS - {"while"})  # a soup must not loop forever
+    + ["x", "y", "f", "c", "print", "list", "`a b`", "0", "1", "2.5", "1e3", '"s"', "'t'"]
+    + ["\n", "# note\n"]
+)
+
+_NESTS = {
+    "parentheses": lambda d: "(" * d + "x" + ")" * d,
+    "calls": lambda d: "g(" * d + "x" + ")" * d,
+    "blocks": lambda d: "{" * d + "x" + "}" * d,
+    "if": lambda d: "if (TRUE) " * d + "x",
+    "function literals": lambda d: "function() " * d + "x",
+    "minus chain": lambda d: "-" * d + "x",
+    "not chain": lambda d: "!" * d + "x",
+}
+
+
+def _assert_clean_exit(command, source):
+    """`mls <command>` on `source`, in this process: a documented exit
+    code (0-4) and no traceback on either stream."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        script = Path(tmp) / "prog.mls"
+        script.write_text(source, encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, str(script)])
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["run", "analyze"]),
+    st.lists(st.sampled_from(_SOUP_TOKENS), max_size=30).map(" ".join),
+)
+def test_token_soups_end_in_a_documented_exit_code(command, source):
+    _assert_clean_exit(command, source)
+
+
+@pytest.mark.parametrize("command", ["run", "analyze"])
+@pytest.mark.parametrize("nest", sorted(_NESTS))
+def test_deep_nesting_ends_in_a_documented_exit_code(command, nest):
+    body = _NESTS[nest](5000)
+    _assert_clean_exit(command, f"g <- function(y) y\nf <- function(x) {body}\nf(1)\n")

@@ -480,6 +480,18 @@ def test_deep_sums_and_deep_recursion_fit_the_host_stack(interp):
     assert run(interp, "f(998)").payload == [998]  # 999 nested calls
 
 
+def test_host_recursion_is_an_mls_error_in_every_entry_point(interp):
+    deep = "x <- " + "+".join(["1"] * 8000)
+    for entry in (
+        interp.eval_source,
+        lambda src: interp.eval_program(reader.parse_program(src)),
+        lambda src: interp.run_top_level(reader.parse_program(src)),
+    ):
+        with pytest.raises(MlsError, match="evaluation nested too deeply") as exc:
+            entry("1\n" + deep)
+        assert exc.value.loc == (2, 1)
+
+
 def test_chained_assignment(interp):
     run(interp, "a <- b <- 2")
     assert run(interp, "a").payload == [2]

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mls import reader, syntax, values
+from mls.interpreter import HOST_RECURSION_LIMIT
 from mls.reader import MlsSyntaxError
 
 
@@ -106,6 +107,22 @@ def test_precedence():
     assert e.args[0][1].callee.name == "=="
     e = parse1("a || b && c")
     assert e.callee.name == "||"
+    for src, grouped in [
+        ("a - b - c", "(a - b) - c"),
+        ("a / b / c", "(a / b) / c"),
+        ("a < b < c", "(a < b) < c"),
+        ("a || b || c", "(a || b) || c"),
+        ("!!x", "!(!x)"),
+        ("a && !b", "a && (!b)"),
+        ("2 * -3", "2 * (-3)"),
+        ("- -x", "-(-x)"),
+    ]:
+        assert syntax.expr_equal(parse1(src), parse1(grouped)), src
+    for src, col in [("1 + !x", 5), ("x == !y", 6), ("-!x", 2)]:
+        with pytest.raises(MlsSyntaxError, match="unexpected token '!'") as exc:
+            reader.parse_program(src)
+        assert exc.value.loc == (1, col), src
+    assert len(reader.parse_program("a\n+ b")) == 2
 
 
 def test_assignment_lexing_gotcha():
@@ -187,8 +204,9 @@ def test_escaped_newline_in_string_advances_the_line():
 
 
 def test_nesting_deeper_than_the_host_stack_is_a_syntax_error():
+    depth = HOST_RECURSION_LIMIT  # each level costs at least one host frame
     with pytest.raises(MlsSyntaxError, match="nested too deeply"):
-        reader.parse_program("x <- " + "(" * 5000 + "1" + ")" * 5000)
+        reader.parse_program("x <- " + "(" * depth + "1" + ")" * depth)
 
 
 def test_dangling_else_deparse():
