@@ -21,12 +21,18 @@ def _fail(message: str) -> None:
     sys.stderr.write(f"error: {message}\n")
 
 
-def cmd_run(path: str, seed=None) -> int:
-    p = Path(path)
+def _read_source(path):
+    """The UTF-8 text of `path`, or None after reporting why not."""
     try:
-        source = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        _fail(f"cannot read '{path}': {exc.strerror or exc}")
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        _fail(f"cannot read '{path}': {getattr(exc, 'strerror', None) or exc}")
+        return None
+
+
+def cmd_run(path: str, seed=None) -> int:
+    source = _read_source(path)
+    if source is None:
         return 2
     try:
         exprs = reader.parse_program(source)
@@ -114,10 +120,8 @@ def cmd_analyze(paths, report_format: str = "text") -> int:
         return 2
     modules = []
     for f in files:
-        try:
-            source = f.read_text(encoding="utf-8")
-        except OSError as exc:
-            _fail(f"cannot read '{f}': {exc.strerror or exc}")
+        source = _read_source(f)
+        if source is None:
             return 2
         try:
             modules.append(purity.parse_module(f.stem, source, str(f)))

@@ -300,9 +300,6 @@ def scan_function(name: str, literal: syntax.FunctionLiteral) -> FunctionFacts:
                 for _, arg in call.args:
                     walk(arg, scope)
                 return
-            if cname == "function":
-                walk_function(e, scope)
-                return
             if not scope.resolves(cname):
                 has_envir = any(n == "envir" for n, _ in call.args) or (
                     sum(1 for n, _ in call.args if n is None) >= 3
@@ -620,10 +617,6 @@ def analyze_modules(modules, policy: Optional[BuiltinPolicy] = None) -> Analysis
         (src, dst) for src, targets in edges.items() for dst in targets
     )
     return AnalysisReport(module_reports, edge_list, dict(counts))
-
-
-def analyze_module(module: ModuleUnit, others=(), policy=None) -> AnalysisReport:
-    return analyze_modules([module, *others], policy)
 
 
 # ---------------------------------------------------------------------------

@@ -4,17 +4,24 @@ Control syntax is sugar over function calls: every composite node can be
 viewed as a Call through `as_call`, which is the form the purity
 analyzer walks.  Every node carries the (line, column) it came from so
 analysis findings can point at source.
+
+Each node dataclass declares its children once, in its field annotations
+and, for sugar, the `HEAD` its call form calls; `child_expressions`,
+`expr_equal` and `as_call` all walk the `_LAYOUT` read from them.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from . import values
 
 Loc = tuple  # (line, column)
+Exprs = list  # list of Expr
+Args = list  # list of (name or None, Expr)
+Formals = list  # list of (name, default Expr or None)
 
 # Operator precedence for the reader and deparse; higher binds tighter.
 # Binary operators are left-associative.  A prefix operator applies only
@@ -43,6 +50,9 @@ class Expr:
     # ignore it.
     _run = None
 
+    # The function a sugar node's call form calls (see as_call).
+    HEAD = None
+
 
 @dataclass
 class Constant(Expr):
@@ -57,34 +67,39 @@ class Symbol(Expr):
 @dataclass
 class Call(Expr):
     callee: Expr
-    args: list  # list of (name or None, Expr)
+    args: Args
 
 
 @dataclass
 class FunctionLiteral(Expr):
-    formals: list  # list of (name, default Expr or None)
+    HEAD = "function"
+    formals: Formals
     body: Expr
 
 
 @dataclass
 class Assign(Expr):
+    HEAD = "<-"
     target: Symbol
     value: Expr
 
 
 @dataclass
 class SuperAssign(Expr):
+    HEAD = "<<-"
     target: Symbol
     value: Expr
 
 
 @dataclass
 class Block(Expr):
-    body: list
+    HEAD = "{"
+    body: Exprs
 
 
 @dataclass
 class If(Expr):
+    HEAD = "if"
     cond: Expr
     then: Expr
     orelse: Optional[Expr]
@@ -92,96 +107,87 @@ class If(Expr):
 
 @dataclass
 class While(Expr):
+    HEAD = "while"
     cond: Expr
     body: Expr
 
 
 @dataclass
 class Index(Expr):
+    HEAD = "["
     obj: Expr
-    indices: list
+    indices: Exprs
 
 
 @dataclass
 class IndexAssign(Expr):
+    HEAD = "[<-"
     obj: Symbol
-    indices: list
+    indices: Exprs
     value: Expr
 
 
 @dataclass
 class FieldAccess(Expr):
+    HEAD = "$"
     obj: Expr
     name: str
 
 
 @dataclass
 class FieldAssign(Expr):
+    HEAD = "$<-"
     obj: Expr
     name: str
     value: Expr
+
+
+# How a field holds subexpressions, by its annotation: a function from
+# the field's value to its (argument name, Expr or None) slots, or None
+# for a leaf compared by value.
+_SLOTS = {
+    "Expr": lambda v: ((None, v),),
+    "Symbol": lambda v: ((None, v),),
+    "Optional[Expr]": lambda v: () if v is None else ((None, v),),
+    "Exprs": lambda v: [(None, x) for x in v],
+    "Args": lambda v: v,
+    "Formals": lambda v: v,
+    "str": None,
+    "values.Value": None,
+}
+
+
+class _Layouts(dict):
+    # a node class without a layout is not a node of this module
+    def __missing__(self, cls):
+        raise TypeError(f"unhandled node {cls.__name__}")
+
+
+# Each node class's fields after `loc`, in evaluation order, with their
+# slot functions; an annotation missing from _SLOTS fails here.
+_LAYOUT = _Layouts(
+    (cls, tuple((f.name, _SLOTS[f.type]) for f in fields(cls) if f.name != "loc"))
+    for cls in Expr.__subclasses__()
+)
 
 
 def expr_equal(a: Expr, b: Expr) -> bool:
     """Structural equality, ignoring source locations."""
     if type(a) is not type(b):
         return False
-    if isinstance(a, Constant):
-        return values.values_equal(a.value, b.value)
-    if isinstance(a, Symbol):
-        return a.name == b.name
-    if isinstance(a, Call):
-        return (
-            expr_equal(a.callee, b.callee)
-            and len(a.args) == len(b.args)
-            and all(
-                na == nb and expr_equal(ea, eb)
-                for (na, ea), (nb, eb) in zip(a.args, b.args)
-            )
-        )
-    if isinstance(a, FunctionLiteral):
-        if len(a.formals) != len(b.formals):
-            return False
-        for (na, da), (nb, db) in zip(a.formals, b.formals):
-            if na != nb:
+    for name, slots in _LAYOUT[type(a)]:
+        x, y = getattr(a, name), getattr(b, name)
+        if slots is None:
+            if not (values.values_equal(x, y) if isinstance(x, values.Value) else x == y):
                 return False
-            if (da is None) != (db is None):
-                return False
-            if da is not None and not expr_equal(da, db):
-                return False
-        return expr_equal(a.body, b.body)
-    if isinstance(a, (Assign, SuperAssign)):
-        return expr_equal(a.target, b.target) and expr_equal(a.value, b.value)
-    if isinstance(a, Block):
-        return len(a.body) == len(b.body) and all(
-            expr_equal(x, y) for x, y in zip(a.body, b.body)
-        )
-    if isinstance(a, If):
-        if not (expr_equal(a.cond, b.cond) and expr_equal(a.then, b.then)):
+            continue
+        xs, ys = slots(x), slots(y)
+        if len(xs) != len(ys) or not all(
+            nx == ny and (ex is None) == (ey is None) and (ex is None or expr_equal(ex, ey))
+            for (nx, ex), (ny, ey) in zip(xs, ys)
+        ):
             return False
-        if (a.orelse is None) != (b.orelse is None):
-            return False
-        return a.orelse is None or expr_equal(a.orelse, b.orelse)
-    if isinstance(a, While):
-        return expr_equal(a.cond, b.cond) and expr_equal(a.body, b.body)
-    if isinstance(a, Index):
-        return (
-            expr_equal(a.obj, b.obj)
-            and len(a.indices) == len(b.indices)
-            and all(expr_equal(x, y) for x, y in zip(a.indices, b.indices))
-        )
-    if isinstance(a, IndexAssign):
-        return (
-            expr_equal(a.obj, b.obj)
-            and len(a.indices) == len(b.indices)
-            and all(expr_equal(x, y) for x, y in zip(a.indices, b.indices))
-            and expr_equal(a.value, b.value)
-        )
-    if isinstance(a, FieldAccess):
-        return expr_equal(a.obj, b.obj) and a.name == b.name
-    if isinstance(a, FieldAssign):
-        return expr_equal(a.obj, b.obj) and a.name == b.name and expr_equal(a.value, b.value)
-    raise TypeError(f"unhandled node {type(a).__name__}")
+    return True
 
 
 def as_call(e: Expr) -> Optional[Call]:
@@ -189,79 +195,35 @@ def as_call(e: Expr) -> Optional[Call]:
 
     Constants and symbols are not calls and map to None; every other
     node maps to an equivalent Call so analyses can treat the tree
-    uniformly.
+    uniformly.  A sugar node's call passes its fields in order: a field
+    name as a string constant and an absent default as NULL.
     """
-    if isinstance(e, (Constant, Symbol)):
-        return None
-    if isinstance(e, Call):
-        return e
+    layout = _LAYOUT[type(e)]
+    if e.HEAD is None:
+        return e if isinstance(e, Call) else None
     loc = e.loc
-
-    def sym(name):
-        return Symbol(name, loc=loc)
-
-    def pos(args):
-        return [(None, a) for a in args]
-
-    if isinstance(e, Assign):
-        return Call(sym("<-"), pos([e.target, e.value]), loc=loc)
-    if isinstance(e, SuperAssign):
-        return Call(sym("<<-"), pos([e.target, e.value]), loc=loc)
-    if isinstance(e, Block):
-        return Call(sym("{"), pos(list(e.body)), loc=loc)
-    if isinstance(e, If):
-        args = [e.cond, e.then] + ([e.orelse] if e.orelse is not None else [])
-        return Call(sym("if"), pos(args), loc=loc)
-    if isinstance(e, While):
-        return Call(sym("while"), pos([e.cond, e.body]), loc=loc)
-    if isinstance(e, Index):
-        return Call(sym("["), pos([e.obj] + list(e.indices)), loc=loc)
-    if isinstance(e, IndexAssign):
-        return Call(sym("[<-"), pos([e.obj] + list(e.indices) + [e.value]), loc=loc)
-    if isinstance(e, FieldAccess):
-        name = Constant(values.scalar_string(e.name), loc=loc)
-        return Call(sym("$"), pos([e.obj, name]), loc=loc)
-    if isinstance(e, FieldAssign):
-        name = Constant(values.scalar_string(e.name), loc=loc)
-        return Call(sym("$<-"), pos([e.obj, name, e.value]), loc=loc)
-    if isinstance(e, FunctionLiteral):
-        args = [
-            (name, default if default is not None else Constant(values.null_value(), loc=loc))
-            for name, default in e.formals
-        ]
-        args.append((None, e.body))
-        return Call(sym("function"), args, loc=loc)
-    raise TypeError(f"unhandled node {type(e).__name__}")
+    args = []
+    for name, slots in layout:
+        v = getattr(e, name)
+        if slots is None:
+            args.append((None, Constant(values.scalar_string(v), loc=loc)))
+        else:
+            args += [
+                (n, Constant(values.null_value(), loc=loc) if x is None else x)
+                for n, x in slots(v)
+            ]
+    return Call(Symbol(e.HEAD, loc=loc), args, loc=loc)
 
 
 def child_expressions(e: Expr) -> list:
     """Direct subexpressions, in evaluation order."""
-    if isinstance(e, (Constant, Symbol)):
-        return []
-    if isinstance(e, Call):
-        return [e.callee] + [a for _, a in e.args]
-    if isinstance(e, FunctionLiteral):
-        return [d for _, d in e.formals if d is not None] + [e.body]
-    if isinstance(e, (Assign, SuperAssign)):
-        return [e.target, e.value]
-    if isinstance(e, Block):
-        return list(e.body)
-    if isinstance(e, If):
-        out = [e.cond, e.then]
-        if e.orelse is not None:
-            out.append(e.orelse)
-        return out
-    if isinstance(e, While):
-        return [e.cond, e.body]
-    if isinstance(e, Index):
-        return [e.obj] + list(e.indices)
-    if isinstance(e, IndexAssign):
-        return [e.obj] + list(e.indices) + [e.value]
-    if isinstance(e, FieldAccess):
-        return [e.obj]
-    if isinstance(e, FieldAssign):
-        return [e.obj, e.value]
-    raise TypeError(f"unhandled node {type(e).__name__}")
+    out = []
+    for name, slots in _LAYOUT[type(e)]:
+        if slots is not None:
+            for _, x in slots(getattr(e, name)):
+                if x is not None:
+                    out.append(x)
+    return out
 
 
 # ---------------------------------------------------------------------------

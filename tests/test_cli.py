@@ -33,6 +33,19 @@ def test_run_missing_file(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["run", "analyze"])
+def test_invalid_utf8_is_a_read_error(tmp_path, capsys, command):
+    bad = tmp_path / "bad.mls"
+    bad.write_bytes(b"x <- 1\n\xff\n")
+    code, out, err = run_cli([command, str(bad)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: cannot read '{bad}': 'utf-8' codec can't decode byte 0xff"
+        " in position 7: invalid start byte\n"
+    )
+
+
 def test_run_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.mls"
     bad.write_text("x <- (1 +")
@@ -184,6 +197,7 @@ def test_reader_edge_cases_through_the_cli(tmp_path, capsys, source, code, out, 
         ("x <- " + "(" * HOST_RECURSION_LIMIT + "1" + ")" * HOST_RECURSION_LIMIT + "\n", 2,
          "expression nested too deeply"),
     ],
+    ids=["sum", "parens"],
 )
 def test_host_recursion_is_an_mls_error_not_a_traceback(tmp_path, capsys, source, code, message):
     script = tmp_path / "deep.mls"

@@ -54,6 +54,12 @@ def test_scan_records_callees_and_free_names():
     assert list(facts.name_uses) == ["stray"]
 
 
+def test_scan_backquoted_function_call_is_a_callee():
+    # only the reader makes function literals; this is an ordinary call
+    facts = scan("function(x) `function`(x)")
+    assert [c.name for c in facts.callees] == ["function"]
+
+
 def test_scan_nested_function_facts_merge():
     facts = scan("function() { g <- function() { n <<- 1 }; 42 }")
     assert [v.kind for v in facts.violations] == [purity.NONLOCAL_ASSIGNMENT]

@@ -1,5 +1,9 @@
+import copy
+import dataclasses
+from functools import partial
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mls import reader, syntax, values
@@ -349,6 +353,53 @@ def test_parser_total_over_junk(text):
         pass
 
 
+def _leaf_edits(e):
+    """Every way to change one leaf of `e` in place: a symbol, field or
+    argument name, a constant, a formal's default, or whether an else
+    branch is there."""
+    null = syntax.Constant(values.null_value())
+    edits = []
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        for f in dataclasses.fields(node):
+            v = getattr(node, f.name)
+            if f.name == "loc":
+                continue
+            if isinstance(v, str):
+                edits.append(partial(setattr, node, f.name, v + "_"))
+            elif isinstance(v, values.Value):
+                edits.append(partial(setattr, node, f.name, values.scalar_string("\0")))
+            elif f.name == "orelse":
+                edits.append(partial(setattr, node, f.name, null if v is None else None))
+                stack.extend([v] if v is not None else [])
+            elif isinstance(v, list):
+                for i, item in enumerate(v):
+                    if not isinstance(item, tuple):
+                        stack.append(item)
+                        continue
+                    name, x = item
+                    edits.append(partial(v.__setitem__, i, (name + "_" if name else "mut", x)))
+                    if f.name == "formals":
+                        edits.append(partial(v.__setitem__, i, (name, null if x is None else None)))
+                    stack.extend([x] if x is not None else [])
+            else:
+                stack.append(v)
+    return edits
+
+
+@settings(max_examples=200, deadline=None)
+@given(_expressions, st.data())
+def test_changing_one_leaf_breaks_expr_equal(e, data):
+    assert syntax.expr_equal(e, copy.deepcopy(e))
+    edited = copy.deepcopy(e)
+    edits = _leaf_edits(edited)
+    assume(edits)
+    data.draw(st.sampled_from(edits))()
+    assert not syntax.expr_equal(e, edited)
+    assert not syntax.expr_equal(edited, e)
+
+
 @settings(max_examples=100, deadline=None)
 @given(_expressions)
 def test_canonicalization_totality(e):
@@ -356,6 +407,30 @@ def test_canonicalization_totality(e):
     while stack:
         node = stack.pop()
         c = syntax.as_call(node)
-        if not isinstance(node, (syntax.Constant, syntax.Symbol)):
-            assert isinstance(c, syntax.Call)
-        stack.extend(syntax.child_expressions(node))
+        children = syntax.child_expressions(node)
+        stack.extend(children)
+        if isinstance(node, (syntax.Constant, syntax.Symbol)):
+            assert c is None and children == []
+            continue
+        if isinstance(node, syntax.Call):
+            assert c is node
+            continue
+        assert isinstance(c, syntax.Call)
+        # the call's arguments are the children, by identity and in
+        # order, plus the field name as a string and NULL defaults
+        args = [a for _, a in c.args]
+        kept = [a for a in args if any(a is x for x in children)]
+        assert len(kept) == len(children)
+        assert all(a is x for a, x in zip(kept, children))
+        if isinstance(node, (syntax.FieldAccess, syntax.FieldAssign)):
+            allowed = [values.scalar_string(node.name)]
+        elif isinstance(node, syntax.FunctionLiteral):
+            allowed = [values.null_value() for _, d in node.formals if d is None]
+        else:
+            allowed = []
+        extra = [a for a in args if not any(a is x for x in children)]
+        assert len(extra) == len(allowed)
+        assert all(
+            isinstance(a, syntax.Constant) and values.values_equal(a.value, v)
+            for a, v in zip(extra, allowed)
+        )
