@@ -31,43 +31,21 @@ def _scalar_int(v: Value, what: str, loc=None) -> int:
 # -- operators ----------------------------------------------------------------
 
 
-def _make_additive(op):
+def _make_operator(op, compute, unary=False):
+    """S3 dispatch on two operands, then `compute(op, a, b, loc)` from
+    `ops`; with `unary`, one operand goes to `ops.arith_unary`."""
+    arity = "one or two arguments" if unary else "two arguments"
+
     def fn(ctx, args):
         vals = [v for _, v in args]
-        if len(vals) == 1:
+        if unary and len(vals) == 1:
             return ops.arith_unary(op, vals[0], ctx.loc)
         if len(vals) != 2:
-            raise MlsError(f"operator '{op}' takes one or two arguments", ctx.loc)
+            raise MlsError(f"operator '{op}' takes {arity}", ctx.loc)
         dispatched = s3.dispatch_binary_op(ctx.interp, op, vals[0], vals[1], ctx.env, ctx.loc)
         if dispatched is not None:
             return dispatched
-        return ops.arith_binary(op, vals[0], vals[1], ctx.loc)
-
-    return fn
-
-
-def _make_binary_arith(op):
-    def fn(ctx, args):
-        vals = [v for _, v in args]
-        if len(vals) != 2:
-            raise MlsError(f"operator '{op}' takes two arguments", ctx.loc)
-        dispatched = s3.dispatch_binary_op(ctx.interp, op, vals[0], vals[1], ctx.env, ctx.loc)
-        if dispatched is not None:
-            return dispatched
-        return ops.arith_binary(op, vals[0], vals[1], ctx.loc)
-
-    return fn
-
-
-def _make_compare(op):
-    def fn(ctx, args):
-        vals = [v for _, v in args]
-        if len(vals) != 2:
-            raise MlsError(f"operator '{op}' takes two arguments", ctx.loc)
-        dispatched = s3.dispatch_binary_op(ctx.interp, op, vals[0], vals[1], ctx.env, ctx.loc)
-        if dispatched is not None:
-            return dispatched
-        return ops.compare_binary(op, vals[0], vals[1], ctx.loc)
+        return compute(op, vals[0], vals[1], ctx.loc)
 
     return fn
 
@@ -418,11 +396,11 @@ def _registry():
         table.append((name, fn, purity, formals, lazy, invisible))
 
     for op in ("+", "-"):
-        add(op, _make_additive(op), "pure")
+        add(op, _make_operator(op, ops.arith_binary, unary=True), "pure")
     for op in ("*", "/"):
-        add(op, _make_binary_arith(op), "pure")
+        add(op, _make_operator(op, ops.arith_binary), "pure")
     for op in ("<", "<=", ">", ">=", "==", "!="):
-        add(op, _make_compare(op), "pure")
+        add(op, _make_operator(op, ops.compare_binary), "pure")
     add("!", _bi_not, "pure", [("x", REQUIRED)])
     for op in ("&&", "||"):
         add(op, _make_shortcircuit(op), "pure", lazy=True)

@@ -277,7 +277,9 @@ def scan_function(name: str, literal: syntax.FunctionLiteral) -> FunctionFacts:
         callee = call.callee
         if isinstance(callee, syntax.Symbol):
             cname = callee.name
-            if cname == "<<-":
+            # a backquoted `<-` call with other than two arguments is ordinary
+            assigns = len(call.args) == 2
+            if cname == "<<-" and assigns:
                 target, value = call.args[0][1], call.args[1][1]
                 facts.violations.append(
                     Violation(
@@ -290,7 +292,7 @@ def scan_function(name: str, literal: syntax.FunctionLiteral) -> FunctionFacts:
                 )
                 walk(value, scope)
                 return
-            if cname == "<-":
+            if cname == "<-" and assigns:
                 # target is local by _collect_locals; only the value is a use
                 walk(call.args[1][1], scope)
                 return

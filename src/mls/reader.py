@@ -1,5 +1,10 @@
 """Tokenizer and parser for MLS source text.
 
+The lexical grammar is one master regex, `_TOKEN`, with a named
+alternative per token class; `tokenize` matches it at each position and
+reads the class from `lastgroup` (the "Writing a Tokenizer" example in
+Python's `re` documentation).
+
 The grammar is a small R-like surface: `<-` assignment, `<<-`
 superassignment, `$` field access, `[ ]` indexing, `function`
 literals, `if`/`else`, `while`, and `{ }` blocks.  Newlines separate
@@ -12,6 +17,7 @@ precedence climbing (Pratt, "Top down operator precedence", 1973).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from . import syntax, values
@@ -20,6 +26,25 @@ from .values import MlsError
 _MULTI_OPS = ["<<-", "<-", "<=", ">=", "==", "!=", "&&", "||"]
 _SINGLE_OPS = "+-*/<>!=(){}[],;$"
 
+# Alternatives are tried in order.  Numbers use ASCII digits only, because
+# int() and float() reject other digits such as "²".  A name may continue
+# with any alphanumeric character but starts only where str.isalpha()
+# holds or with "." or "_"; no re class says that, so tokenize checks it.
+# ERROR takes the one character nothing else accepts, such as an unclosed
+# quote.
+_TOKEN = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in [
+    ("NEWLINE", r"\n"),
+    ("SKIP", r"[ \t\r]+|#[^\n]*"),
+    ("NUM", r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"),
+    ("STR", r'"[^"\\]*(?:\\[\s\S][^"\\]*)*"' + r"|'[^'\\]*(?:\\[\s\S][^'\\]*)*'"),
+    ("QUOTED", r"`[^`\n]*`"),
+    ("SYM", r"[\w.]+"),
+    ("OP", "|".join(map(re.escape, _MULTI_OPS)) + f"|[{re.escape(_SINGLE_OPS)}]"),
+    ("ERROR", r"[\s\S]"),
+]))
+_ESCAPE = re.compile(r"\\([\s\S])")
+_ESCAPED = {"n": "\n", "t": "\t"}
+
 
 class MlsSyntaxError(MlsError):
     def __init__(self, message, loc=None, incomplete=False):
@@ -27,7 +52,7 @@ class MlsSyntaxError(MlsError):
         self.incomplete = incomplete
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     type: str  # NUM INT STR SYM KW OP EOF
     text: str
@@ -41,157 +66,59 @@ class Token:
         return (self.line, self.col)
 
 
-# Only ASCII digits make numbers: str.isdigit() also accepts characters
-# such as "²" that int() and float() reject.
-_DIGITS = frozenset("0123456789")
-
-
-def _is_sym_start(ch):
-    return ch.isalpha() or ch in "._"
-
-
-def _is_sym_part(ch):
-    return ch.isalnum() or ch in "._"
-
-
 def tokenize(source: str) -> list:
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
+    line, line_start = 1, 0
     # newlines separate statements except inside ( ) and [ ]; braces restore it
     brackets = []
     after_newline = False
-
-    def emit(type_, text, value=None, tline=None, tcol=None):
-        nonlocal after_newline
-        tokens.append(Token(type_, text, value, tline or line, tcol or col, after_newline))
-        after_newline = False
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
+    pos = 0
+    while pos < len(source):
+        m = _TOKEN.match(source, pos)
+        kind, text = m.lastgroup, m.group()
+        col = pos - line_start + 1
+        pos = m.end()
+        if kind == "SKIP":
+            continue
+        if kind == "NEWLINE":
             if not brackets or brackets[-1] == "{":
                 after_newline = True
-            i += 1
-            line += 1
-            col = 1
+            line, line_start = line + 1, pos
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        start_line, start_col = line, col
-        if ch in _DIGITS or (ch == "." and i + 1 < n and source[i + 1] in _DIGITS):
-            j = i
-            is_double = False
-            while j < n and source[j] in _DIGITS:
-                j += 1
-            if j < n and source[j] == ".":
-                is_double = True
-                j += 1
-                while j < n and source[j] in _DIGITS:
-                    j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k] in _DIGITS:
-                    is_double = True
-                    j = k
-                    while j < n and source[j] in _DIGITS:
-                        j += 1
-            text = source[i:j]
-            if is_double or text.startswith("."):
-                emit("NUM", text, float(text), start_line, start_col)
-            else:
-                emit("INT", text, int(text), start_line, start_col)
-            col += j - i
-            i = j
-            continue
-        if ch in "\"'":
-            quote = ch
-            j = i + 1
-            buf = []
-            closed = False
-            while j < n:
-                c = source[j]
-                if c == "\\":
-                    if j + 1 >= n:
-                        break
-                    esc = source[j + 1]
-                    if esc == "\n":
-                        line += 1
-                    buf.append({"n": "\n", "t": "\t", "\\": "\\", '"': '"', "'": "'"}.get(esc, esc))
-                    j += 2
-                    continue
-                if c == quote:
-                    closed = True
-                    break
-                if c == "\n":
-                    line += 1
-                buf.append(c)
-                j += 1
-            if not closed:
-                raise MlsSyntaxError(
-                    "unterminated string constant", (start_line, start_col), incomplete=True
-                )
-            text = source[i : j + 1]
-            emit("STR", text, "".join(buf), start_line, start_col)
-            last_nl = text.rfind("\n")
-            if last_nl >= 0:
-                col = len(text) - last_nl
-            else:
-                col += len(text)
-            i = j + 1
-            continue
-        if ch == "`":
-            j = i + 1
-            while j < n and source[j] not in "`\n":
-                j += 1
-            if j >= n or source[j] != "`":
-                raise MlsSyntaxError("unterminated quoted name", (start_line, start_col))
-            name = source[i + 1 : j]
-            if not name:
-                raise MlsSyntaxError("empty quoted name", (start_line, start_col))
-            emit("SYM", name, name, start_line, start_col)
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if _is_sym_start(ch):
-            j = i
-            while j < n and _is_sym_part(source[j]):
-                j += 1
-            text = source[i:j]
-            emit("KW" if text in syntax.KEYWORDS else "SYM", text, text, start_line, start_col)
-            col += j - i
-            i = j
-            continue
-        matched = None
-        for op in _MULTI_OPS:
-            if source.startswith(op, i):
-                matched = op
-                break
-        if matched is None and ch in _SINGLE_OPS:
-            matched = ch
-        if matched is None:
-            raise MlsSyntaxError(f"unexpected character {ch!r}", (line, col))
-        if matched in "([{":
-            brackets.append(matched)
-        elif matched in ")]}":
-            if brackets:
+        value = text
+        if kind == "SYM":
+            if not (text[0].isalpha() or text[0] in "._"):
+                raise MlsSyntaxError(f"unexpected character {text[0]!r}", (line, col))
+            if text in syntax.KEYWORDS:
+                kind = "KW"
+        elif kind == "OP":
+            if text in "([{":
+                brackets.append(text)
+            elif text in ")]}" and brackets:
                 brackets.pop()
-        emit("OP", matched, matched, start_line, start_col)
-        col += len(matched)
-        i += len(matched)
-        continue
-
-    emit("EOF", "")
+        elif kind == "NUM":
+            if text.isdigit():
+                kind, value = "INT", int(text)
+            else:
+                value = float(text)
+        elif kind == "STR":
+            value = _ESCAPE.sub(lambda e: _ESCAPED.get(e[1], e[1]), text[1:-1])
+        elif kind == "QUOTED":
+            kind = "SYM"
+            text = value = text[1:-1]
+            if not text:
+                raise MlsSyntaxError("empty quoted name", (line, col))
+        elif text in "\"'":
+            raise MlsSyntaxError("unterminated string constant", (line, col), incomplete=True)
+        elif text == "`":
+            raise MlsSyntaxError("unterminated quoted name", (line, col))
+        else:
+            raise MlsSyntaxError(f"unexpected character {text!r}", (line, col))
+        tokens.append(Token(kind, text, value, line, col, after_newline))
+        after_newline = False
+        if kind == "STR" and "\n" in text:
+            line, line_start = line + text.count("\n"), m.start() + text.rindex("\n") + 1
+    tokens.append(Token("EOF", "", None, line, pos - line_start + 1, after_newline))
     return tokens
 
 

@@ -81,10 +81,6 @@ class Closure:
     body: Any  # Expression
     enclosure: Any  # Environment
 
-    @property
-    def formal_names(self):
-        return [name for name, _ in self.formals]
-
 
 @dataclass
 class S4Payload:

@@ -1,10 +1,27 @@
 """Shared test utilities: state snapshots, the differential purity
-harness, and a generator of random pure programs."""
+harness, a generator of random pure programs, and a guard against host
+recursion errors."""
 
+import contextlib
 import random
+
+import pytest
 
 from mls import purity, values
 from mls.interpreter import Interpreter
+
+
+@contextlib.contextmanager
+def no_host_recursion():
+    """Fail in one line if a host RecursionError escapes the block:
+    pytest takes over a minute to render its traceback of thousands of
+    frames."""
+    try:
+        yield
+    except RecursionError as exc:
+        raise pytest.fail.Exception(
+            f"host RecursionError escaped: {exc}", pytrace=False
+        ) from None
 
 
 def snapshot_frame(env):

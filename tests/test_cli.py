@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import no_host_recursion
 from mls import cli, reader, syntax
 from mls.interpreter import HOST_RECURSION_LIMIT
 
@@ -202,7 +203,8 @@ def test_reader_edge_cases_through_the_cli(tmp_path, capsys, source, code, out, 
 def test_host_recursion_is_an_mls_error_not_a_traceback(tmp_path, capsys, source, code, message):
     script = tmp_path / "deep.mls"
     script.write_text(source)
-    got, out, err = run_cli(["run", str(script)], capsys)
+    with no_host_recursion():
+        got, out, err = run_cli(["run", str(script)], capsys)
     assert got == code
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in out + err

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import PureProgramGenerator, frame_matches_snapshot, snapshot_frame
+from helpers import (
+    PureProgramGenerator,
+    frame_matches_snapshot,
+    no_host_recursion,
+    snapshot_frame,
+)
 from mls import reader, values
 from mls.interpreter import Interpreter
 from mls.values import MlsError
@@ -487,7 +492,9 @@ def test_host_recursion_is_an_mls_error_in_every_entry_point(interp):
         lambda src: interp.eval_program(reader.parse_program(src)),
         lambda src: interp.run_top_level(reader.parse_program(src)),
     ):
-        with pytest.raises(MlsError, match="evaluation nested too deeply") as exc:
+        with no_host_recursion(), pytest.raises(
+            MlsError, match="evaluation nested too deeply"
+        ) as exc:
             entry("1\n" + deep)
         assert exc.value.loc == (2, 1)
 

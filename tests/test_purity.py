@@ -60,6 +60,15 @@ def test_scan_backquoted_function_call_is_a_callee():
     assert [c.name for c in facts.callees] == ["function"]
 
 
+@pytest.mark.parametrize("call", ["`<-`(x)", "`<<-`(x)", "`<-`()"])
+def test_backquoted_assignment_with_other_arity_is_a_callee(call):
+    report = analyze(f"f <- function() {call}")
+    head = call[1:call.index("`", 1)]
+    reason = verdict_of(report, "f").verdict.reasons[0]
+    assert (reason.kind, reason.column) == (purity.GLOBAL_REFERENCE, 17)
+    assert reason.detail.startswith(f"'{head}' resolves to no local")
+
+
 def test_scan_nested_function_facts_merge():
     facts = scan("function() { g <- function() { n <<- 1 }; 42 }")
     assert [v.kind for v in facts.violations] == [purity.NONLOCAL_ASSIGNMENT]

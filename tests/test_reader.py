@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import no_host_recursion
 from mls import reader, syntax, values
 from mls.interpreter import HOST_RECURSION_LIMIT
 from mls.reader import MlsSyntaxError
@@ -207,9 +208,56 @@ def test_escaped_newline_in_string_advances_the_line():
     assert exprs[1].loc == (3, 1)
 
 
+def _lexed(source):
+    """Each token as (type, value, line, col, after_newline), or the error
+    as ("error", message, line, col, incomplete)."""
+    try:
+        return [(t.type, t.value, *t.loc, t.after_newline) for t in reader.tokenize(source)]
+    except MlsSyntaxError as e:
+        return ("error", e.message, *e.loc, e.incomplete)
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        # a newline inside a string, raw or escaped, starts a new line
+        ('"a\nb" y', [("STR", "a\nb", 1, 1, False), ("SYM", "y", 2, 4, False),
+                      ("EOF", None, 2, 5, False)]),
+        ('"a\\\nb" y', [("STR", "a\nb", 1, 1, False), ("SYM", "y", 2, 4, False),
+                        ("EOF", None, 2, 5, False)]),
+        ("1. .5", [("NUM", 1.0, 1, 1, False), ("NUM", 0.5, 1, 4, False),
+                   ("EOF", None, 1, 6, False)]),
+        ("1e 1e+", [("INT", 1, 1, 1, False), ("SYM", "e", 1, 2, False),
+                    ("INT", 1, 1, 4, False), ("SYM", "e", 1, 5, False),
+                    ("OP", "+", 1, 6, False), ("EOF", None, 1, 7, False)]),
+        ("1.5e-3 ._x", [("NUM", 0.0015, 1, 1, False), ("SYM", "._x", 1, 8, False),
+                        ("EOF", None, 1, 11, False)]),
+        ("x²", [("SYM", "x²", 1, 1, False), ("EOF", None, 1, 3, False)]),
+        ("a ²", ("error", "unexpected character '²'", 1, 3, False)),
+        ("½", ("error", "unexpected character '½'", 1, 1, False)),
+        ("٣", ("error", "unexpected character '٣'", 1, 1, False)),
+        ("a & b", ("error", "unexpected character '&'", 1, 3, False)),
+        ("a\n\fb", ("error", "unexpected character '\\x0c'", 2, 1, False)),
+        ("x <- ``", ("error", "empty quoted name", 1, 6, False)),
+        ("x <- `a\nb`", ("error", "unterminated quoted name", 1, 6, False)),
+        ('x <- "a\nb', ("error", "unterminated string constant", 1, 6, True)),
+        # newlines separate statements outside ( ) and [ ], and inside { }
+        ("(a\nb)", [("OP", "(", 1, 1, False), ("SYM", "a", 1, 2, False),
+                    ("SYM", "b", 2, 1, False), ("OP", ")", 2, 2, False),
+                    ("EOF", None, 2, 3, False)]),
+        ("[{a\nb}\n]", [("OP", "[", 1, 1, False), ("OP", "{", 1, 2, False),
+                        ("SYM", "a", 1, 3, False), ("SYM", "b", 2, 1, True),
+                        ("OP", "}", 2, 2, False), ("OP", "]", 3, 1, False),
+                        ("EOF", None, 3, 2, False)]),
+    ],
+)
+def test_tokenizer_edge_cases(source, expected):
+    assert _lexed(source) == expected
+
+
 def test_nesting_deeper_than_the_host_stack_is_a_syntax_error():
     depth = HOST_RECURSION_LIMIT  # each level costs at least one host frame
-    with pytest.raises(MlsSyntaxError, match="nested too deeply"):
+    with no_host_recursion(), pytest.raises(MlsSyntaxError, match="nested too deeply"):
         reader.parse_program("x <- " + "(" * depth + "1" + ")" * depth)
 
 
