@@ -325,10 +325,11 @@ def _bi_set_generic(ctx, **kw):
         interp.s4.define_method(
             gname, tuple(s4.ANY for _ in gdef.signature), default_method, ctx.loc
         )
-    callable_value = Value(
-        values.BUILTIN, BuiltinPayload(name=gname, fn=None, special="generic", meta=gdef)
-    )
-    ctx.env.frame[gname] = Binding.immediate(callable_value)
+    def call(ctx, args):
+        return s4.call_generic(ctx.interp, gdef, args, ctx.env, ctx.loc)
+
+    generic = BuiltinPayload(name=gname, fn=call, lazy=True, meta=gdef)
+    ctx.env.frame[gname] = Binding.immediate(Value(values.BUILTIN, generic))
     return _generic_reflection(gdef)
 
 
@@ -457,8 +458,9 @@ def _registry():
     return table
 
 
-BUILTIN_PURITY = {name: purity for name, _, purity, *_ in _registry()}
-BUILTIN_NAMES = tuple(BUILTIN_PURITY) + ("print",)
+# every builtin's purity class, and the prelude's `print` generic, pure
+BUILTIN_PURITY = {name: purity for name, _, purity, *_ in _registry()} | {"print": "pure"}
+BUILTIN_NAMES = tuple(BUILTIN_PURITY)
 
 
 def install(interp):

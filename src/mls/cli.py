@@ -2,7 +2,9 @@
 purity analyzer.
 
 Exit codes: 0 success/clean, 1 runtime error, 2 input error,
-3 nonfunctional findings, 4 uncertifiable findings.
+3 nonfunctional findings, 4 uncertifiable findings, 5 internal error
+(a host exception the interpreter did not turn into an MLS error,
+reported on one stderr line).
 """
 
 from __future__ import annotations
@@ -160,11 +162,15 @@ def main(argv=None) -> int:
     an_p.add_argument("--format", choices=("text", "json"), default="text")
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args.path, args.seed)
-    if args.command == "repl":
-        return cmd_repl()
-    return cmd_analyze(args.paths, args.format)
+    try:
+        if args.command == "run":
+            return cmd_run(args.path, args.seed)
+        if args.command == "repl":
+            return cmd_repl()
+        return cmd_analyze(args.paths, args.format)
+    except Exception as exc:
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 5
 
 
 if __name__ == "__main__":

@@ -3,10 +3,10 @@
 Each expression node compiles once, on first evaluation, into a Python
 closure.  Calls to closures bind their arguments as lazy promises and
 evaluate bodies in a fresh environment chained to the closure's
-enclosure.  Eager builtins, which would force every promise at once,
-receive their argument values instead, evaluated in call order in the
-caller's environment; `&&`, `||` and the S4 and reference-class
-specials still receive promises.
+enclosure.  A builtin is either lazy or eager.  Lazy builtins (`&&`,
+`||` and S4 generics) receive promises; every other builtin, the
+reference-class generators among them, receives its argument values,
+evaluated in call order in the caller's environment.
 
 Locality is preserved because nothing ever mutates a value in place:
 modification forms build a new value and rebind the local name.  The
@@ -41,8 +41,7 @@ class BuiltinPayload:
     formals: Optional[list] = None  # list of (name, default Value or REQUIRED); None = variadic
     lazy: bool = False
     invisible: bool = False
-    special: Optional[str] = None  # "generic" | "ref_generator"
-    meta: Any = None
+    meta: Any = None  # s4.GenericDef of a generic, refclasses.RefClassDef of a generator
 
 
 REQUIRED = object()
@@ -190,22 +189,12 @@ class Interpreter:
         raise MlsError("attempt to apply non-function", loc)
 
     def _call_builtin(self, payload: BuiltinPayload, args, caller_env, loc) -> Value:
-        """Apply a builtin to promises: lazy and special builtins take them
-        as they are, every other builtin takes their values in call order."""
-        if payload.special is None and not payload.lazy:
+        """Apply a builtin to promises: a lazy builtin takes them as they
+        are, every other builtin takes their values in call order."""
+        if not payload.lazy:
             forced = [(n, p.force(self)) for n, p in args]
             return self._apply_builtin(payload, forced, caller_env, loc)
-        if payload.special == "generic":
-            from . import s4
-
-            result = s4.call_generic(self, payload.meta, args, caller_env, loc)
-        elif payload.special == "ref_generator":
-            from . import refclasses
-
-            forced = [(n, p.force(self)) for n, p in args]
-            result = refclasses.generator_new(self, payload.meta, forced, loc)
-        else:
-            result = payload.fn(BuiltinContext(self, caller_env, loc), args)
+        result = payload.fn(BuiltinContext(self, caller_env, loc), args)
         self.visible = not payload.invisible
         return result
 
@@ -285,8 +274,8 @@ class Interpreter:
         if obj.kind == values.ENVIRONMENT:
             b = obj.payload.frame.get(name)
             return b.resolve(self, loc) if b is not None else values.null_value()
-        if obj.kind == values.BUILTIN and obj.payload.special == "ref_generator":
-            return refclasses.generator_field(self, obj.payload.meta, name, loc)
+        if obj.kind == values.BUILTIN and isinstance(obj.payload.meta, refclasses.RefClassDef):
+            return refclasses.generator_field(obj.payload, name, loc)
         if obj.kind == values.S4_INSTANCE:
             raise MlsError(
                 f"'$' is not valid for an object of class \"{obj.payload.class_name}\"; use slot()",
@@ -427,11 +416,11 @@ def _compile_symbol(e: syntax.Symbol):
 
 
 def _compile_call(e: syntax.Call):
-    """The callee is resolved first.  An eager builtin (neither lazy nor
-    special) gets its argument values, evaluated in call order in the
-    caller's environment; every other function gets one promise per
-    argument.  The choice is made on the resolved function at each call,
-    so rebinding a builtin's name to a closure restores laziness."""
+    """The callee is resolved first.  An eager builtin gets its argument
+    values, evaluated in call order in the caller's environment; every
+    other function gets one promise per argument.  The choice is made on
+    the resolved function at each call, so rebinding a builtin's name to
+    a closure restores laziness."""
     loc = e.loc
     arg_exprs = e.args
     arg_runs = [(name, compile_expr(arg)) for name, arg in e.args]
@@ -446,7 +435,7 @@ def _compile_call(e: syntax.Call):
         else:
             fn = callee_run(interp, env)
         try:
-            if fn.kind == values.BUILTIN and fn.payload.special is None and not fn.payload.lazy:
+            if fn.kind == values.BUILTIN and not fn.payload.lazy:
                 args = [(name, arg(interp, env)) for name, arg in arg_runs]
                 return interp.call_value(fn, args, loc, env, fname, forced=True)
             args = [(name, Promise(arg, env)) for name, arg in arg_exprs]

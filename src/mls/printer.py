@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from . import syntax, values
+from . import refclasses, s4, syntax, values
 
 
 def format_double(d: float) -> str:
@@ -85,9 +85,9 @@ def _format_lines(v: values.Value, interp, with_attrs: bool = True) -> list:
         ).split("\n")
     elif v.kind == values.BUILTIN:
         p = v.payload
-        if getattr(p, "special", None) == "ref_generator":
+        if isinstance(p.meta, refclasses.RefClassDef):
             lines = [f'Generator for class "{p.meta.name}"']
-        elif getattr(p, "special", None) == "generic":
+        elif isinstance(p.meta, s4.GenericDef):
             lines = [f'standard generic for "{p.name}"']
         else:
             lines = [f"<builtin '{p.name}'>"]

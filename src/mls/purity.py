@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import reader, syntax, values
-from .builtins import BUILTIN_NAMES, BUILTIN_PURITY
+from .builtins import BUILTIN_PURITY
 from .values import MlsError
 
 NONLOCAL_ASSIGNMENT = "NonlocalAssignment"
@@ -107,53 +107,12 @@ class AnalysisReport:
 # builtin classification policy
 
 
-@dataclass
-class BuiltinPolicy:
-    """Which builtins are certified pure, and how the rest are classified.
-
-    Shipped as plain data so tests can perturb it.
-    """
-
-    pure: set
-    state_read: set
-    rng: set
-    foreign: set
-    dynamic: set
-    global_ref: set
-    local_assign: set
-
-    def known(self, name):
-        return any(
-            name in group
-            for group in (
-                self.pure,
-                self.state_read,
-                self.rng,
-                self.foreign,
-                self.dynamic,
-                self.global_ref,
-                self.local_assign,
-            )
-        )
-
-
-def _builtin_groups() -> tuple:
-    """The names in each BuiltinPolicy set, in field order: every builtin
-    under the purity class it is registered with, plus the prelude's
-    `print` generic, which is pure."""
-    groups = {f.name: set() for f in fields(BuiltinPolicy)}
-    for name, kind in BUILTIN_PURITY.items():
-        groups[kind].add(name)
-    groups["pure"].add("print")
-    return tuple(frozenset(g) for g in groups.values())
-
-
-_BUILTIN_GROUPS = _builtin_groups()
-
-
-def default_policy() -> BuiltinPolicy:
-    """A fresh policy: callers may change its sets."""
-    return BuiltinPolicy(*[set(g) for g in _BUILTIN_GROUPS])
+def default_policy() -> dict:
+    """A fresh copy of `builtins.BUILTIN_PURITY`, which maps each builtin
+    to its purity class: pure, state_read, rng, foreign, dynamic,
+    global_ref or local_assign.  Callers may change it; a builtin it does
+    not classify is not certified."""
+    return dict(BUILTIN_PURITY)
 
 
 # ---------------------------------------------------------------------------
@@ -198,30 +157,17 @@ def parse_module(name: str, source: str, path=None) -> ModuleUnit:
 # scanning: per-function local facts
 
 
-class _Scope:
-    def __init__(self, parent=None):
-        self.names = set()
-        self.parent = parent
-
-    def resolves(self, name):
-        scope = self
-        while scope is not None:
-            if name in scope.names:
-                return True
-            scope = scope.parent
-        return False
-
-
-def _collect_locals(body, scope):
-    """Names assigned with `<-` anywhere in this function body (not in
-    nested function literals) are local to the function."""
+def _collect_locals(body, scope: set):
+    """Add to `scope` the names assigned with `<-` anywhere in this
+    function body (not in nested function literals): they are local to
+    the function."""
     stack = [body]
     while stack:
         e = stack.pop()
         if isinstance(e, syntax.FunctionLiteral):
             continue
         if isinstance(e, syntax.Assign):
-            scope.names.add(e.target.name)
+            scope.add(e.target.name)
         # a literal name given to assign() becomes a local binding
         if (
             isinstance(e, syntax.Call)
@@ -231,7 +177,7 @@ def _collect_locals(body, scope):
             and isinstance(e.args[0][1], syntax.Constant)
             and e.args[0][1].value.kind == values.STRING
         ):
-            scope.names.add(e.args[0][1].value.payload[0])
+            scope.add(e.args[0][1].value.payload[0])
         stack.extend(syntax.child_expressions(e))
 
 
@@ -251,13 +197,8 @@ def scan_function(name: str, literal: syntax.FunctionLiteral) -> FunctionFacts:
     each with its source location."""
     facts = FunctionFacts(name)
 
-    def use_name(sym: syntax.Symbol, scope):
-        if not scope.resolves(sym.name):
-            facts.name_uses.setdefault(sym.name, sym.loc)
-
-    def walk_function(fl: syntax.FunctionLiteral, parent_scope):
-        scope = _Scope(parent_scope)
-        scope.names.update(n for n, _ in fl.formals)
+    def walk_function(fl: syntax.FunctionLiteral, enclosing: set):
+        scope = enclosing | {n for n, _ in fl.formals}
         _collect_locals(fl.body, scope)
         for _, default in fl.formals:
             if default is not None:
@@ -266,7 +207,8 @@ def scan_function(name: str, literal: syntax.FunctionLiteral) -> FunctionFacts:
 
     def walk(e, scope):
         if isinstance(e, syntax.Symbol):
-            use_name(e, scope)
+            if e.name not in scope:
+                facts.name_uses.setdefault(e.name, e.loc)
             return
         if isinstance(e, syntax.Constant):
             return
@@ -302,7 +244,7 @@ def scan_function(name: str, literal: syntax.FunctionLiteral) -> FunctionFacts:
                 for _, arg in call.args:
                     walk(arg, scope)
                 return
-            if not scope.resolves(cname):
+            if cname not in scope:
                 has_envir = any(n == "envir" for n, _ in call.args) or (
                     sum(1 for n, _ in call.args if n is None) >= 3
                 )
@@ -325,7 +267,7 @@ def scan_function(name: str, literal: syntax.FunctionLiteral) -> FunctionFacts:
         for _, arg in call.args:
             walk(arg, scope)
 
-    walk_function(literal, None)
+    walk_function(literal, set())
     return facts
 
 
@@ -333,35 +275,34 @@ def scan_function(name: str, literal: syntax.FunctionLiteral) -> FunctionFacts:
 # resolution: classify free names and build call edges
 
 
-def _builtin_violation(use: CalleeUse, policy: BuiltinPolicy, called: bool) -> Optional[Violation]:
+def _builtin_violation(use: CalleeUse, kind: Optional[str], called: bool) -> Optional[Violation]:
+    """The violation of using builtin `use.name` of purity class `kind`."""
     line, col = use.loc
     name = use.name
-    if name in policy.pure:
+    if kind == "pure":
         return None
-    if name in policy.local_assign:
-        if called and not use.has_envir:
-            return None
-        if called:
+    if kind == "local_assign":
+        if called and use.has_envir:
             return Violation(
                 NONLOCAL_ASSIGNMENT, line, col,
                 "assign() with an explicit target environment",
             )
         return None
-    if name in policy.state_read:
+    if kind == "state_read":
         opt = use.first_string
         verb = "writes" if name == "options" else "reads"
         if opt is not None:
             return Violation(STATE_READ, line, col, f"{verb} option '{opt}'", subject=opt)
         return Violation(STATE_READ, line, col, f"{verb} a dynamically named option")
-    if name in policy.rng:
+    if kind == "rng":
         return Violation(RNG_DEPENDENCE, line, col, f"calls {name}()")
-    if name in policy.foreign:
+    if kind == "foreign":
         tag = use.first_string
         detail = f"calls foreign('{tag}')" if tag else "calls foreign code"
         return Violation(FOREIGN_CODE, line, col, detail)
-    if name in policy.global_ref:
+    if kind == "global_ref":
         return Violation(GLOBAL_REFERENCE, line, col, "obtains the global environment")
-    if name in policy.dynamic:
+    if kind == "dynamic":
         return Violation(
             DYNAMIC_CODE, line, col,
             f"calls {name}(), whose meaning depends on runtime definitions",
@@ -369,15 +310,10 @@ def _builtin_violation(use: CalleeUse, policy: BuiltinPolicy, called: bool) -> O
     return Violation(DYNAMIC_CODE, line, col, f"builtin '{name}' is not certified")
 
 
-def resolve_names(
-    module: ModuleUnit,
-    facts: FunctionFacts,
-    universe: dict,
-    policy: BuiltinPolicy,
-    builtin_names: set,
-):
+def resolve_names(module: ModuleUnit, facts: FunctionFacts, universe: dict, policy: dict):
     """Classify every free name; returns (violations, edges) where edges
-    point at (module, function) definitions."""
+    point at (module, function) definitions.  A name the module binds
+    belongs to the module, even if it also imports it."""
     violations = []
     edges = []
 
@@ -389,11 +325,18 @@ def resolve_names(
     def resolve(name, loc, use: Optional[CalleeUse]):
         line, col = loc
         called = use is not None
-        if name in module.definitions:
-            edges.append((module.name, name))
-            return
-        if name in module.bindings:
-            if called:
+        owner = module if name in module.bindings else universe.get(import_map.get(name))
+        if owner is not None:
+            if name in owner.definitions:
+                edges.append((owner.name, name))
+            elif name not in owner.bindings:
+                violations.append(
+                    Violation(
+                        GLOBAL_REFERENCE, line, col,
+                        f"'{name}' is not defined by module '{owner.name}'",
+                    )
+                )
+            elif called:
                 violations.append(
                     Violation(
                         DYNAMIC_CODE, line, col,
@@ -401,29 +344,9 @@ def resolve_names(
                     )
                 )
             return
-        if name in import_map:
-            target = universe[import_map[name]]
-            if name in target.definitions:
-                edges.append((target.name, name))
-            elif name in target.bindings:
-                if called:
-                    violations.append(
-                        Violation(
-                            DYNAMIC_CODE, line, col,
-                            f"'{name}' is not a statically defined function",
-                        )
-                    )
-            else:
-                violations.append(
-                    Violation(
-                        GLOBAL_REFERENCE, line, col,
-                        f"'{name}' is not defined by module '{target.name}'",
-                    )
-                )
-            return
-        if name in builtin_names:
+        if name in BUILTIN_PURITY:
             v = _builtin_violation(
-                use if use is not None else CalleeUse(name, loc), policy, called
+                use if use is not None else CalleeUse(name, loc), policy.get(name), called
             )
             if v is not None:
                 violations.append(v)
@@ -580,9 +503,8 @@ def suggest_remediation(reasons) -> list:
 # whole-module analysis
 
 
-def analyze_modules(modules, policy: Optional[BuiltinPolicy] = None) -> AnalysisReport:
+def analyze_modules(modules, policy: Optional[dict] = None) -> AnalysisReport:
     policy = policy if policy is not None else default_policy()
-    builtin_names = set(BUILTIN_NAMES)
     universe = {}
     for m in modules:
         if m.name in universe:
@@ -599,7 +521,7 @@ def analyze_modules(modules, policy: Optional[BuiltinPolicy] = None) -> Analysis
         for fname, literal in m.definitions.items():
             node = (m.name, fname)
             facts = scan_function(fname, literal)
-            resolved, node_edges = resolve_names(m, facts, universe, policy, builtin_names)
+            resolved, node_edges = resolve_names(m, facts, universe, policy)
             own[node] = list(facts.violations) + resolved
             edges[node] = node_edges
     verdicts = propagate(own, edges)

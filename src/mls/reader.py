@@ -98,7 +98,12 @@ def tokenize(source: str) -> list:
                 brackets.pop()
         elif kind == "NUM":
             if text.isdigit():
-                kind, value = "INT", int(text)
+                try:
+                    kind, value = "INT", int(text)
+                except ValueError:  # more digits than the host converts
+                    raise MlsSyntaxError(
+                        f"integer literal too long ({len(text)} digits)", (line, col)
+                    ) from None
             else:
                 value = float(text)
         elif kind == "STR":

@@ -127,14 +127,18 @@ def set_ref_class(interp, name, fields_value, methods_value, contains_value, def
     # participate in formal dispatch: the class exists in the S4 registry
     # as a slotless class under its reference superclass
     interp.s4.define_class(name, {}, [contains] if contains else [], loc=loc)
-    return generator_value(interp, cdef)
+    return generator_value(cdef)
 
 
-def generator_value(interp, cdef: RefClassDef) -> Value:
+def generator_value(cdef: RefClassDef) -> Value:
+    """The generator of `cdef`: an eager builtin whose call, like its
+    `$new`, constructs an instance."""
     from .interpreter import BuiltinPayload
 
-    payload = BuiltinPayload(name=cdef.name, fn=None, special="ref_generator", meta=cdef)
-    return Value(values.BUILTIN, payload)
+    def construct(ctx, args):
+        return generator_new(ctx.interp, cdef, args, ctx.loc)
+
+    return Value(values.BUILTIN, BuiltinPayload(name=cdef.name, fn=construct, meta=cdef))
 
 
 def _re_enclosed(fn: Value, env: Environment) -> Value:
@@ -233,14 +237,13 @@ def copy_instance(interp, obj: Value, loc=None) -> Value:
     return _build_instance(cdef, old.parent, field_values)
 
 
-def generator_field(interp, cdef: RefClassDef, name: str, loc=None) -> Value:
+def generator_field(generator, name: str, loc=None) -> Value:
+    """`Gen$name` for the payload of generator `Gen`."""
     from .interpreter import BuiltinPayload
 
+    cdef = generator.meta
     if name == "new":
-        def construct(ctx, args):
-            return generator_new(ctx.interp, cdef, args, ctx.loc)
-
-        return Value(values.BUILTIN, BuiltinPayload(name=f"{cdef.name}$new", fn=construct))
+        return Value(values.BUILTIN, BuiltinPayload(name=f"{cdef.name}$new", fn=generator.fn))
     if name == "className":
         return values.scalar_string(cdef.name)
     if name == "definition":

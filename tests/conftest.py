@@ -31,3 +31,13 @@ def capture():
 @pytest.fixture(scope="session")
 def corpus_dir():
     return CORPUS
+
+
+@pytest.fixture
+def int_digit_limit():
+    """The host's limit on digits in int/str conversion, set to its
+    minimum for one test."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield 640
+    sys.set_int_max_str_digits(limit)

@@ -210,6 +210,29 @@ def test_host_recursion_is_an_mls_error_not_a_traceback(tmp_path, capsys, source
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("command", ["run", "analyze"])
+def test_overlong_integer_literal_is_a_syntax_error(tmp_path, capsys, int_digit_limit, command):
+    script = tmp_path / "long.mls"
+    script.write_text("f <- function() " + "1" * (int_digit_limit + 1) + "\n")
+    code, out, err = run_cli([command, str(script)], capsys)
+    prefix = f"{script}: " if command == "analyze" else ""
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {prefix}integer literal too long ({int_digit_limit + 1} digits)"
+        " (line 1, column 17)\n"
+    )
+
+
+def test_host_exception_is_one_internal_error_line(tmp_path, capsys, int_digit_limit):
+    # 10 squared 13 times has 8,193 digits, more than the host prints
+    script = tmp_path / "big.mls"
+    script.write_text("x <- 10\n" + "x <- x * x\n" * 13 + "paste(x)\n")
+    code, out, err = run_cli(["run", str(script)], capsys)
+    assert (code, out) == (5, "")
+    assert err.startswith("internal error: ValueError: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # -- every input ends in a documented exit code, never a traceback ------------
 
 _SOUP_TOKENS = (

@@ -60,7 +60,10 @@ def test_ref_instance_format(interp):
 def test_generator_and_builtin_format(interp):
     interp.eval_source('G <- setRefClass("G", fields = list())')
     assert fmt(interp, "G") == 'Generator for class "G"'
+    assert fmt(interp, "G$new") == "<builtin 'G$new'>"
     assert fmt(interp, "sum") == "<builtin 'sum'>"
+    interp.eval_source('setGeneric("area", function(shape) standardGeneric("area"))')
+    assert fmt(interp, "area") == 'standard generic for "area"'
 
 
 def test_environment_format(interp):

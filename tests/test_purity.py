@@ -138,6 +138,40 @@ def test_import_of_missing_name():
     assert verdict_of(report, "f").verdict.reasons[0].kind == purity.GLOBAL_REFERENCE
 
 
+@pytest.mark.parametrize(
+    "lib_src, src, status, reasons",
+    [
+        # a module's own non-function binding, called
+        ("helper <- function(x) x", "k <- 3\nf <- function(x) k(x)", purity.UNCERTIFIABLE,
+         [(purity.DYNAMIC_CODE, "'k' is not a statically defined function")]),
+        # the same binding reached through an import
+        ("k <- 3", "import lib (k)\nf <- function(x) k(x)", purity.UNCERTIFIABLE,
+         [(purity.DYNAMIC_CODE, "'k' is not a statically defined function")]),
+        # a name the imported module does not define
+        ("k <- 3", "import lib (nothere)\nf <- function(x) nothere(x)", purity.NONFUNCTIONAL,
+         [(purity.GLOBAL_REFERENCE, "'nothere' is not defined by module 'lib'")]),
+        # a module's own binding shadows an import of the same name
+        ("helper <- function(x) rng_draw(x)",
+         "import lib (helper)\nhelper <- function(x) x\nf <- function(x) helper(x)",
+         purity.FUNCTIONAL, []),
+    ],
+    ids=["own binding", "imported binding", "import not defined", "own shadows import"],
+)
+def test_name_resolution_against_the_owning_module(lib_src, src, status, reasons):
+    report = analyze(src, others=[module_of(lib_src, "lib")])
+    verdict = verdict_of(report, "f").verdict
+    assert verdict.status == status
+    assert [(r.kind, r.detail) for r in verdict.reasons] == reasons
+    assert [callee for caller, callee in report.edges if caller == ("m", "f")] == (
+        [("m", "helper")] if not reasons else []
+    )
+
+
+def test_nested_function_locals_do_not_leak_to_the_enclosing_function():
+    facts = scan("function(a) { g <- function(z) { y <- z + a; y }; c(y, z, g(a)) }")
+    assert set(facts.name_uses) == {"y", "z"}
+
+
 def test_unknown_import_module_errors():
     with pytest.raises(MlsError, match="imports unknown module"):
         analyze("import nowhere (thing)\nf <- function() 1")
@@ -288,15 +322,22 @@ def test_taxonomy_is_exactly_six_kinds():
     }
 
 
+PURITY_CLASSES = {
+    "pure", "state_read", "rng", "foreign", "dynamic", "global_ref", "local_assign",
+}
+
+
 def test_every_builtin_is_classified():
     policy = purity.default_policy()
-    unclassified = [name for name in BUILTIN_NAMES if not policy.known(name)]
+    unclassified = [name for name in BUILTIN_NAMES if name not in policy]
     assert unclassified == []
+    unknown = {name: kind for name, kind in policy.items() if kind not in PURITY_CLASSES}
+    assert unknown == {}
 
 
 def test_whitelist_perturbation():
     policy = purity.default_policy()
-    policy.pure.discard("c")
+    del policy["c"]
     report = analyze("f <- function(x) c(x, 1)", policy=policy)
     fr = verdict_of(report, "f")
     assert fr.verdict.status == purity.UNCERTIFIABLE

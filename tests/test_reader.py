@@ -202,6 +202,15 @@ def test_only_ascii_digits_make_numbers():
     assert parse1("x <- 12.5e1").value.value.payload == [125.0]
 
 
+def test_integer_literal_longer_than_the_host_converts_is_a_syntax_error(int_digit_limit):
+    digits = "1" * int_digit_limit
+    assert parse1("x <- " + digits).value.value.payload == [int(digits)]
+    with pytest.raises(MlsSyntaxError) as exc:
+        reader.tokenize("x <-\n  " + digits + "1")
+    assert exc.value.message == f"integer literal too long ({int_digit_limit + 1} digits)"
+    assert exc.value.loc == (2, 3)
+
+
 def test_escaped_newline_in_string_advances_the_line():
     exprs = reader.parse_program('s <- "a\\\nb"\nnope')
     assert exprs[0].value.value.payload == ["a\nb"]

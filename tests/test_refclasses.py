@@ -1,7 +1,7 @@
 import pytest
 
 import rng_reference as ref
-from mls import values
+from mls import printer, values
 from mls.values import MlsError
 
 SIMPLEPOP = """
@@ -43,6 +43,37 @@ def test_generator_new_entry_point(interp):
     assert run(interp, "q$size").payload == [5]
     assert run(interp, "SimplePop$className").payload == ["SimplePop"]
     assert run(interp, "SimplePop$definition$fields").payload == ["birth", "death", "size"]
+
+
+PAIR = 'Pair <- setRefClass("Pair", fields = list(a = "numeric", b = "numeric"))\n'
+
+
+@pytest.mark.parametrize("make", ["Pair", "Pair$new"])
+def test_generator_arguments_are_evaluated_in_call_order(interp, make):
+    run(interp, PAIR + "seen <- c()")
+    run(interp, f"p <- {make}(b = {{seen <- c(seen, 1); 2}}, a = {{seen <- c(seen, 2); 1}})")
+    assert run(interp, "seen").payload == [1, 2]
+    assert run(interp, "c(p$a, p$b)").payload == [1, 2]
+
+
+@pytest.mark.parametrize("make", ["Pair", "Pair$new"])
+def test_error_in_generator_argument_keeps_message_and_location(interp, make):
+    run(interp, PAIR)
+    line = f'p <- {make}(a = 1, b = stop("no b"))'
+    with pytest.raises(MlsError) as exc:
+        run(interp, "x <- 1\n" + line)
+    assert (exc.value.message, exc.value.loc) == ("no b", (2, line.index("stop") + 1))
+
+
+def test_generator_and_new_build_the_same_instance(interp):
+    run(interp, PAIR)
+    direct = printer.format_value(run(interp, "Pair(a = 1, b = 2)"), interp)
+    via_new = printer.format_value(run(interp, "Pair$new(a = 1, b = 2)"), interp)
+    assert direct == via_new == (
+        'Reference class object of class "Pair"\n'
+        'Field "a":\n[1] 1\n\n'
+        'Field "b":\n[1] 2\n'
+    )
 
 
 def test_field_type_checked_at_construction(interp):
