@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from . import ops, printer, refclasses, s3, s4, values
 from .environment import Binding
-from .interpreter import REQUIRED, BuiltinPayload
+from .interpreter import BINARY_OPERATORS, REQUIRED, BuiltinPayload, apply_operator
 from .values import MlsError, Value
 
 
@@ -31,9 +31,9 @@ def _scalar_int(v: Value, what: str, loc=None) -> int:
 # -- operators ----------------------------------------------------------------
 
 
-def _make_operator(op, compute, unary=False):
-    """S3 dispatch on two operands, then `compute(op, a, b, loc)` from
-    `ops`; with `unary`, one operand goes to `ops.arith_unary`."""
+def _make_operator(op, unary=False):
+    """`apply_operator` on two operands; with `unary`, one operand goes
+    to `ops.arith_unary`."""
     arity = "one or two arguments" if unary else "two arguments"
 
     def fn(ctx, args):
@@ -42,10 +42,7 @@ def _make_operator(op, compute, unary=False):
             return ops.arith_unary(op, vals[0], ctx.loc)
         if len(vals) != 2:
             raise MlsError(f"operator '{op}' takes {arity}", ctx.loc)
-        dispatched = s3.dispatch_binary_op(ctx.interp, op, vals[0], vals[1], ctx.env, ctx.loc)
-        if dispatched is not None:
-            return dispatched
-        return compute(op, vals[0], vals[1], ctx.loc)
+        return apply_operator(ctx.interp, op, vals[0], vals[1], ctx.env, ctx.loc)
 
     return fn
 
@@ -396,12 +393,8 @@ def _registry():
     def add(name, fn, purity, formals=None, lazy=False, invisible=False):
         table.append((name, fn, purity, formals, lazy, invisible))
 
-    for op in ("+", "-"):
-        add(op, _make_operator(op, ops.arith_binary, unary=True), "pure")
-    for op in ("*", "/"):
-        add(op, _make_operator(op, ops.arith_binary), "pure")
-    for op in ("<", "<=", ">", ">=", "==", "!="):
-        add(op, _make_operator(op, ops.compare_binary), "pure")
+    for op in BINARY_OPERATORS:
+        add(op, _make_operator(op, unary=op in ("+", "-")), "pure")
     add("!", _bi_not, "pure", [("x", REQUIRED)])
     for op in ("&&", "||"):
         add(op, _make_shortcircuit(op), "pure", lazy=True)
@@ -469,3 +462,4 @@ def install(interp):
             name=name, fn=fn, formals=formals, lazy=lazy, invisible=invisible
         )
         interp.base_env.frame[name] = Binding.immediate(Value(values.BUILTIN, payload))
+    interp.base_operators = {op: interp.base_env.frame[op].value for op in BINARY_OPERATORS}

@@ -1,15 +1,17 @@
 """Command-line entry point: run scripts, an interactive REPL, and the
 purity analyzer.
 
-Exit codes: 0 success/clean, 1 runtime error, 2 input error,
-3 nonfunctional findings, 4 uncertifiable findings, 5 internal error
-(a host exception the interpreter did not turn into an MLS error,
-reported on one stderr line).
+Exit codes: 0 success/clean, 1 runtime error or a stdout closed by its
+reader (`mls run x.mls | head -1`, silently), 2 input error, 3 nonfunctional
+findings, 4 uncertifiable findings, 5 internal error (a host exception the
+interpreter did not turn into an MLS error, reported on one stderr line).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from pathlib import Path
 
@@ -164,10 +166,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            return cmd_run(args.path, args.seed)
-        if args.command == "repl":
-            return cmd_repl()
-        return cmd_analyze(args.paths, args.format)
+            code = cmd_run(args.path, args.seed)
+        elif args.command == "repl":
+            code = cmd_repl()
+        else:
+            code = cmd_analyze(args.paths, args.format)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: the flush at exit goes to devnull (Python's "Note on SIGPIPE")
+        with contextlib.suppress(OSError, ValueError):  # a stdout with no descriptor
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return 1
     except Exception as exc:
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return 5

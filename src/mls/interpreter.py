@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from . import ops, reader, rng, syntax, values
+from . import ops, reader, rng, s3, syntax, values
 from .environment import Binding, Environment, Promise
 from .values import MlsError, Value
 
@@ -46,6 +46,10 @@ class BuiltinPayload:
 
 REQUIRED = object()
 
+# The binary operators a call site may apply directly (see `_compile_call`).
+COMPARISON_OPERATORS = ("<", "<=", ">", ">=", "==", "!=")
+BINARY_OPERATORS = ("+", "-", "*", "/") + COMPARISON_OPERATORS
+
 
 @dataclass
 class BuiltinContext:
@@ -62,6 +66,16 @@ class CallFrame:
     call_loc: Any
     args: list  # original (name or None, Promise) in call order
     label: Optional[str] = None
+
+
+def apply_operator(interp, op, lhs, rhs, env, loc=None) -> Value:
+    """`lhs op rhs` for a binary operator: the S3 method either operand's
+    class selects, else the base arithmetic or comparison of `ops`."""
+    dispatched = s3.dispatch_binary_op(interp, op, lhs, rhs, env, loc)
+    if dispatched is not None:
+        return dispatched
+    compute = ops.compare_binary if op in COMPARISON_OPERATORS else ops.arith_binary
+    return compute(op, lhs, rhs, loc)
 
 
 def match_formals(formals, args, loc=None):
@@ -87,15 +101,6 @@ def match_formals(formals, args, loc=None):
         if formal not in matched:
             matched[formal] = positional.pop(0)
     return matched, positional
-
-
-class UseMethodExit(Exception):
-    """Raised by UseMethod to return the selected method's value as the
-    value of the generic call."""
-
-    def __init__(self, frame, value):
-        self.frame = frame
-        self.value = value
 
 
 class Interpreter:
@@ -244,7 +249,7 @@ class Interpreter:
         self.frames.append(frame)
         try:
             return self.eval(fn.payload.body, call_env)
-        except UseMethodExit as exit_:
+        except s3.UseMethodExit as exit_:
             if exit_.frame is frame:
                 return exit_.value
             raise
@@ -420,7 +425,13 @@ def _compile_call(e: syntax.Call):
     values, evaluated in call order in the caller's environment; every
     other function gets one promise per argument.  The choice is made on
     the resolved function at each call, so rebinding a builtin's name to
-    a closure restores laziness."""
+    a closure restores laziness.
+
+    A binary operator called with two unnamed arguments is applied
+    directly while its name resolves to the base builtin recorded in
+    `interp.base_operators`; otherwise the general call runs with the
+    function resolved (a guard with a fallback, as in Würthinger et al.,
+    "Self-optimizing AST interpreters", DLS 2012)."""
     loc = e.loc
     arg_exprs = e.args
     arg_runs = [(name, compile_expr(arg)) for name, arg in e.args]
@@ -429,11 +440,9 @@ def _compile_call(e: syntax.Call):
     else:
         fname, callee_run = None, compile_expr(e.callee)
 
-    def run(interp, env):
-        if callee_run is None:
-            fn = interp.lookup_function(fname, env, loc)
-        else:
-            fn = callee_run(interp, env)
+    def run(interp, env, fn=None):
+        if fn is None:
+            fn = callee_run(interp, env) if callee_run else interp.lookup_function(fname, env, loc)
         try:
             if fn.kind == values.BUILTIN and not fn.payload.lazy:
                 args = [(name, arg(interp, env)) for name, arg in arg_runs]
@@ -445,7 +454,25 @@ def _compile_call(e: syntax.Call):
                 err.loc = loc
             raise
 
-    return run
+    if fname not in BINARY_OPERATORS or len(arg_runs) != 2 or any(n for n, _ in arg_runs):
+        return run
+    (_, lhs_run), (_, rhs_run) = arg_runs
+
+    def run_operator(interp, env):
+        fn = interp.lookup_function(fname, env, loc)
+        if fn is not interp.base_operators[fname]:
+            return run(interp, env, fn)
+        try:
+            lhs = lhs_run(interp, env)
+            value = apply_operator(interp, fname, lhs, rhs_run(interp, env), env, loc)
+        except MlsError as err:
+            if err.loc is None:
+                err.loc = loc
+            raise
+        interp.visible = True
+        return value
+
+    return run_operator
 
 
 def _compile_assign(e):

@@ -7,8 +7,16 @@ from __future__ import annotations
 
 from . import values
 from .environment import Promise
-from .interpreter import UseMethodExit
 from .values import MlsError, Value
+
+
+class UseMethodExit(Exception):
+    """Raised by UseMethod to return the selected method's value as the
+    value of the generic call."""
+
+    def __init__(self, frame, value):
+        self.frame = frame
+        self.value = value
 
 
 def lookup_method(interp, name: str, env) -> Value | None:

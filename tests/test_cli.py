@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -231,6 +232,34 @@ def test_host_exception_is_one_internal_error_line(tmp_path, capsys, int_digit_l
     assert (code, out) == (5, "")
     assert err.startswith("internal error: ValueError: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone away, as behind `| head -1`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("command", ["run", "analyze"])
+def test_closed_stdout_exits_1_without_a_message(corpus_dir, monkeypatch, capsys, command):
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    target = corpus_dir / ("refobjects.mls" if command == "run" else "analyzer")
+    assert cli.main([command, str(target)]) == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_stdout_pipe_exits_1_without_a_message(corpus_dir):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "wb") as stdout:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mls", "run", str(corpus_dir / "factorial.mls")],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 # -- every input ends in a documented exit code, never a traceback ------------

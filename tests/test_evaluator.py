@@ -437,6 +437,113 @@ def test_function_value_from_assignment_is_invisible(capture):
     assert capture.out.getvalue() == ""
 
 
+# -- operator call sites -------------------------------------------------------------
+
+def outcome(src):
+    """Stdout, stderr and the error (message, location) of running `src`
+    at top level in a fresh interpreter."""
+    out, err = io.StringIO(), io.StringIO()
+    interp = Interpreter(stdout=out, stderr=err)
+    try:
+        interp.run_top_level(reader.parse_program(src))
+        error = None
+    except MlsError as exc:
+        error = (exc.message, exc.loc)
+    return out.getvalue(), err.getvalue(), error
+
+
+@pytest.mark.parametrize(
+    "src, expected",
+    [
+        ("f <- function() { `+` <- function(a, b) 99; 1 + 2 }\nf()", ("[1] 99\n", "", None)),
+        ("`+` <- function(a, b) 99\n1 + 2\ng <- function(x) x + 1\ng(5)",
+         ("[1] 99\n[1] 99\n", "", None)),
+        ("h <- function(`-`) 5 - 2\nh(function(a, b) 7)", ("[1] 7\n", "", None)),
+        ("k <- function() { `<` <- 3; 1 < 2 }\nk()", ("[1] TRUE\n", "", None)),
+        ("`+`(e1 = 1, 2)\n`-`(3)", ("[1] 3\n[1] -3\n", "", None)),
+        ("`*`(1, 2, 3)", ("", "", ("operator '*' takes two arguments", (1, 1)))),
+        # the callee is resolved before the operands
+        ("{ `+` <- function(a, b) 99; 1 } + 2\n1 + 2", ("[1] 3\n[1] 99\n", "", None)),
+        ('setGeneric("+", function(e1, e2) standardGeneric("+"))\n'
+         'setMethod("+", c("numeric", "numeric"), function(e1, e2) 42)\n1 + 2',
+         ("[1] 42\n", "", None)),
+        ("invisible(1) + 1\nf <- function() invisible(3)\nf() * 2", ("[1] 2\n[1] 6\n", "", None)),
+        ('1 + "a"', ("", "", ("non-numeric argument to binary operator '+'", (1, 1)))),
+        ('x <- 1\nx - stop("boom")', ("", "", ("boom", (2, 5)))),
+        ("f <- function() 1 + nope\nf()", ("", "", ("object 'nope' not found", (1, 21)))),
+        ('`/` <- function(a, b) stop("nope")\n4 / 2', ("", "", ("nope", (1, 23)))),
+        ('`+.m` <- function(e1, e2) "m"\n`+.n` <- function(e1, e2) "n"\n'
+         'a <- set_attr(1, "class", "m")\nb <- set_attr(2, "class", "n")\n'
+         "a + b\na + 1\n1 + b",
+         ('[1] "m"\n[1] "m"\n[1] "n"\n',
+          'warning: incompatible methods ("+.m", "+.n") for "+"\n', None)),
+        ('`==.m` <- function(e1, e2) invisible("eq")\na <- set_attr(1, "class", "m")\na == a',
+         ('[1] "eq"\n', "", None)),
+    ],
+)
+def test_operator_call_sites_keep_call_semantics(src, expected):
+    assert outcome(src) == expected
+
+
+def test_operator_call_site_guards_on_the_base_builtin_value(capture):
+    """A call site applies `+` directly while `+` resolves to the base
+    builtin, even when its `fn` is wrapped (as a tracer does); a named
+    argument or a rebinding reaches the builtin's `fn` through the
+    general call."""
+    payload = capture.base_operators["+"].payload
+    calls = []
+    inner = payload.fn
+    payload.fn = lambda ctx, args: calls.append(1) or inner(ctx, args)
+    capture.run_top_level(reader.parse_program("1 + 2\n`+`(e1 = 1, 2)\nf <- `+`\nf(3, 4)"))
+    assert capture.out.getvalue() == "[1] 3\n[1] 3\n[1] 7\n"
+    assert len(calls) == 2
+
+
+_OPERATORS = ("+", "-", "*", "/", "<", "<=", ">", ">=", "==", "!=")
+_CLASSED_SETUP = (
+    '`+.m` <- function(e1, e2) "m plus"\n'
+    '`+.k` <- function(e1, e2) "k plus"\n'
+    '`<.m` <- function(e1, e2) c(lt = TRUE)\n'
+    '`*.k` <- function(e1, e2) invisible(paste("k times", class(e2)))\n'
+)
+
+
+def _atoms(kind):
+    return {
+        "integer": st.integers(-20, 20).map(str),
+        "double": st.integers(-400, 400).map(lambda k: repr(k / 8)),
+        "string": st.sampled_from(['"a"', '"b"', '""']),
+        "logical": st.sampled_from(["TRUE", "FALSE"]),
+    }[kind]
+
+
+@st.composite
+def _operands(draw):
+    kind = draw(st.sampled_from(["integer", "double", "string", "logical"]))
+    atoms = draw(st.lists(_atoms(kind), min_size=1, max_size=3))
+    shape = draw(st.sampled_from(["scalar", "vector", "named", "classed"]))
+    if shape == "scalar":
+        return atoms[0]
+    if shape == "named":
+        return "c(" + ", ".join(f"{n} = {a}" for n, a in zip("pqr", atoms)) + ")"
+    vector = "c(" + ", ".join(atoms) + ")"
+    if shape == "classed":
+        cls = draw(st.sampled_from(['"m"', '"k"', 'c("z", "m")', '"z"']))
+        return f"set_attr({vector}, \"class\", {cls})"
+    return vector
+
+
+@settings(max_examples=300, deadline=None)
+@given(_operands(), st.sampled_from(_OPERATORS), _operands())
+def test_direct_operator_path_matches_the_general_call(lhs, op, rhs):
+    direct = outcome(f"{_CLASSED_SETUP}print({lhs} {op} {rhs})")
+    general = outcome(f"{_CLASSED_SETUP}f <- `{op}`\nprint(f({lhs}, {rhs}))")
+    assert direct[:2] == general[:2]
+    assert (direct[2] is None) == (general[2] is None)
+    if direct[2] is not None:
+        assert direct[2][0] == general[2][0]
+
+
 # -- miscellaneous semantics ------------------------------------------------------
 
 def test_arithmetic_drops_attributes_except_names(interp):
