@@ -3,12 +3,11 @@
 A reference in MLS is a name plus an environment.  Bindings come in
 three modes: immediate values, lazy promises (memoized on first force),
 and active bindings that run accessor functions.  Reference-class
-fields add a validation spec on top of a binding.
+fields carry their `RefField`, checked on every assignment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import values
@@ -52,12 +51,6 @@ class Promise:
         self.state = DONE
         self.env = None
         return self.value
-
-
-@dataclass
-class FieldSpec:
-    declared_class: str
-    read_only: bool = False
 
 
 class Binding:
@@ -133,7 +126,7 @@ class Environment:
         self.frame[name] = Binding.immediate(value)
 
     def set_value(self, name: str, value: values.Value, interp, loc=None):
-        """Assign into this frame, honoring active bindings and field specs."""
+        """Assign into this frame, honoring active bindings and typed fields."""
         b = self.frame.get(name)
         if b is None:
             self.frame[name] = Binding.immediate(value)
@@ -146,7 +139,7 @@ class Environment:
         if b.field is not None:
             if b.field.read_only:
                 raise MlsError(f"field '{name}' is read-only", loc)
-            interp.check_field_class(value, b.field.declared_class, name, loc)
+            interp.s4.check_value(value, b.field.declared_class, f"field '{name}'", loc)
             b.value = value
             b.promise = None
             b.missing_name = None

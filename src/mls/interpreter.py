@@ -289,18 +289,6 @@ class Interpreter:
         cls = values.implicit_class(obj).payload[0]
         raise MlsError(f"'$' is not valid for an object of class '{cls}'", loc)
 
-    # -- field/slot typing -----------------------------------------------------
-
-    def check_field_class(self, v: Value, declared: str, name: str, loc=None):
-        from . import s4
-
-        if not s4.value_matches_class(self.s4, v, declared):
-            actual = s4.dispatch_class_of(v)
-            raise MlsError(
-                f"invalid value for field '{name}': expected '{declared}', got '{actual}'",
-                loc,
-            )
-
     # -- interpreter state: RNG and options -------------------------------------
 
     def rng_state(self) -> int:
@@ -326,8 +314,6 @@ class Interpreter:
         self.set_rng_state(rng.seed_state(seed))
 
     def rng_draw(self, n: int) -> Value:
-        if n < 0:
-            raise MlsError("invalid count for rng_draw")
         state = self.rng_state()
         out = []
         for _ in range(n):
@@ -396,7 +382,7 @@ def compile_expr(e: syntax.Expr):
     """The closure that evaluates `e`, compiled and cached on first use."""
     run = e._run
     if run is None:
-        run = e._run = _COMPILERS.get(type(e), _compile_unknown)(e)
+        run = e._run = _COMPILERS[type(e)](e)
     return run
 
 
@@ -610,15 +596,6 @@ def _compile_field_assign(e: syntax.FieldAssign):
             raise MlsError(f"cannot set a field on an object of class '{cls}'", loc)
         interp.visible = False
         return v
-
-    return run
-
-
-def _compile_unknown(e: syntax.Expr):
-    message, loc = f"cannot evaluate node {type(e).__name__}", e.loc
-
-    def run(interp, env):
-        raise MlsError(message, loc)
 
     return run
 

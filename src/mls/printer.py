@@ -43,7 +43,7 @@ _EMPTY_NAMES = {
 }
 
 
-def format_value(v: values.Value, interp=None) -> str:
+def format_value(v: values.Value, interp) -> str:
     return "\n".join(_format_lines(v, interp))
 
 
@@ -91,8 +91,6 @@ def _format_lines(v: values.Value, interp, with_attrs: bool = True) -> list:
             lines = [f'standard generic for "{p.name}"']
         else:
             lines = [f"<builtin '{p.name}'>"]
-    elif v.kind == values.EXPRESSION:
-        lines = syntax.deparse(v.payload).split("\n")
     elif v.kind == values.ENVIRONMENT:
         tag = v.payload.tag
         lines = [f"<environment: {tag}>" if tag else "<environment>"]
@@ -111,8 +109,6 @@ def _format_lines(v: values.Value, interp, with_attrs: bool = True) -> list:
                 continue
             fv = binding.value
             if binding.getter is not None:
-                if interp is None:
-                    continue
                 fv = binding.resolve(interp)
             if fv is None or values.is_function(fv):
                 continue

@@ -8,11 +8,11 @@ method uses `<<-`, which lands on the instance frame."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import s4, values
-from .environment import Binding, Environment, FieldSpec
+from .environment import Binding, Environment
 from .values import MlsError, Value
 
 
@@ -122,11 +122,12 @@ def set_ref_class(interp, name, fields_value, methods_value, contains_value, def
             f"names used for both a field and a method: {', '.join(sorted(clash))}", loc
         )
 
+    # participate in formal dispatch: the class exists in the S4 registry
+    # as a slotless class under its reference superclass; defining it there
+    # first leaves both registries unchanged when it is rejected
+    interp.s4.define_class(name, {}, [contains] if contains else [], loc=loc)
     cdef = RefClassDef(name, fields, methods, contains, def_env)
     interp.ref_classes[name] = cdef
-    # participate in formal dispatch: the class exists in the S4 registry
-    # as a slotless class under its reference superclass
-    interp.s4.define_class(name, {}, [contains] if contains else [], loc=loc)
     return generator_value(cdef)
 
 
@@ -167,7 +168,7 @@ def generator_new(interp, cdef: RefClassDef, args, loc=None) -> Value:
             continue
         if fname in inits:
             v = inits[fname]
-            interp.check_field_class(v, spec.declared_class, fname, loc)
+            interp.s4.check_value(v, spec.declared_class, f"field '{fname}'", loc)
         else:
             v = s4.zero_value(spec.declared_class)
             if v is None:
@@ -188,9 +189,7 @@ def _build_instance(cdef: RefClassDef, parent: Environment, field_values: dict) 
             setter = _re_enclosed(spec.active_set, backing) if spec.active_set else None
             backing.frame[fname] = Binding.active(getter, setter)
         else:
-            backing.frame[fname] = Binding.immediate(
-                field_values[fname], field=FieldSpec(spec.declared_class, spec.read_only)
-            )
+            backing.frame[fname] = Binding.immediate(field_values[fname], field=spec)
     for mname, fn in cdef.methods.items():
         backing.frame[mname] = Binding.immediate(_re_enclosed(fn, backing))
     instance = Value(values.REF_INSTANCE, RefPayload(cdef.name, backing))

@@ -19,17 +19,19 @@ from .values import MlsError, Value
 
 ANY = "ANY"
 
-BASE_CLASSES = {
-    # name -> direct superclasses
-    "numeric": [],
-    "integer": ["numeric"],
-    "logical": [],
-    "character": [],
-    "list": [],
-    "function": [],
-    "NULL": [],
-    "environment": [],
-    "expression": [],
+# name -> (value kinds it admits, direct superclasses, zero value maker or
+# None when a slot or field of the class needs an explicit value)
+BASIC_CLASSES = {
+    "numeric": ((values.INTEGER, values.DOUBLE), [], lambda: values.double_vec([])),
+    "double": ((values.DOUBLE,), ["numeric"], lambda: values.double_vec([])),
+    "integer": ((values.INTEGER,), ["numeric"], lambda: values.int_vec([])),
+    "logical": ((values.LOGICAL,), [], lambda: values.logical_vec([])),
+    "character": ((values.STRING,), [], lambda: values.string_vec([])),
+    "list": ((values.LIST,), [], lambda: values.list_value([])),
+    "function": ((values.CLOSURE, values.BUILTIN), [], None),
+    "NULL": ((values.NULL,), [], values.null_value),
+    "environment": ((values.ENVIRONMENT,), [], None),
+    "expression": ((), [], None),
 }
 
 
@@ -64,7 +66,7 @@ class Registry:
     def __init__(self):
         self.classes: dict = {}
         self.generics: dict = {}
-        for name, contains in BASE_CLASSES.items():
+        for name, (_, contains, _) in BASIC_CLASSES.items():
             self._register(ClassDef(name, {}, list(contains), basic=True))
 
     # -- classes -------------------------------------------------------------
@@ -83,12 +85,7 @@ class Registry:
                 raise MlsError(f"undefined superclass '{sup}' for class '{name}'", loc)
             if name == sup or name in sdef.distances:
                 raise MlsError(f"inheritance cycle through class '{name}'", loc)
-        cdef = ClassDef(name, dict(own_slots), list(contains), virtual=virtual)
-        try:
-            return self._register(cdef)
-        except MlsError:
-            self.classes.pop(name, None)
-            raise
+        return self._register(ClassDef(name, dict(own_slots), list(contains), virtual=virtual))
 
     def _linearize(self, cdef: ClassDef) -> list:
         # depth-first over contains, first occurrence wins the position;
@@ -119,17 +116,15 @@ class Registry:
 
     def _merge_slots(self, cdef: ClassDef) -> dict:
         merged = {}
-        origin = {}
         for cls_name, _ in cdef.linearization:
             source = cdef if cls_name == cdef.name else self.classes[cls_name]
             for slot, declared in source.own_slots.items():
                 if slot in merged:
                     raise MlsError(
                         f"slot '{slot}' in class '{cdef.name}' is already defined "
-                        f"by '{origin[slot]}'"
+                        f"by '{cls_name}'"
                     )
                 merged[slot] = declared
-                origin[slot] = cls_name
         return merged
 
     def distance(self, frm: str, to: str) -> Optional[int]:
@@ -139,6 +134,19 @@ class Registry:
         if cdef is None:
             return None
         return cdef.distances.get(to)
+
+    def check_value(self, v: Value, declared: str, what: str, loc=None):
+        """Raise unless `v` may be stored in `what`, a slot or field
+        declared with class `declared`."""
+        basic = BASIC_CLASSES.get(declared)
+        if basic is not None:
+            if v.kind in basic[0]:
+                return
+        elif declared == ANY or self.distance(dispatch_class_of(v), declared) is not None:
+            return
+        raise MlsError(
+            f"invalid value for {what}: expected '{declared}', got '{dispatch_class_of(v)}'", loc
+        )
 
     # -- generics ------------------------------------------------------------
 
@@ -217,20 +225,6 @@ class Registry:
 
 # -- value/class relationships ----------------------------------------------
 
-_BASE_KIND_CHECKS = {
-    "numeric": (values.INTEGER, values.DOUBLE),
-    "double": (values.DOUBLE,),
-    "integer": (values.INTEGER,),
-    "logical": (values.LOGICAL,),
-    "character": (values.STRING,),
-    "list": (values.LIST,),
-    "function": (values.CLOSURE, values.BUILTIN),
-    "NULL": (values.NULL,),
-    "environment": (values.ENVIRONMENT,),
-    "expression": (values.EXPRESSION,),
-}
-
-
 def dispatch_class_of(v: Value) -> str:
     if v.kind == values.S4_INSTANCE:
         return v.payload.class_name
@@ -239,29 +233,10 @@ def dispatch_class_of(v: Value) -> str:
     return values.implicit_class(v).payload[0]
 
 
-def value_matches_class(registry: Registry, v: Value, declared: str) -> bool:
-    if declared == ANY:
-        return True
-    kinds = _BASE_KIND_CHECKS.get(declared)
-    if kinds is not None:
-        return v.kind in kinds
-    return registry.distance(dispatch_class_of(v), declared) is not None
-
-
-_ZERO_VALUES = {
-    "numeric": lambda: values.double_vec([]),
-    "double": lambda: values.double_vec([]),
-    "integer": lambda: values.int_vec([]),
-    "logical": lambda: values.logical_vec([]),
-    "character": lambda: values.string_vec([]),
-    "list": lambda: values.list_value([]),
-    "NULL": values.null_value,
-    ANY: values.null_value,
-}
-
-
 def zero_value(declared: str) -> Optional[Value]:
-    maker = _ZERO_VALUES.get(declared)
+    if declared == ANY:
+        return values.null_value()
+    maker = BASIC_CLASSES.get(declared, (None, None, None))[2]
     return maker() if maker is not None else None
 
 
@@ -292,12 +267,7 @@ def new_instance(interp, class_name: str, inits, loc=None) -> Value:
     for name, declared in cdef.slots.items():
         if name in slot_values:
             v = slot_values[name]
-            if not value_matches_class(interp.s4, v, declared):
-                raise MlsError(
-                    f"invalid value for slot '{name}' of class \"{class_name}\": "
-                    f"expected '{declared}', got '{dispatch_class_of(v)}'",
-                    loc,
-                )
+            interp.s4.check_value(v, declared, f"slot '{name}' of class \"{class_name}\"", loc)
             out[name] = v
         else:
             zero = zero_value(declared)
@@ -323,13 +293,8 @@ def slot_set(interp, obj: Value, name: str, v: Value, loc=None) -> Value:
     cdef = interp.s4.classes.get(obj.payload.class_name)
     if cdef is None or name not in cdef.slots:
         raise MlsError(f"no slot '{name}' in an object of class \"{obj.payload.class_name}\"", loc)
-    declared = cdef.slots[name]
-    if not value_matches_class(interp.s4, v, declared):
-        raise MlsError(
-            f"invalid value for slot '{name}' of class \"{obj.payload.class_name}\": "
-            f"expected '{declared}', got '{dispatch_class_of(v)}'",
-            loc,
-        )
+    what = f"slot '{name}' of class \"{obj.payload.class_name}\""
+    interp.s4.check_value(v, cdef.slots[name], what, loc)
     new_slots = dict(obj.payload.slot_values)
     new_slots[name] = v
     return Value(values.S4_INSTANCE, values.S4Payload(obj.payload.class_name, new_slots))

@@ -28,7 +28,6 @@ STRING = "string"
 LIST = "list"
 CLOSURE = "closure"
 BUILTIN = "builtin"
-EXPRESSION = "expression"
 ENVIRONMENT = "environment"
 S4_INSTANCE = "s4instance"
 REF_INSTANCE = "refinstance"
@@ -44,7 +43,6 @@ _BASE_CLASS_NAMES = {
     LIST: "list",
     CLOSURE: "function",
     BUILTIN: "function",
-    EXPRESSION: "expression",
     ENVIRONMENT: "environment",
 }
 
@@ -231,10 +229,6 @@ def values_equal(a: Value, b: Value) -> bool:
             and set(pa.slot_values) == set(pb.slot_values)
             and all(values_equal(pa.slot_values[k], pb.slot_values[k]) for k in pa.slot_values)
         )
-    if a.kind == EXPRESSION:
-        from . import syntax
-
-        return syntax.expr_equal(a.payload, b.payload)
     # closures, builtins, environments, ref instances: identity
     return a.payload is b.payload
 

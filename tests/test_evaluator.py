@@ -10,7 +10,7 @@ from helpers import (
     no_host_recursion,
     snapshot_frame,
 )
-from mls import reader, values
+from mls import interpreter, reader, syntax, values
 from mls.interpreter import Interpreter
 from mls.values import MlsError
 
@@ -102,10 +102,25 @@ def _names(interp, src):
         ("c(c(p = 1), b = 2)", ["p", "b"]),
         ("c(1, c(2, 3))", None),
         ('c(set_attr(c(a = 1), "names", NULL), 2)', None),
+        ("c(a = list(1, 2), 3)", ["a1", "a2", ""]),
+        ("c(list(p = 1, 2), b = c(3, 4))", ["p", "", "b1", "b2"]),
+        ("c(f = function(x) x, list(1))", ["f", ""]),
+        ("c(list(1), NULL, e = globalenv())", ["", "e"]),
+        ("c(list(1), 2)", None),
     ],
 )
 def test_concat_names(interp, src, names):
     assert _names(interp, src) == names
+
+
+def test_concat_with_a_list_part_gives_a_list(interp):
+    v = run(interp, "f <- function(x) x\nc(list(1, list(2)), f, c(3, 4), globalenv())")
+    kinds = [x.kind for x in v.payload]
+    assert v.kind == values.LIST
+    assert kinds == [values.INTEGER, values.LIST, values.CLOSURE, values.INTEGER, values.INTEGER,
+                     values.ENVIRONMENT]
+    assert v.payload[2] is run(interp, "f")
+    assert [x.payload for x in v.payload[3:5]] == [[3], [4]]
 
 
 def test_concat_coercion(interp):
@@ -185,6 +200,10 @@ def test_concat_matches_reference_naming_rule(parts):
     )
     src = f"x <- c({args})\nprint(x)\nprint(names(x))"
     assert printed(reader.parse_program(src)) == _expected_concat_output(parts)
+
+
+def test_every_node_class_has_a_compiler():
+    assert set(interpreter._COMPILERS) == set(syntax._LAYOUT)
 
 
 # -- environments and assignment -------------------------------------------------

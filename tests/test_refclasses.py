@@ -329,6 +329,40 @@ def test_ref_class_participates_in_s4_dispatch(interp):
     assert run(interp, "tally(p)").payload == [1]
 
 
+@pytest.mark.parametrize(
+    "src",
+    ['SimplePop(birth = "x", death = 0.1, size = 1)', 'p$birth <- "x"', 'p$tamper("x")'],
+)
+def test_invalid_field_value_message(interp, src):
+    run(interp, SIMPLEPOP)
+    run(interp, 'Tamper <- setRefClass("Tamper", fields = list(birth = "numeric"), '
+                'methods = list(tamper = function(v) birth <<- v))')
+    run(interp, "p <- Tamper(birth = 1)")
+    with pytest.raises(MlsError) as err:
+        run(interp, src)
+    message = "invalid value for field 'birth': expected 'numeric', got 'character'"
+    assert err.value.message == message
+
+
+def test_class_and_inherits_of_an_instance(interp):
+    make_pop(interp)
+    assert "class" not in run(interp, "p").attributes
+    assert run(interp, "class(p)").payload == ["SimplePop"]
+    assert run(interp, 'inherits(p, "SimplePop")').payload == [True]
+    assert run(interp, 'inherits(p, "list")').payload == [False]
+
+
+def test_rejected_redefinition_keeps_both_registries(interp):
+    run(interp, 'A <- setRefClass("A", fields = list(a = "numeric"))')
+    run(interp, 'B <- setRefClass("B", fields = list(b = "numeric"), contains = "A")')
+    with pytest.raises(MlsError, match="inheritance cycle"):
+        run(interp, 'setRefClass("A", fields = list(z = "numeric"), contains = "B")')
+    assert list(interp.ref_classes["A"].fields) == ["a"]
+    assert interp.ref_classes["A"].contains is None
+    assert interp.s4.classes["A"].contains == []
+    assert run(interp, "A(a = 1)$a").payload == [1]
+
+
 def test_seeded_trajectory_matches_reference(interp):
     make_pop(interp)
     run(interp, "set_seed(42)")

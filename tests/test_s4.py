@@ -35,8 +35,18 @@ def test_inheritance_cycle_rejected(interp):
 
 def test_redefining_inherited_slot_rejected(interp):
     run(interp, 'setClass("A2", slots = list(x = "numeric"))')
-    with pytest.raises(MlsError, match="already defined"):
+    with pytest.raises(MlsError, match="already defined") as err:
         run(interp, 'setClass("B2", slots = list(x = "numeric"), contains = "A2")')
+    assert err.value.message == "slot 'x' in class 'B2' is already defined by 'A2'"
+
+
+def test_failed_redefinition_keeps_the_previous_class(interp):
+    run(interp, 'setClass("A", slots = list(x = "numeric"))')
+    run(interp, 'setClass("B", contains = "A", slots = list(y = "numeric"))')
+    with pytest.raises(MlsError, match="already defined by 'A'"):
+        run(interp, 'setClass("B", contains = "A", slots = list(x = "numeric"))')
+    b = run(interp, 'new("B", x = 1, y = 2)')
+    assert b.payload.slot_values == {"y": values.int_vec([2]), "x": values.int_vec([1])}
 
 
 def test_duplicate_slot_rejected(interp):
@@ -59,6 +69,49 @@ def test_integer_satisfies_numeric_slot(interp):
     v = run(interp, 'new("Q", x = 100)')
     assert run(interp, "slot(inst, 'x')" if False else "1").payload  # placeholder
     assert v.payload.slot_values["x"].kind == values.INTEGER
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ('new("P", x = "oops", tag = "hi")',
+         """invalid value for slot 'x' of class "P": expected 'numeric', got 'character'"""),
+        ('slot_set(new("P", x = 1, tag = "hi"), "tag", list())',
+         """invalid value for slot 'tag' of class "P": expected 'character', got 'list'"""),
+        ('new("W", p = 1)',
+         """invalid value for slot 'p' of class "W": expected 'P', got 'integer'"""),
+    ],
+)
+def test_invalid_slot_value_message(interp, src, message):
+    run(interp, 'setClass("P", slots = list(x = "numeric", tag = "character"))')
+    run(interp, 'setClass("W", slots = list(p = "P"))')
+    with pytest.raises(MlsError) as err:
+        run(interp, src)
+    assert err.value.message == message
+
+
+def test_double_is_a_basic_class_under_numeric(interp):
+    v = run(interp, 'new("double")')
+    assert (v.kind, v.payload) == (values.DOUBLE, [])
+    assert interp.s4.distance("double", "numeric") == 1
+    run(interp, 'setClass("Money", contains = "double", slots = list(amount = "double"))')
+    assert run(interp, 'new("Money", amount = 1.5)').payload.slot_values["amount"].payload == [1.5]
+    assert run(interp, 'new("Money")').payload.slot_values["amount"].payload == []
+    with pytest.raises(MlsError, match="expected 'double', got 'integer'"):
+        run(interp, 'new("Money", amount = 1)')
+    run(interp, 'setGeneric("kind", function(x) standardGeneric("kind"))')
+    run(interp, 'setMethod("kind", "numeric", function(x) "numeric")')
+    run(interp, 'setMethod("kind", "double", function(x) "double")')
+    assert run(interp, 'kind(new("Money"))').payload == ["double"]
+    assert run(interp, "kind(1.5)").payload == ["numeric"]
+
+
+def test_class_and_inherits_of_an_instance(interp):
+    run(interp, 'setClass("P", slots = list(x = "numeric"))')
+    run(interp, 'p <- new("P", x = 1)')
+    assert run(interp, "class(p)").payload == ["P"]
+    assert run(interp, 'inherits(p, "P")').payload == [True]
+    assert run(interp, 'inherits(p, "numeric")').payload == [False]
 
 
 def test_zero_value_defaults(interp):

@@ -122,6 +122,17 @@ def test_values_equal_nan():
     assert not values.values_equal(a, values.double_vec([0.0]))
 
 
+def test_values_equal_on_instances(interp):
+    interp.eval_source('setClass("P", slots = list(x = "numeric"))\nsetClass("Q", contains = "P")')
+    a, same, other, sub = (
+        interp.eval_source(src)
+        for src in ('new("P", x = 1)', 'new("P", x = 1)', 'new("P", x = 2)', 'new("Q", x = 1)')
+    )
+    assert values.values_equal(a, same)
+    assert not values.values_equal(a, other)
+    assert not values.values_equal(a, sub)
+
+
 def test_values_equal_checks_attributes():
     a = values.int_vec([1])
     b = values.set_attribute(a, "class", values.string_vec(["x"]))
