@@ -134,9 +134,8 @@ def _bi_class(ctx, x):
 
 
 def _bi_inherits(ctx, x, what):
-    return values.scalar_bool(
-        s3.inherits_value(x, _scalar_string(what, "class name", ctx.loc))
-    )
+    cls = _scalar_string(what, "class name", ctx.loc)
+    return values.scalar_bool(cls in s3.class_vector(ctx.interp, x))
 
 
 def _bi_is_null(ctx, x):
@@ -239,10 +238,10 @@ def _bi_use_method(ctx, generic):
 # -- S4 -----------------------------------------------------------------------
 
 
-def _class_def_reflection(cdef: s4.ClassDef) -> Value:
-    slots = values.string_vec(list(cdef.slots.values()))
-    if cdef.slots:
-        slots.attributes["names"] = values.string_vec(list(cdef.slots.keys()))
+def _class_def_reflection(cdef: s4.ClassDef, lin: s4.Lineage) -> Value:
+    slots = values.string_vec(list(lin.slots.values()))
+    if lin.slots:
+        slots.attributes["names"] = values.string_vec(list(lin.slots.keys()))
     out = values.list_value(
         [
             values.scalar_string(cdef.name),
@@ -257,17 +256,10 @@ def _class_def_reflection(cdef: s4.ClassDef) -> Value:
 
 def _bi_set_class(ctx, name, slots=None, contains=None, virtual=None):
     cname = _scalar_string(name, "class name", ctx.loc)
-    own_slots = {}
-    if slots is not None and not values.is_null(slots):
-        if slots.kind != values.LIST:
-            raise MlsError("slots must be a named list of class names", ctx.loc)
-        snames = values.element_names(slots) or []
-        if len(snames) != len(slots.payload) or not all(snames):
-            raise MlsError("every slot must be named", ctx.loc)
-        for sname, sval in zip(snames, slots.payload):
-            if sname in own_slots:
-                raise MlsError(f"duplicate slot '{sname}' in class '{cname}'", ctx.loc)
-            own_slots[sname] = _scalar_string(sval, f"class of slot '{sname}'", ctx.loc)
+    own_slots = {
+        sname: _scalar_string(sval, f"class of slot '{sname}'", ctx.loc)
+        for sname, sval in s4.declared_members(slots, "slot", cname, ctx.loc).items()
+    }
     parents = []
     if contains is not None and not values.is_null(contains):
         if contains.kind != values.STRING:
@@ -276,8 +268,8 @@ def _bi_set_class(ctx, name, slots=None, contains=None, virtual=None):
     is_virtual = False
     if virtual is not None and not values.is_null(virtual):
         is_virtual = ops.truthy(virtual, ctx.loc)
-    cdef = ctx.interp.s4.define_class(cname, own_slots, parents, is_virtual, ctx.loc)
-    return _class_def_reflection(cdef)
+    cdef = ctx.interp.s4.define_class(cname, own_slots, parents, is_virtual, loc=ctx.loc)
+    return _class_def_reflection(cdef, ctx.interp.s4.lineage(cname))
 
 
 def _generic_reflection(gdef: s4.GenericDef) -> Value:
@@ -354,6 +346,9 @@ def _bi_new(ctx, args):
     if not args or args[0][0] is not None:
         raise MlsError("new() requires a class name as its first argument", ctx.loc)
     cname = _scalar_string(args[0][1], "class name", ctx.loc)
+    cdef = ctx.interp.s4.classes.get(cname)
+    if cdef is not None and cdef.ref is not None:
+        return refclasses.generator_new(ctx.interp, cname, args[1:], ctx.loc)
     return s4.new_instance(ctx.interp, cname, args[1:], ctx.loc)
 
 

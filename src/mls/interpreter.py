@@ -119,7 +119,6 @@ class Interpreter:
         self.frames: list = []
         self.visible = True
         self.s4 = s4.Registry()
-        self.ref_classes: dict = {}
         self.foreign_stubs: dict = {}
         self.register_foreign("identity", lambda interp, args: args[0] if args else values.null_value())
         builtin_defs.install(self)
@@ -280,7 +279,7 @@ class Interpreter:
             b = obj.payload.frame.get(name)
             return b.resolve(self, loc) if b is not None else values.null_value()
         if obj.kind == values.BUILTIN and isinstance(obj.payload.meta, refclasses.RefClassDef):
-            return refclasses.generator_field(obj.payload, name, loc)
+            return refclasses.generator_field(self, obj.payload, name, loc)
         if obj.kind == values.S4_INSTANCE:
             raise MlsError(
                 f"'$' is not valid for an object of class \"{obj.payload.class_name}\"; use slot()",

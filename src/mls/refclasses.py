@@ -31,10 +31,11 @@ class RefField:
 
 @dataclass
 class RefClassDef:
+    """A reference class's own declarations; `Registry.lineage` merges."""
+
     name: str
-    fields: dict  # name -> RefField, merged (superclass first)
-    methods: dict  # name -> closure Value, merged
-    contains: Optional[str]
+    fields: dict  # name -> RefField
+    methods: dict  # name -> closure Value
     def_env: Environment
 
 
@@ -73,71 +74,33 @@ def _parse_field_spec(name, spec: Value, loc) -> RefField:
 
 def set_ref_class(interp, name, fields_value, methods_value, contains_value, def_env, loc=None):
     """Register a reference class and return its generator."""
-    contains = None
+    contains = []
     if not values.is_null(contains_value):
         if contains_value.kind != values.STRING or len(contains_value.payload) != 1:
             raise MlsError("contains must be a single class name", loc)
-        contains = contains_value.payload[0]
-        if contains not in interp.ref_classes:
-            raise MlsError(f"superclass '{contains}' is not a reference class", loc)
+        contains = list(contains_value.payload)
 
-    fields: dict = {}
-    methods: dict = {}
-    inherited_fields = set()
-    if contains is not None:
-        parent = interp.ref_classes[contains]
-        fields.update(parent.fields)
-        methods.update(parent.methods)
-        inherited_fields = set(parent.fields)
+    fields = {
+        fname: _parse_field_spec(fname, spec, loc)
+        for fname, spec in s4.declared_members(fields_value, "field", name, loc).items()
+    }
+    methods = s4.declared_members(methods_value, "method", name, loc)
+    for mname, fn in methods.items():
+        if fn.kind != values.CLOSURE:
+            raise MlsError(f"method '{mname}' must be a function", loc)
 
-    if not values.is_null(fields_value):
-        if fields_value.kind != values.LIST:
-            raise MlsError("fields must be a named list", loc)
-        names = values.element_names(fields_value) or []
-        if len(names) != len(fields_value.payload) or not all(names):
-            raise MlsError("every field must be named", loc)
-        for fname, spec in zip(names, fields_value.payload):
-            if fname in inherited_fields:
-                raise MlsError(
-                    f"field '{fname}' is already declared by superclass '{contains}'", loc
-                )
-            if fname in fields:
-                raise MlsError(f"duplicate field '{fname}'", loc)
-            fields[fname] = _parse_field_spec(fname, spec, loc)
-
-    if not values.is_null(methods_value):
-        if methods_value.kind != values.LIST:
-            raise MlsError("methods must be a named list", loc)
-        names = values.element_names(methods_value) or []
-        if len(names) != len(methods_value.payload) or not all(names):
-            raise MlsError("every method must be named", loc)
-        for mname, fn in zip(names, methods_value.payload):
-            if fn.kind != values.CLOSURE:
-                raise MlsError(f"method '{mname}' must be a function", loc)
-            methods[mname] = fn  # overriding an inherited method is allowed
-
-    clash = set(fields) & set(methods)
-    if clash:
-        raise MlsError(
-            f"names used for both a field and a method: {', '.join(sorted(clash))}", loc
-        )
-
-    # participate in formal dispatch: the class exists in the S4 registry
-    # as a slotless class under its reference superclass; defining it there
-    # first leaves both registries unchanged when it is rejected
-    interp.s4.define_class(name, {}, [contains] if contains else [], loc=loc)
-    cdef = RefClassDef(name, fields, methods, contains, def_env)
-    interp.ref_classes[name] = cdef
-    return generator_value(cdef)
+    rdef = RefClassDef(name, fields, methods, def_env)
+    interp.s4.define_class(name, {}, contains, ref=rdef, loc=loc)
+    return generator_value(rdef)
 
 
 def generator_value(cdef: RefClassDef) -> Value:
-    """The generator of `cdef`: an eager builtin whose call, like its
-    `$new`, constructs an instance."""
+    """The generator of class `cdef.name`: an eager builtin whose call, like
+    its `$new`, constructs an instance of the class's current definition."""
     from .interpreter import BuiltinPayload
 
     def construct(ctx, args):
-        return generator_new(ctx.interp, cdef, args, ctx.loc)
+        return generator_new(ctx.interp, cdef.name, args, ctx.loc)
 
     return Value(values.BUILTIN, BuiltinPayload(name=cdef.name, fn=construct, meta=cdef))
 
@@ -147,23 +110,33 @@ def _re_enclosed(fn: Value, env: Environment) -> Value:
     return Value(values.CLOSURE, values.Closure(closure.formals, closure.body, env))
 
 
-def generator_new(interp, cdef: RefClassDef, args, loc=None) -> Value:
-    """Construct an instance; args is (name, Value) pairs.  Read-only
-    fields are writable here and nowhere else."""
+def _current(interp, class_name: str, loc):
+    """The registry's current definition of reference class `class_name`
+    and its lineage."""
+    cdef = interp.s4.classes.get(class_name)
+    if cdef is None or cdef.ref is None:
+        raise MlsError(f"unknown reference class '{class_name}'", loc)
+    return cdef, interp.s4.lineage(class_name)
+
+
+def generator_new(interp, class_name: str, args, loc=None) -> Value:
+    """Construct an instance of `class_name`; args is (name, Value) pairs.
+    Read-only fields are writable here and nowhere else."""
+    cdef, lin = _current(interp, class_name, loc)
     inits = {}
     for name, v in args:
         if not name:
-            raise MlsError(f"unnamed argument in constructor for '{cdef.name}'", loc)
-        if name not in cdef.fields:
-            raise MlsError(f"'{name}' is not a field of class '{cdef.name}'", loc)
-        if cdef.fields[name].active:
+            raise MlsError(f"unnamed argument in constructor for '{class_name}'", loc)
+        if name not in lin.fields:
+            raise MlsError(f"'{name}' is not a field of class '{class_name}'", loc)
+        if lin.fields[name].active:
             raise MlsError(f"cannot initialize active field '{name}'", loc)
         if name in inits:
             raise MlsError(f"field '{name}' initialized twice", loc)
         inits[name] = v
 
     field_values = {}
-    for fname, spec in cdef.fields.items():
+    for fname, spec in lin.fields.items():
         if spec.active:
             continue
         if fname in inits:
@@ -173,26 +146,26 @@ def generator_new(interp, cdef: RefClassDef, args, loc=None) -> Value:
             v = s4.zero_value(spec.declared_class)
             if v is None:
                 raise MlsError(
-                    f"field '{fname}' of class '{cdef.name}' requires an explicit value", loc
+                    f"field '{fname}' of class '{class_name}' requires an explicit value", loc
                 )
         field_values[fname] = v
-    return _build_instance(cdef, cdef.def_env, field_values)
+    return _build_instance(class_name, lin, cdef.ref.def_env, field_values)
 
 
-def _build_instance(cdef: RefClassDef, parent: Environment, field_values: dict) -> Value:
-    """An instance of `cdef` on a fresh backing environment under `parent`,
-    its stored fields bound to `field_values`, the rest re-enclosed over it."""
-    backing = Environment(parent, f"ref:{cdef.name}")
-    for fname, spec in cdef.fields.items():
+def _build_instance(class_name: str, lin, parent: Environment, field_values: dict) -> Value:
+    """An instance on a fresh backing environment under `parent`, its stored
+    fields bound to `field_values`, the rest of `lin` re-enclosed over it."""
+    backing = Environment(parent, f"ref:{class_name}")
+    for fname, spec in lin.fields.items():
         if spec.active:
             getter = _re_enclosed(spec.active_get, backing)
             setter = _re_enclosed(spec.active_set, backing) if spec.active_set else None
             backing.frame[fname] = Binding.active(getter, setter)
         else:
             backing.frame[fname] = Binding.immediate(field_values[fname], field=spec)
-    for mname, fn in cdef.methods.items():
+    for mname, fn in lin.methods.items():
         backing.frame[mname] = Binding.immediate(_re_enclosed(fn, backing))
-    instance = Value(values.REF_INSTANCE, RefPayload(cdef.name, backing))
+    instance = Value(values.REF_INSTANCE, RefPayload(class_name, backing))
     backing.frame[".self"] = Binding.immediate(instance)
     return instance
 
@@ -220,12 +193,10 @@ def copy_instance(interp, obj: Value, loc=None) -> Value:
     fields share the original's values (values are never written after
     construction); reference instances held directly in fields are copied
     recursively."""
-    cdef = interp.ref_classes.get(obj.payload.class_name)
-    if cdef is None:
-        raise MlsError(f"unknown reference class '{obj.payload.class_name}'", loc)
+    _, lin = _current(interp, obj.payload.class_name, loc)
     old = obj.payload.backing
     field_values = {}
-    for fname, spec in cdef.fields.items():
+    for fname, spec in lin.fields.items():
         if spec.active:
             continue
         binding = old.frame.get(fname)
@@ -233,26 +204,24 @@ def copy_instance(interp, obj: Value, loc=None) -> Value:
         if current.kind == values.REF_INSTANCE:
             current = copy_instance(interp, current, loc)
         field_values[fname] = current
-    return _build_instance(cdef, old.parent, field_values)
+    return _build_instance(obj.payload.class_name, lin, old.parent, field_values)
 
 
-def generator_field(generator, name: str, loc=None) -> Value:
+def generator_field(interp, generator, name: str, loc=None) -> Value:
     """`Gen$name` for the payload of generator `Gen`."""
     from .interpreter import BuiltinPayload
 
-    cdef = generator.meta
+    class_name = generator.meta.name
     if name == "new":
-        return Value(values.BUILTIN, BuiltinPayload(name=f"{cdef.name}$new", fn=generator.fn))
+        return Value(values.BUILTIN, BuiltinPayload(name=f"{class_name}$new", fn=generator.fn))
     if name == "className":
-        return values.scalar_string(cdef.name)
+        return values.scalar_string(class_name)
     if name == "definition":
-        field_names = values.string_vec(list(cdef.fields))
-        method_names = values.string_vec(list(cdef.methods))
-        contains = (
-            values.scalar_string(cdef.contains) if cdef.contains else values.null_value()
-        )
+        cdef, lin = _current(interp, class_name, loc)
+        fields, methods = values.string_vec(list(lin.fields)), values.string_vec(list(lin.methods))
+        contains = values.scalar_string(cdef.contains[0]) if cdef.contains else values.null_value()
         out = values.list_value(
-            [values.scalar_string(cdef.name), field_names, method_names, contains],
+            [values.scalar_string(class_name), fields, methods, contains],
             names=["name", "fields", "methods", "contains"],
         )
         return values.set_attribute(out, "class", values.string_vec(["refClassDefinition"]))

@@ -1,7 +1,8 @@
 """Informal functional OOP: methods are ordinary functions found by the
 naming pattern `generic.class`, and dispatch walks the instance's class
 vector.  Inheritance lives in the object, not in any registry, so
-dispatch is instance-based."""
+dispatch is instance-based; only a formal instance, which carries no
+class vector, walks its class's linearization in the class registry."""
 
 from __future__ import annotations
 
@@ -24,8 +25,12 @@ def lookup_method(interp, name: str, env) -> Value | None:
     return interp.find_function(name, env)
 
 
-def inherits_value(v: Value, cls: str) -> bool:
-    return cls in values.implicit_class(v).payload
+def class_vector(interp, v: Value) -> list:
+    """The classes dispatch walks: the implicit class vector, or for a
+    formal instance without a class attribute its class's linearization."""
+    if v.kind in (values.S4_INSTANCE, values.REF_INSTANCE) and "class" not in v.attributes:
+        return list(interp.s4.lineage(v.payload.class_name).distances)
+    return list(values.implicit_class(v).payload)
 
 
 def use_method(interp, generic_name: str, loc=None):
@@ -44,7 +49,7 @@ def use_method(interp, generic_name: str, loc=None):
     if binding is None:
         raise MlsError(f"argument '{first}' is missing, with no default", loc)
     obj = binding.resolve(interp, loc)
-    classes = list(values.implicit_class(obj).payload)
+    classes = class_vector(interp, obj)
     for cls in classes + ["default"]:
         fn = lookup_method(interp, f"{generic_name}.{cls}", frame.caller_env)
         if fn is not None:

@@ -9,7 +9,6 @@ every real superclass."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -37,14 +36,22 @@ BASIC_CLASSES = {
 
 @dataclass
 class ClassDef:
+    """A class as declared.  What it inherits is `Registry.lineage`."""
+
     name: str
     own_slots: dict
     contains: list
-    slots: dict = field(default_factory=dict)  # merged, subclass first
-    linearization: list = field(default_factory=list)  # (class name, distance)
-    distances: dict = field(default_factory=dict)
     virtual: bool = False
     basic: bool = False
+    ref: Optional[object] = None  # refclasses.RefClassDef of a reference class
+
+
+@dataclass
+class Lineage:  # what a class inherits under the current declarations
+    distances: dict  # class name -> shortest path, in linearization order
+    slots: dict  # merged, subclass first
+    fields: dict  # reference classes: merged, root first
+    methods: dict  # reference classes: merged, root first
 
 
 @dataclass
@@ -63,77 +70,87 @@ class GenericDef:
 
 
 class Registry:
+    """The one class graph of S4, reference and basic classes.  Lineages are
+    derived from current declarations and memoized until a redefinition."""
+
     def __init__(self):
-        self.classes: dict = {}
+        basics = BASIC_CLASSES.items()
+        self.classes = {n: ClassDef(n, {}, list(sups), basic=True) for n, (_, sups, _) in basics}
         self.generics: dict = {}
-        for name, (_, contains, _) in BASIC_CLASSES.items():
-            self._register(ClassDef(name, {}, list(contains), basic=True))
+        self._lineages: dict = {}
 
     # -- classes -------------------------------------------------------------
 
-    def _register(self, cdef: ClassDef) -> ClassDef:
-        cdef.linearization = self._linearize(cdef)
-        cdef.distances = dict(cdef.linearization)
-        cdef.slots = self._merge_slots(cdef)
-        self.classes[cdef.name] = cdef
+    def define_class(self, name, own_slots, contains, virtual=False, ref=None, loc=None):
+        """Add or replace a class; a rejected definition changes nothing."""
+        if name in BASIC_CLASSES:
+            raise MlsError(f"cannot redefine basic class '{name}'", loc)
+        for sup in contains:
+            if sup not in self.classes:
+                raise MlsError(f"undefined superclass '{sup}' for class '{name}'", loc)
+            if name == sup or name in self.lineage(sup).distances:
+                raise MlsError(f"inheritance cycle through class '{name}'", loc)
+        cdef = ClassDef(name, dict(own_slots), list(contains), virtual, ref=ref)
+        committed = self.classes, self._lineages
+        self.classes = {**self.classes, name: cdef}
+        redefined = name in committed[0]  # a new name is in no existing lineage
+        if redefined:
+            self._lineages = {}
+        try:
+            for cname in self.classes if redefined else [name]:
+                self.lineage(cname, loc)
+        except MlsError:
+            self.classes, self._lineages = committed
+            raise
         return cdef
 
-    def define_class(self, name, own_slots, contains, virtual=False, loc=None) -> ClassDef:
-        for sup in contains:
-            sdef = self.classes.get(sup)
-            if sdef is None:
-                raise MlsError(f"undefined superclass '{sup}' for class '{name}'", loc)
-            if name == sup or name in sdef.distances:
-                raise MlsError(f"inheritance cycle through class '{name}'", loc)
-        return self._register(ClassDef(name, dict(own_slots), list(contains), virtual=virtual))
-
-    def _linearize(self, cdef: ClassDef) -> list:
-        # depth-first over contains, first occurrence wins the position;
-        # the stored distance is the shortest path in the containment graph
-        order = []
-        seen = set()
-
-        def visit(c):
-            if c in seen:
-                return
-            seen.add(c)
-            order.append(c)
-            source = cdef if c == cdef.name else self.classes[c]
-            for sup in source.contains:
-                visit(sup)
-
-        visit(cdef.name)
-        dist = {cdef.name: 0}
-        queue = deque([cdef.name])
-        while queue:
-            c = queue.popleft()
-            source = cdef if c == cdef.name else self.classes[c]
-            for sup in source.contains:
-                if sup not in dist:
-                    dist[sup] = dist[c] + 1
-                    queue.append(sup)
-        return [(c, dist[c]) for c in order]
-
-    def _merge_slots(self, cdef: ClassDef) -> dict:
-        merged = {}
-        for cls_name, _ in cdef.linearization:
-            source = cdef if cls_name == cdef.name else self.classes[cls_name]
-            for slot, declared in source.own_slots.items():
-                if slot in merged:
+    def lineage(self, name: str, loc=None) -> Lineage:
+        found = self._lineages.get(name)
+        if found is not None:
+            return found
+        cdef = self.classes[name]
+        # depth first over contains, first occurrence wins the position;
+        # the distance is the shortest path in the containment graph
+        dist = {name: 0}
+        for sup in cdef.contains:
+            for c, d in self.lineage(sup, loc).distances.items():
+                if d + 1 < dist.get(c, d + 2):
+                    dist[c] = d + 1
+        slots = {}
+        for c in dist:
+            for slot, declared in self.classes[c].own_slots.items():
+                if slot in slots:
                     raise MlsError(
-                        f"slot '{slot}' in class '{cdef.name}' is already defined "
-                        f"by '{cls_name}'"
+                        f"slot '{slot}' in class '{name}' is already defined by '{c}'", loc
                     )
-                merged[slot] = declared
-        return merged
+                slots[slot] = declared
+        fields, methods = {}, {}
+        if cdef.ref is not None:
+            for sup in cdef.contains:
+                if self.classes[sup].ref is None:
+                    raise MlsError(f"superclass '{sup}' is not a reference class", loc)
+                fields.update(self.lineage(sup).fields)
+                methods.update(self.lineage(sup).methods)
+            taken = sorted(cdef.ref.fields.keys() & fields.keys())
+            if taken:
+                raise MlsError(
+                    f"field '{taken[0]}' of class '{name}' is already declared by a superclass", loc
+                )
+            fields.update(cdef.ref.fields)
+            methods.update(cdef.ref.methods)  # a method may override an inherited one
+            clash = ", ".join(sorted(fields.keys() & methods.keys()))
+            if clash:
+                raise MlsError(f"names used for both a field and a method: {clash}", loc)
+        found = self._lineages[name] = Lineage(dist, slots, fields, methods)
+        return found
 
     def distance(self, frm: str, to: str) -> Optional[int]:
-        cdef = self.classes.get(frm)
-        if to == ANY:
-            return len(cdef.linearization) if cdef is not None else 1
-        if cdef is None:
-            return None
-        return cdef.distances.get(to)
+        lin = self._lineages.get(frm)
+        if lin is None:
+            if frm not in self.classes:
+                return 1 if to == ANY else None
+            lin = self.lineage(frm)
+        return len(lin.distances) if to == ANY else lin.distances.get(to)
 
     def check_value(self, v: Value, declared: str, what: str, loc=None):
         """Raise unless `v` may be stored in `what`, a slot or field
@@ -226,11 +243,27 @@ class Registry:
 # -- value/class relationships ----------------------------------------------
 
 def dispatch_class_of(v: Value) -> str:
-    if v.kind == values.S4_INSTANCE:
-        return v.payload.class_name
-    if v.kind == values.REF_INSTANCE:
+    if v.kind in (values.S4_INSTANCE, values.REF_INSTANCE):
         return v.payload.class_name
     return values.implicit_class(v).payload[0]
+
+
+def declared_members(v: Optional[Value], what: str, class_name: str, loc) -> dict:
+    """The entries of `v`, the named list of slots, fields or methods that
+    class `class_name` declares, by name."""
+    out = {}
+    if v is None or values.is_null(v):
+        return out
+    if v.kind != values.LIST:
+        raise MlsError(f"{what}s must be a named list", loc)
+    names = values.element_names(v) or []
+    if len(names) != len(v.payload) or not all(names):
+        raise MlsError(f"every {what} must be named", loc)
+    for member, x in zip(names, v.payload):
+        if member in out:
+            raise MlsError(f"duplicate {what} '{member}' in class '{class_name}'", loc)
+        out[member] = x
+    return out
 
 
 def zero_value(declared: str) -> Optional[Value]:
@@ -254,17 +287,18 @@ def new_instance(interp, class_name: str, inits, loc=None) -> Value:
         if zero is None:
             raise MlsError(f"cannot instantiate basic class '{class_name}'", loc)
         return zero
+    slots = interp.s4.lineage(class_name).slots
     slot_values = {}
     for name, v in inits:
         if not name:
             raise MlsError(f'unnamed argument in new("{class_name}")', loc)
-        if name not in cdef.slots:
+        if name not in slots:
             raise MlsError(f"unknown slot '{name}' for class \"{class_name}\"", loc)
         if name in slot_values:
             raise MlsError(f"slot '{name}' initialized twice", loc)
         slot_values[name] = v
     out = {}
-    for name, declared in cdef.slots.items():
+    for name, declared in slots.items():
         if name in slot_values:
             v = slot_values[name]
             interp.s4.check_value(v, declared, f"slot '{name}' of class \"{class_name}\"", loc)
@@ -290,11 +324,11 @@ def slot_get(obj: Value, name: str, loc=None) -> Value:
 def slot_set(interp, obj: Value, name: str, v: Value, loc=None) -> Value:
     if obj.kind != values.S4_INSTANCE:
         raise MlsError("slot_set() requires a formally classed object", loc)
-    cdef = interp.s4.classes.get(obj.payload.class_name)
-    if cdef is None or name not in cdef.slots:
+    declared = interp.s4.lineage(obj.payload.class_name).slots.get(name)
+    if declared is None:
         raise MlsError(f"no slot '{name}' in an object of class \"{obj.payload.class_name}\"", loc)
     what = f"slot '{name}' of class \"{obj.payload.class_name}\""
-    interp.s4.check_value(v, cdef.slots[name], what, loc)
+    interp.s4.check_value(v, declared, what, loc)
     new_slots = dict(obj.payload.slot_values)
     new_slots[name] = v
     return Value(values.S4_INSTANCE, values.S4Payload(obj.payload.class_name, new_slots))

@@ -144,9 +144,7 @@ def implicit_class(v: Value) -> Value:
     cls = v.attributes.get("class")
     if cls is not None and cls.kind == STRING and len(cls.payload) > 0:
         return cls
-    if v.kind == S4_INSTANCE:
-        return string_vec([v.payload.class_name])
-    if v.kind == REF_INSTANCE:
+    if v.kind in (S4_INSTANCE, REF_INSTANCE):
         return string_vec([v.payload.class_name])
     return string_vec([_BASE_CLASS_NAMES[v.kind]])
 

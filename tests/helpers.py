@@ -53,7 +53,6 @@ def interpreter_snapshot(interp):
         "global": snapshot_frame(interp.global_env),
         "base": dict(interp.base_env.frame),
         "classes": set(interp.s4.classes),
-        "refclasses": set(interp.ref_classes),
     }
 
 
@@ -62,10 +61,7 @@ def snapshot_unchanged(interp, snap):
         return False
     if dict(interp.base_env.frame) != snap["base"]:
         return False
-    return (
-        set(interp.s4.classes) == snap["classes"]
-        and set(interp.ref_classes) == snap["refclasses"]
-    )
+    return set(interp.s4.classes) == snap["classes"]
 
 
 def load_universe(modules):

@@ -1,8 +1,8 @@
 """End-to-end acceptance suite.
 
 Each criterion is one test; every test prints a PASS line when it
-completes so the suite can double as a checklist (`pytest -s`, or run
-scripts/run_acceptance.py for a standalone report).
+completes, and `pytest tests/test_acceptance.py -v` reports each
+criterion by name.
 """
 
 import io

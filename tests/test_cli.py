@@ -65,6 +65,17 @@ def test_run_runtime_error_has_location(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_run_rejects_a_cycle_through_a_redefinition(tmp_path, capsys):
+    script = tmp_path / "cycle.mls"
+    script.write_text(
+        'setClass("X")\nsetClass("B")\nsetClass("C", contains = "B")\n'
+        'setClass("B", contains = "X")\nsetClass("X", contains = "C")\n'
+    )
+    code, out, err = run_cli(["run", str(script)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: inheritance cycle through class 'X' (line 5, column 1)\n"
+
+
 def test_run_seed_changes_stream(tmp_path, capsys):
     script = tmp_path / "draws.mls"
     script.write_text("rng_draw(3)\n")

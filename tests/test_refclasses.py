@@ -350,16 +350,70 @@ def test_class_and_inherits_of_an_instance(interp):
     assert run(interp, "class(p)").payload == ["SimplePop"]
     assert run(interp, 'inherits(p, "SimplePop")').payload == [True]
     assert run(interp, 'inherits(p, "list")').payload == [False]
+    run(interp, 'R <- setRefClass("R", fields = list(a = "numeric"))')
+    run(interp, 'S <- setRefClass("S", contains = "R")')
+    assert run(interp, "class(S$new(a = 1))").payload == ["S"]
+    assert run(interp, 'inherits(S$new(a = 1), "R")').payload == [True]
+    run(interp, 'describe <- function(obj) UseMethod("describe")')
+    run(interp, 'describe.R <- function(obj) "an R"')
+    assert run(interp, "describe(S$new())").payload == ["an R"]
 
 
-def test_rejected_redefinition_keeps_both_registries(interp):
+def test_new_on_a_reference_class_builds_a_reference_instance(interp):
+    run(interp, 'R <- setRefClass("R", fields = list(a = "numeric"))')
+    r = run(interp, 'new("R", a = 1)')
+    assert r.kind == values.REF_INSTANCE
+    assert run(interp, 'new("R", a = 1)$a').payload == [1]
+    assert printer.format_value(run(interp, 'new("R")'), interp).startswith(
+        'Reference class object of class "R"'
+    )
+    with pytest.raises(MlsError) as err:
+        run(interp, 'new("R", b = 1)')
+    assert err.value.message == "'b' is not a field of class 'R'"
+
+
+def test_redefined_superclass_reaches_an_existing_generator(interp):
+    run(interp, 'P <- setRefClass("P", fields = list(a = "numeric"))')
+    run(interp, 'Q <- setRefClass("Q", contains = "P")')
+    run(interp, 'old <- Q$new(a = 1)')
+    run(interp, 'P <- setRefClass("P", fields = list(b = "numeric"))')
+    assert run(interp, "Q$new(b = 1)$b").payload == [1]
+    assert run(interp, 'Q$definition$fields').payload == ["b"]
+    with pytest.raises(MlsError) as err:
+        run(interp, "Q$new(a = 1)")
+    assert err.value.message == "'a' is not a field of class 'Q'"
+    assert run(interp, "old$a").payload == [1]
+
+
+def test_clashing_field_in_an_existing_subclass_rejects_the_redefinition(interp):
+    run(interp, 'P <- setRefClass("P", fields = list(a = "numeric"))')
+    run(interp, 'Q <- setRefClass("Q", fields = list(b = "numeric"), contains = "P")')
+    with pytest.raises(MlsError) as err:
+        run(interp, 'setRefClass("P", fields = list(b = "numeric"))')
+    assert err.value.message == "field 'b' of class 'Q' is already declared by a superclass"
+    assert run(interp, "Q$new(a = 1, b = 2)$a").payload == [1]
+
+
+def test_s4_redefinition_under_a_reference_subclass_is_rejected(interp):
+    run(interp, 'P <- setRefClass("P", fields = list(a = "numeric"))')
+    run(interp, 'Q <- setRefClass("Q", contains = "P")')
+    before = interp.s4.classes["P"]
+    with pytest.raises(MlsError) as err:
+        run(interp, 'setClass("P", slots = list(z = "numeric"))')
+    assert err.value.message == "superclass 'P' is not a reference class"
+    assert interp.s4.classes["P"] is before
+    assert run(interp, "Q$new(a = 1)$a").payload == [1]
+    assert run(interp, "P$new(a = 2)$a").payload == [2]
+
+
+def test_rejected_redefinition_keeps_the_registry(interp):
     run(interp, 'A <- setRefClass("A", fields = list(a = "numeric"))')
     run(interp, 'B <- setRefClass("B", fields = list(b = "numeric"), contains = "A")')
     with pytest.raises(MlsError, match="inheritance cycle"):
         run(interp, 'setRefClass("A", fields = list(z = "numeric"), contains = "B")')
-    assert list(interp.ref_classes["A"].fields) == ["a"]
-    assert interp.ref_classes["A"].contains is None
+    assert list(interp.s4.classes["A"].ref.fields) == ["a"]
     assert interp.s4.classes["A"].contains == []
+    assert list(interp.s4.lineage("B").fields) == ["a", "b"]
     assert run(interp, "A(a = 1)$a").payload == [1]
 
 

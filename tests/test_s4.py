@@ -1,9 +1,13 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import bfs_distance, dummy_method, s4_select
-from mls import s4, values
+from oracles import bfs_distance, definition_verdict, dummy_method, s4_select
+from mls import printer, s4, values
+from mls.interpreter import Interpreter
 from mls.values import MlsError
 
 
@@ -16,9 +20,9 @@ def run(interp, src):
 def test_slot_merge_and_linearization(interp):
     run(interp, 'setClass("A", slots = list(x = "numeric"))')
     run(interp, 'setClass("B", slots = list(y = "numeric"), contains = "A")')
-    b = interp.s4.classes["B"]
+    b = interp.s4.lineage("B")
     assert list(b.slots) == ["y", "x"]
-    assert b.linearization == [("B", 0), ("A", 1)]
+    assert list(b.distances.items()) == [("B", 0), ("A", 1)]
 
 
 def test_unknown_superclass(interp):
@@ -112,6 +116,79 @@ def test_class_and_inherits_of_an_instance(interp):
     assert run(interp, "class(p)").payload == ["P"]
     assert run(interp, 'inherits(p, "P")').payload == [True]
     assert run(interp, 'inherits(p, "numeric")').payload == [False]
+    run(interp, 'setClass("Q", contains = "P")')
+    run(interp, 'q <- new("Q", x = 1)')
+    assert run(interp, "class(q)").payload == ["Q"]
+    assert run(interp, 'inherits(q, "P")').payload == [True]
+    assert run(interp, 'inherits(p, "Q")').payload == [False]
+    run(interp, 'setClass("N", contains = "integer")')
+    assert run(interp, 'inherits(new("N"), "numeric")').payload == [True]
+
+
+def test_use_method_on_an_instance_walks_its_linearization(interp):
+    run(interp, 'setClass("P", slots = list(x = "numeric"))')
+    run(interp, 'setClass("Q", contains = "P")')
+    run(interp, 'describe <- function(obj) UseMethod("describe")')
+    run(interp, 'describe.default <- function(obj) "default"')
+    assert run(interp, 'describe(new("Q"))').payload == ["default"]
+    run(interp, 'describe.P <- function(obj) "a P"')
+    assert run(interp, 'describe(new("Q"))').payload == ["a P"]
+    run(interp, 'describe.Q <- function(obj) "a Q"')
+    assert run(interp, 'describe(new("Q"))').payload == ["a Q"]
+
+
+# -- redefinitions -----------------------------------------------------------------
+
+
+def test_redefined_superclass_reaches_an_existing_subclass(interp):
+    run(interp, 'setClass("A")')
+    run(interp, 'setClass("B", contains = "A")')
+    run(interp, 'setClass("Base")')
+    run(interp, 'setClass("A", contains = "Base")')
+    run(interp, 'setGeneric("who", function(x) standardGeneric("who"))')
+    run(interp, 'setMethod("who", "Base", function(x) "base")')
+    run(interp, 'setMethod("who", "ANY", function(x) "any")')
+    assert run(interp, 'who(new("A"))').payload == ["base"]
+    assert run(interp, 'who(new("B"))').payload == ["base"]
+    assert interp.s4.distance("B", "Base") == 2
+
+
+def test_cycle_through_a_redefinition_is_rejected(interp):
+    src = (
+        'setClass("X")\nsetClass("B")\nsetClass("C", contains = "B")\n'
+        'setClass("B", contains = "X")\nsetClass("X", contains = "C")'
+    )
+    with pytest.raises(MlsError) as err:
+        run(interp, src)
+    assert err.value.message == "inheritance cycle through class 'X'"
+    assert err.value.loc[0] == 5
+    assert interp.s4.classes["X"].contains == []
+    assert list(interp.s4.lineage("C").distances) == ["C", "B", "X"]
+
+
+def test_slot_clash_in_an_existing_subclass_rejects_the_redefinition(interp):
+    run(interp, 'setClass("A", slots = list(x = "numeric"))')
+    run(interp, 'setClass("B", slots = list(y = "numeric"), contains = "A")')
+    with pytest.raises(MlsError) as err:
+        run(interp, 'setClass("A", slots = list(y = "numeric"))')
+    assert err.value.message == "slot 'y' in class 'B' is already defined by 'A'"
+    b = run(interp, 'new("B", x = 1, y = 2)')
+    assert b.payload.slot_values == {"y": values.int_vec([2]), "x": values.int_vec([1])}
+
+
+@pytest.mark.parametrize(
+    "src",
+    ['setClass("numeric")', 'setRefClass("numeric", fields = list(a = "numeric"))',
+     'setClass("integer", contains = "numeric")'],
+)
+def test_basic_class_names_cannot_be_redefined(interp, src):
+    with pytest.raises(MlsError) as err:
+        run(interp, src)
+    name = src.split('"')[1]
+    assert err.value.message == f"cannot redefine basic class '{name}'"
+    assert err.value.loc == (1, 1)
+    assert interp.s4.classes[name].basic
+    assert printer.format_value(run(interp, 'new("numeric")'), interp) == "numeric(0)"
 
 
 def test_zero_value_defaults(interp):
@@ -389,3 +466,95 @@ def test_selection_matches_bfs_oracle():
     rnd = random.Random(4242)
     for case in range(120):
         run_oracle_case(rnd, case)
+
+
+# -- sequences of definitions and redefinitions against the oracle -------------------
+
+_NAMES = ["A", "B", "C", "D", "numeric"]
+_definitions = st.lists(
+    st.tuples(
+        st.sampled_from(["s4", "ref"]),
+        st.sampled_from(_NAMES),
+        st.lists(st.sampled_from(_NAMES), max_size=2, unique=True),
+        st.lists(st.sampled_from(["x", "y", "z"]), max_size=2, unique=True),
+        st.lists(st.sampled_from(["m", "x"]), max_size=1),
+    ),
+    min_size=1,
+    max_size=12,
+)
+_signatures = st.lists(st.tuples(*[st.sampled_from(_NAMES[:4] + ["ANY"])] * 2), max_size=6)
+_VERDICT_PREFIXES = {
+    "basic": "cannot redefine basic class",
+    "undefined": "undefined superclass",
+    "cycle": "inheritance cycle",
+}
+
+
+def _definition_source(kind, name, contains, members, methods):
+    declared = ", ".join(f'{m} = "numeric"' for m in members)
+    if kind == "s4":
+        sups = ", ".join(f'"{c}"' for c in contains)
+        return f'setClass("{name}", slots = list({declared}), contains = c({sups}))'
+    fns = ", ".join(f"{m} = function() 1" for m in methods)
+    sup = f'"{contains[0]}"' if contains else "NULL"
+    return (
+        f'setRefClass("{name}", fields = list({declared}), methods = list({fns}), '
+        f"contains = {sup})"
+    )
+
+
+def _check_against_graph(reg, model, signatures):
+    graph = {name: entry[1] for name, entry in model.items()}
+    for frm in model:
+        for to in list(model) + ["ANY"]:
+            assert reg.distance(frm, to) == bfs_distance(graph, frm, to), (frm, to)
+        kind = model[frm][0]
+        ancestors = [a for a in graph if bfs_distance(graph, frm, a) is not None]
+        merged = {m for a in ancestors if model[a][0] == kind for m in model[a][2]}
+        lin = reg.lineage(frm)
+        assert set(lin.fields if kind == "ref" else lin.slots) == merged, frm
+    gdef = s4.GenericDef("g", [("x", None), ("y", None)], ("x", "y"))
+    for sig in signatures:
+        if all(c == "ANY" or c in model for c in sig):
+            gdef.methods[sig] = s4.MethodDef(sig, dummy_method(["x", "y"]))
+    actual_pool = [name for name, entry in model.items() if entry[0] != "basic"] + ["integer"]
+    for actuals in itertools.product(actual_pool, repeat=2):
+        expected = s4_select(graph, list(gdef.methods), actuals)
+        try:
+            got = reg.select_method(gdef, actuals).signature
+        except MlsError as err:
+            got = "AMBIGUOUS" if "ambiguous" in err.message else "NONE"
+        assert got == expected, (actuals, sorted(gdef.methods))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_definitions, _signatures)
+def test_redefinitions_match_bfs_on_the_current_graph(steps, signatures):
+    """After every setClass or setRefClass, distances, merged members and
+    selected methods equal brute force on the current graph; a rejected
+    definition leaves every class as it was."""
+    interp = Interpreter()
+    reg = interp.s4
+    model = {name: ("basic", list(c.contains), [], []) for name, c in reg.classes.items()}
+    for kind, name, contains, members, methods in steps:
+        if kind == "s4":
+            methods = []
+        else:
+            contains = contains[:1]
+        expected = definition_verdict(model, name, kind, contains, members, methods)
+        before = dict(reg.classes)
+        src = _definition_source(kind, name, contains, members, methods)
+        try:
+            interp.eval_source(src)
+        except MlsError as err:
+            got = next(
+                (v for v, prefix in _VERDICT_PREFIXES.items() if err.message.startswith(prefix)),
+                "clash",
+            )
+            assert got == expected, (src, err.message)
+            assert list(reg.classes) == list(before)
+            assert all(reg.classes[c] is before[c] for c in before)
+        else:
+            assert expected is None, src
+            model[name] = (kind, list(contains), list(members), list(methods))
+        _check_against_graph(reg, model, signatures)
