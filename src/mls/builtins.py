@@ -318,7 +318,7 @@ def _bi_set_generic(ctx, **kw):
         return s4.call_generic(ctx.interp, gdef, args, ctx.env, ctx.loc)
 
     generic = BuiltinPayload(name=gname, fn=call, lazy=True, meta=gdef)
-    ctx.env.frame[gname] = Binding.immediate(Value(values.BUILTIN, generic))
+    ctx.env.bind(gname, Binding.immediate(Value(values.BUILTIN, generic)), interp)
     return _generic_reflection(gdef)
 
 

@@ -15,6 +15,11 @@ from .values import MlsError
 
 PENDING, FORCING, DONE = 0, 1, 2
 
+# The binary operators a call site may apply directly (`interpreter._compile_call`)
+COMPARISON_OPERATORS = ("<", "<=", ">", ">=", "==", "!=")
+BINARY_OPERATORS = ("+", "-", "*", "/") + COMPARISON_OPERATORS
+OPERATOR_NAMES = frozenset(BINARY_OPERATORS)
+
 
 class Promise:
     """An unevaluated expression paired with its origin environment."""
@@ -122,14 +127,18 @@ class Environment:
     def has(self, name: str) -> bool:
         return self.lookup_binding(name) is not None
 
-    def bind_value(self, name: str, value: values.Value):
-        self.frame[name] = Binding.immediate(value)
+    def bind(self, name: str, binding: Binding, interp):
+        """The one write into a frame outside `builtins.install`; it marks an
+        operator name in `interp.shadowed_operators`."""
+        if name in OPERATOR_NAMES:
+            interp.shadowed_operators.add(name)
+        self.frame[name] = binding
 
     def set_value(self, name: str, value: values.Value, interp, loc=None):
         """Assign into this frame, honoring active bindings and typed fields."""
         b = self.frame.get(name)
         if b is None:
-            self.frame[name] = Binding.immediate(value)
+            self.bind(name, Binding.immediate(value), interp)
             return
         if b.getter is not None:
             if b.setter is None:
@@ -144,7 +153,7 @@ class Environment:
             b.promise = None
             b.missing_name = None
             return
-        self.frame[name] = Binding.immediate(value)
+        self.bind(name, Binding.immediate(value), interp)
 
     def env_value(self) -> values.Value:
         return values.Value(values.ENVIRONMENT, self)

@@ -20,18 +20,15 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from . import ops, reader, rng, s3, syntax, values
-from .environment import Binding, Environment, Promise
+from .environment import BINARY_OPERATORS, COMPARISON_OPERATORS, Binding, Environment, Promise
+from .reader import HOST_RECURSION_LIMIT, deep_host_stack
 from .values import MlsError, Value
 
 RANDOM_SEED_NAME = ".Random.seed"
 OPTIONS_NAME = ".Options"
 DEFAULT_SEED = 0
 
-# Interpreter recursion rides the host stack: one MLS call costs up to 24
-# host frames, and the reader 4 or 5 per level of bracket or keyword
-# nesting.  The CLI and every Interpreter raise the host limit to this.
-MAX_CALL_DEPTH = 1000
-HOST_RECURSION_LIMIT = 24 * MAX_CALL_DEPTH
+MAX_CALL_DEPTH = HOST_RECURSION_LIMIT // 24  # one MLS call takes up to 24 host frames
 
 
 @dataclass
@@ -45,10 +42,6 @@ class BuiltinPayload:
 
 
 REQUIRED = object()
-
-# The binary operators a call site may apply directly (see `_compile_call`).
-COMPARISON_OPERATORS = ("<", "<=", ">", ">=", "==", "!=")
-BINARY_OPERATORS = ("+", "-", "*", "/") + COMPARISON_OPERATORS
 
 
 @dataclass
@@ -110,7 +103,6 @@ class Interpreter:
         from . import builtins as builtin_defs
         from . import s4
 
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), HOST_RECURSION_LIMIT))
         self.max_call_depth = max_call_depth
         self.stdout = stdout
         self.stderr = stderr
@@ -118,6 +110,7 @@ class Interpreter:
         self.global_env = Environment(self.base_env, "global")
         self.frames: list = []
         self.visible = True
+        self.shadowed_operators: set = set()  # see `Environment.bind`
         self.s4 = s4.Registry()
         self.foreign_stubs: dict = {}
         self.register_foreign("identity", lambda interp, args: args[0] if args else values.null_value())
@@ -232,11 +225,11 @@ class Interpreter:
             raise MlsError(f"unused argument ({detail})", loc)
         for name, default in closure.formals:
             if name in matched:
-                call_env.frame[name] = Binding.lazy(matched[name])
+                call_env.bind(name, Binding.lazy(matched[name]), self)
             elif default is not None:
-                call_env.frame[name] = Binding.lazy(Promise(default, call_env))
+                call_env.bind(name, Binding.lazy(Promise(default, call_env)), self)
             else:
-                call_env.frame[name] = Binding.missing(name)
+                call_env.bind(name, Binding.missing(name), self)
         return call_env
 
     def exec_closure(self, fn: Value, call_env, caller_env, loc, args, label=None) -> Value:
@@ -307,7 +300,7 @@ class Interpreter:
         return v.payload[0]
 
     def set_rng_state(self, state: int):
-        self.global_env.frame[RANDOM_SEED_NAME] = Binding.immediate(values.int_vec([state]))
+        self.global_env.bind(RANDOM_SEED_NAME, Binding.immediate(values.int_vec([state])), self)
 
     def rng_set_seed(self, seed: int):
         self.set_rng_state(rng.seed_state(seed))
@@ -325,13 +318,13 @@ class Interpreter:
         b = self.global_env.frame.get(OPTIONS_NAME)
         if b is None:
             v = values.list_value([])
-            self.global_env.frame[OPTIONS_NAME] = Binding.immediate(v)
+            self.global_env.bind(OPTIONS_NAME, Binding.immediate(v), self)
             return v
         return b.value
 
     def set_option(self, name: str, value: Value):
         table = ops.field_assign_list(self.options_value(), name, value)
-        self.global_env.frame[OPTIONS_NAME] = Binding.immediate(table)
+        self.global_env.bind(OPTIONS_NAME, Binding.immediate(table), self)
 
     def get_option(self, name: str) -> Value:
         return ops.field_get_list(self.options_value(), name)
@@ -349,18 +342,19 @@ class Interpreter:
         self._run_each(exprs, env, echo=True)
 
     def _run_each(self, exprs, env, echo):
-        """The one loop over top-level expressions.  Source nested deeper
-        than the host stack allows is an error at the top-level expression
-        that holds it."""
+        """The one loop over top-level expressions, run on the deep host
+        stack.  Source nested deeper than that allows is an error at the
+        top-level expression that holds it."""
         env = env or self.global_env
         result = values.null_value()
-        for e in exprs:
-            try:
-                result = self.eval(e, env)
-                if echo and self.visible:
-                    self.print_value(result, env)
-            except RecursionError:
-                raise MlsError("evaluation nested too deeply", e.loc) from None
+        with deep_host_stack():
+            for e in exprs:
+                try:
+                    result = self.eval(e, env)
+                    if echo and self.visible:
+                        self.print_value(result, env)
+                except RecursionError:
+                    raise MlsError("evaluation nested too deeply", e.loc) from None
         return result
 
 
@@ -413,10 +407,11 @@ def _compile_call(e: syntax.Call):
     a closure restores laziness.
 
     A binary operator called with two unnamed arguments is applied
-    directly while its name resolves to the base builtin recorded in
-    `interp.base_operators`; otherwise the general call runs with the
-    function resolved (a guard with a fallback, as in Würthinger et al.,
-    "Self-optimizing AST interpreters", DLS 2012)."""
+    directly while no frame has bound its name (`Environment.bind` marks
+    it in `interp.shadowed_operators`), or else while the name resolves
+    to the base builtin in `interp.base_operators`; otherwise the general
+    call runs with the function resolved: an assumption that a write
+    invalidates, with a fallback (Würthinger et al., Onward! 2013)."""
     loc = e.loc
     arg_exprs = e.args
     arg_runs = [(name, compile_expr(arg)) for name, arg in e.args]
@@ -444,9 +439,10 @@ def _compile_call(e: syntax.Call):
     (_, lhs_run), (_, rhs_run) = arg_runs
 
     def run_operator(interp, env):
-        fn = interp.lookup_function(fname, env, loc)
-        if fn is not interp.base_operators[fname]:
-            return run(interp, env, fn)
+        if fname in interp.shadowed_operators:
+            fn = interp.lookup_function(fname, env, loc)
+            if fn is not interp.base_operators[fname]:
+                return run(interp, env, fn)
         try:
             lhs = lhs_run(interp, env)
             value = apply_operator(interp, fname, lhs, rhs_run(interp, env), env, loc)

@@ -18,6 +18,7 @@ precedence climbing (Pratt, "Top down operator precedence", 1973).
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from . import syntax, values
@@ -393,13 +394,28 @@ class Parser:
                 self.error_here(f"unexpected token {self.peek().text!r}")
 
 
+HOST_RECURSION_LIMIT = 24_000  # the reader takes 4 or 5 host frames per level of nesting
+
+
+class deep_host_stack:
+    """Raise the host recursion limit to HOST_RECURSION_LIMIT inside `with`."""
+
+    def __enter__(self):
+        self.previous = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(self.previous, HOST_RECURSION_LIMIT))
+
+    def __exit__(self, *exc_info):
+        sys.setrecursionlimit(self.previous)
+
+
 def parse_program(source: str) -> list:
     """Parse source text into a list of top-level expressions.  Nesting
     deeper than the host stack allows is a syntax error at the token
     where the parser gave up."""
     parser = Parser(tokenize(source))
     try:
-        return parser.parse_program()
+        with deep_host_stack():
+            return parser.parse_program()
     except RecursionError:
         raise MlsSyntaxError("expression nested too deeply", parser.peek().loc) from None
 

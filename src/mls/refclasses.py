@@ -106,6 +106,8 @@ def generator_value(cdef: RefClassDef) -> Value:
 
 
 def _re_enclosed(fn: Value, env: Environment) -> Value:
+    if fn.kind != values.CLOSURE:  # a method rebound to data stays as it is
+        return fn
     closure = fn.payload
     return Value(values.CLOSURE, values.Closure(closure.formals, closure.body, env))
 
@@ -149,24 +151,27 @@ def generator_new(interp, class_name: str, args, loc=None) -> Value:
                     f"field '{fname}' of class '{class_name}' requires an explicit value", loc
                 )
         field_values[fname] = v
-    return _build_instance(class_name, lin, cdef.ref.def_env, field_values)
+    return _build_instance(interp, class_name, lin.fields, lin.methods, cdef.ref.def_env,
+                           field_values)
 
 
-def _build_instance(class_name: str, lin, parent: Environment, field_values: dict) -> Value:
-    """An instance on a fresh backing environment under `parent`, its stored
-    fields bound to `field_values`, the rest of `lin` re-enclosed over it."""
+def _build_instance(interp, class_name, fields, methods, parent, field_values) -> Value:
+    """An instance on a fresh backing environment under `parent`: `fields`
+    bound with their specs, stored ones to `field_values`, the rest
+    re-enclosed over it."""
     backing = Environment(parent, f"ref:{class_name}")
-    for fname, spec in lin.fields.items():
+    for fname, spec in fields.items():
         if spec.active:
             getter = _re_enclosed(spec.active_get, backing)
             setter = _re_enclosed(spec.active_set, backing) if spec.active_set else None
-            backing.frame[fname] = Binding.active(getter, setter)
+            binding = Binding.active(getter, setter, field=spec)
         else:
-            backing.frame[fname] = Binding.immediate(field_values[fname], field=spec)
-    for mname, fn in lin.methods.items():
-        backing.frame[mname] = Binding.immediate(_re_enclosed(fn, backing))
+            binding = Binding.immediate(field_values[fname], field=spec)
+        backing.bind(fname, binding, interp)
+    for mname, fn in methods.items():
+        backing.bind(mname, Binding.immediate(_re_enclosed(fn, backing)), interp)
     instance = Value(values.REF_INSTANCE, RefPayload(class_name, backing))
-    backing.frame[".self"] = Binding.immediate(instance)
+    backing.bind(".self", Binding.immediate(instance), interp)
     return instance
 
 
@@ -189,22 +194,25 @@ def field_set(interp, obj: Value, name: str, v: Value, loc=None):
 
 
 def copy_instance(interp, obj: Value, loc=None) -> Value:
-    """Explicit escape from aliasing: a fresh backing environment whose
-    fields share the original's values (values are never written after
-    construction); reference instances held directly in fields are copied
-    recursively."""
-    _, lin = _current(interp, obj.payload.class_name, loc)
+    """Explicit escape from aliasing: a fresh backing environment with the
+    bindings of the original's own frame, not its class's current ones.
+    Fields share the original's values (values are never written after
+    construction); reference instances in fields are copied recursively."""
     old = obj.payload.backing
-    field_values = {}
-    for fname, spec in lin.fields.items():
-        if spec.active:
+    fields, methods, field_values = {}, {}, {}
+    for name, binding in old.frame.items():
+        if binding.field is None:
+            if name != ".self":
+                methods[name] = binding.value
             continue
-        binding = old.frame.get(fname)
-        current = binding.value if binding is not None else values.null_value()
-        if current.kind == values.REF_INSTANCE:
-            current = copy_instance(interp, current, loc)
-        field_values[fname] = current
-    return _build_instance(obj.payload.class_name, lin, old.parent, field_values)
+        fields[name] = binding.field
+        if not binding.field.active:
+            current = binding.value
+            if current.kind == values.REF_INSTANCE:
+                current = copy_instance(interp, current, loc)
+            field_values[name] = current
+    return _build_instance(interp, obj.payload.class_name, fields, methods, old.parent,
+                           field_values)
 
 
 def generator_field(interp, generator, name: str, loc=None) -> Value:

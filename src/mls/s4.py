@@ -346,7 +346,8 @@ def call_generic(interp, gdef: GenericDef, args, caller_env, loc=None) -> Value:
         actual_classes.append(dispatch_class_of(v))
     mdef = interp.s4.select_method(gdef, actual_classes, loc)
     method_env = Environment(mdef.fn.payload.enclosure, f"call:{gdef.name}")
-    method_env.frame.update(call_env.frame)
+    for name, binding in call_env.frame.items():
+        method_env.bind(name, binding, interp)
     return interp.exec_closure(mdef.fn, method_env, caller_env, loc, args, gdef.name)
 
 

@@ -6,8 +6,8 @@ analyzer walks.  Every node carries the (line, column) it came from so
 analysis findings can point at source.
 
 Each node dataclass declares its children once, in its field annotations
-and, for sugar, the `HEAD` its call form calls; `child_expressions`,
-`expr_equal` and `as_call` all walk the `_LAYOUT` read from them.
+and, for sugar, the `HEAD` its call form calls; `child_expressions`
+and `as_call` walk the `_LAYOUT` read from them.
 """
 
 from __future__ import annotations
@@ -169,25 +169,6 @@ _LAYOUT = _Layouts(
     (cls, tuple((f.name, _SLOTS[f.type]) for f in fields(cls) if f.name != "loc"))
     for cls in Expr.__subclasses__()
 )
-
-
-def expr_equal(a: Expr, b: Expr) -> bool:
-    """Structural equality, ignoring source locations."""
-    if type(a) is not type(b):
-        return False
-    for name, slots in _LAYOUT[type(a)]:
-        x, y = getattr(a, name), getattr(b, name)
-        if slots is None:
-            if not (values.values_equal(x, y) if isinstance(x, values.Value) else x == y):
-                return False
-            continue
-        xs, ys = slots(x), slots(y)
-        if len(xs) != len(ys) or not all(
-            nx == ny and (ex is None) == (ey is None) and (ex is None or expr_equal(ex, ey))
-            for (nx, ex), (ny, ey) in zip(xs, ys)
-        ):
-            return False
-    return True
 
 
 def as_call(e: Expr) -> Optional[Call]:

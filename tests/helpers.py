@@ -1,13 +1,13 @@
 """Shared test utilities: state snapshots, the differential purity
-harness, a generator of random pure programs, and a guard against host
-recursion errors."""
+harness, a generator of random pure programs, structural equality of
+syntax trees, and a guard against host recursion errors."""
 
 import contextlib
 import random
 
 import pytest
 
-from mls import purity, values
+from mls import purity, syntax, values
 from mls.interpreter import Interpreter
 
 
@@ -22,6 +22,26 @@ def no_host_recursion():
         raise pytest.fail.Exception(
             f"host RecursionError escaped: {exc}", pytrace=False
         ) from None
+
+
+def expr_equal(a, b) -> bool:
+    """Structural equality of syntax trees, ignoring source locations: the
+    reader's round-trip oracle, walking each node's `syntax._LAYOUT`."""
+    if type(a) is not type(b):
+        return False
+    for name, slots in syntax._LAYOUT[type(a)]:
+        x, y = getattr(a, name), getattr(b, name)
+        if slots is None:
+            if not (values.values_equal(x, y) if isinstance(x, values.Value) else x == y):
+                return False
+            continue
+        xs, ys = slots(x), slots(y)
+        if len(xs) != len(ys) or not all(
+            nx == ny and (ex is None) == (ey is None) and (ex is None or expr_equal(ex, ey))
+            for (nx, ex), (ny, ey) in zip(xs, ys)
+        ):
+            return False
+    return True
 
 
 def snapshot_frame(env):
@@ -69,8 +89,8 @@ def load_universe(modules):
     interp = Interpreter()
     for m in modules:
         for fname, literal in m.definitions.items():
-            interp.global_env.bind_value(
-                fname, interp.eval(literal, interp.global_env)
+            interp.global_env.set_value(
+                fname, interp.eval(literal, interp.global_env), interp
             )
     return interp
 

@@ -1,4 +1,7 @@
+import ast
 import io
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from helpers import (
     no_host_recursion,
     snapshot_frame,
 )
+import mls
 from mls import interpreter, reader, syntax, values
 from mls.interpreter import Interpreter
 from mls.values import MlsError
@@ -458,11 +462,15 @@ def test_function_value_from_assignment_is_invisible(capture):
 
 # -- operator call sites -------------------------------------------------------------
 
-def outcome(src):
+def outcome(src, walk=False):
     """Stdout, stderr and the error (message, location) of running `src`
-    at top level in a fresh interpreter."""
+    at top level in a fresh interpreter.  With `walk`, every operator
+    starts out marked as shadowed, so each operator call site resolves
+    its name."""
     out, err = io.StringIO(), io.StringIO()
     interp = Interpreter(stdout=out, stderr=err)
+    if walk:
+        interp.shadowed_operators.update(interpreter.BINARY_OPERATORS)
     try:
         interp.run_top_level(reader.parse_program(src))
         error = None
@@ -519,6 +527,94 @@ def test_operator_call_site_guards_on_the_base_builtin_value(capture):
 
 
 _OPERATORS = ("+", "-", "*", "/", "<", "<=", ">", ">=", "==", "!=")
+
+# Each way a frame can come to bind an operator name; `{use}` calls an
+# operator inside the binding's scope.
+_WRITE_FORMS = (
+    "`{op}` <- {value}\n{use}",
+    "f <- function() {{ `{op}` <- {value}; {use} }}\nf()",
+    "f <- function() {{ `{op}` <<- {value}; {use} }}\nf()",
+    "`{op}` <<- {value}\n{use}",  # at top level this rebinds the base operator
+    'assign("{op}", {value})\n{use}',
+    'f <- function() {{ assign("{op}", {value}, envir = environment()); {use} }}\nf()',
+    "f <- function() {{ e <- environment(); e$`{op}` <- {value}; {use} }}\nf()",
+    "f <- function(`{op}` = {value}) {use}\nf()",
+    "f <- function(`{op}`) {use}\nf({value})",
+    'setGeneric("{op}", function(e1, e2) standardGeneric("{op}"))\n'
+    'setMethod("{op}", c("numeric", "numeric"), function(e1, e2) 42)\n{use}',
+    'R <- setRefClass("R", fields = list(`{op}` = "ANY"), '
+    "methods = list(run = function() {use}))\nR$new(`{op}` = {value})$run()",
+    'R <- setRefClass("R", methods = list(`{op}` = {value}, run = function() {use}))\n'
+    "R$new()$run()",
+)
+_SHADOW_VALUES = ("function(e1, e2) 99", 'function(e1, e2) stop("shadow")', "3",
+                  "function(e1) 1", 'function(e1, e2) invisible("inv")')
+
+
+@st.composite
+def _operator_use(draw):
+    op = draw(st.sampled_from(_OPERATORS))
+    lhs, rhs = draw(st.integers(-3, 3)), draw(st.sampled_from(["2", "0.5", "c(1, 2)", '"a"']))
+    return draw(st.sampled_from(["print({} {} {})", "{} {} {}"])).format(lhs, op, rhs)
+
+
+@st.composite
+def _shadowing_programs(draw):
+    form = draw(st.sampled_from(_WRITE_FORMS))
+    op = draw(st.sampled_from(_OPERATORS))
+    inside = draw(_operator_use())
+    before, after = draw(_operator_use()), draw(_operator_use())
+    body = form.format(op=op, value=draw(st.sampled_from(_SHADOW_VALUES)), use=inside)
+    return f"{before}\n{body}\n{after}\ng <- function(x) {after}\ng(1)"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_shadowing_programs())
+def test_shadowing_an_operator_matches_an_interpreter_that_always_walks(src):
+    assert outcome(src) == outcome(src, walk=True)
+
+
+def test_a_formal_named_like_an_operator_is_still_forced():
+    out, err, error = outcome('g <- function(`+` = stop("boom")) 1 + 2; g()')
+    assert (out, err, error[0], error[1][0]) == ("", "", "boom", 1)
+
+
+def test_one_parse_runs_in_interpreters_that_do_and_do_not_shadow_an_operator():
+    exprs = reader.parse_program("f <- function(a, b) a + b\nf(1, 2)\n3 + 4")
+    assert printed(exprs) == "[1] 3\n[1] 7\n"
+    assert printed(exprs, "`+` <- function(e1, e2) 99") == "[1] 99\n[1] 99\n"
+    assert printed(exprs) == "[1] 3\n[1] 7\n"
+
+
+def _writes_a_frame_directly(node) -> bool:
+    """`x.frame[k] = ...` (or augmented) or `x.frame.update(...)`/`setdefault`."""
+    def is_frame(e):
+        return isinstance(e, ast.Attribute) and e.attr == "frame"
+
+    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return any(isinstance(t, ast.Subscript) and is_frame(t.value)
+                   for target in targets for t in ast.walk(target))
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("update", "setdefault") and is_frame(node.func.value))
+
+
+def test_frames_are_written_only_through_environment_bind():
+    """The operator fast path is sound only if every frame write but
+    `builtins.install`'s goes through `Environment.bind`."""
+    offenders = []
+    for path in sorted(Path(mls.__file__).parent.glob("*.py")):
+        if path.name == "environment.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        exempt = set()
+        if path.name == "builtins.py":
+            install = next(n for n in tree.body
+                           if isinstance(n, ast.FunctionDef) and n.name == "install")
+            exempt = {id(n) for n in ast.walk(install)}
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if id(node) not in exempt and _writes_a_frame_directly(node)]
+    assert offenders == []
 _CLASSED_SETUP = (
     '`+.m` <- function(e1, e2) "m plus"\n'
     '`+.k` <- function(e1, e2) "k plus"\n'
@@ -603,6 +699,20 @@ def test_runaway_recursion_is_a_clean_error(interp):
         run(interp, "f <- function() f(); f()")
     with pytest.raises(MlsError, match="nested too deeply"):
         run(interp, "g <- function() 1 + g(); g()")
+
+
+def test_interpreters_raise_the_host_recursion_limit_only_while_running():
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(1500)
+    try:
+        interp = Interpreter()
+        assert sys.getrecursionlimit() == 1500
+        exprs = reader.parse_program("f <- function(n) if (n == 0) 0 else 1 + f(n - 1)\nf(500)")
+        assert sys.getrecursionlimit() == 1500
+        assert interp.eval_program(exprs).payload == [500]
+        assert sys.getrecursionlimit() == 1500
+    finally:
+        sys.setrecursionlimit(previous)
 
 
 def test_deep_sums_and_deep_recursion_fit_the_host_stack(interp):

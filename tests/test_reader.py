@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import no_host_recursion
+from helpers import expr_equal, no_host_recursion
 from mls import reader, syntax, values
 from mls.interpreter import HOST_RECURSION_LIMIT
 from mls.reader import MlsSyntaxError
@@ -17,7 +17,7 @@ def parse1(src):
 
 
 def roundtrips(e):
-    return syntax.expr_equal(e, reader.parse_one(syntax.deparse(e)))
+    return expr_equal(e, reader.parse_one(syntax.deparse(e)))
 
 
 def test_assignment_with_operator_call():
@@ -122,7 +122,7 @@ def test_precedence():
         ("2 * -3", "2 * (-3)"),
         ("- -x", "-(-x)"),
     ]:
-        assert syntax.expr_equal(parse1(src), parse1(grouped)), src
+        assert expr_equal(parse1(src), parse1(grouped)), src
     for src, col in [("1 + !x", 5), ("x == !y", 6), ("-!x", 2)]:
         with pytest.raises(MlsSyntaxError, match="unexpected token '!'") as exc:
             reader.parse_program(src)
@@ -397,7 +397,7 @@ _expressions = st.recursive(_leaves, _extend, max_leaves=20)
 def test_parse_deparse_roundtrip(e):
     text = syntax.deparse(e)
     reparsed = reader.parse_one(text)
-    assert syntax.expr_equal(e, reparsed), text
+    assert expr_equal(e, reparsed), text
 
 
 @settings(max_examples=300, deadline=None)
@@ -448,13 +448,13 @@ def _leaf_edits(e):
 @settings(max_examples=200, deadline=None)
 @given(_expressions, st.data())
 def test_changing_one_leaf_breaks_expr_equal(e, data):
-    assert syntax.expr_equal(e, copy.deepcopy(e))
+    assert expr_equal(e, copy.deepcopy(e))
     edited = copy.deepcopy(e)
     edits = _leaf_edits(edited)
     assume(edits)
     data.draw(st.sampled_from(edits))()
-    assert not syntax.expr_equal(e, edited)
-    assert not syntax.expr_equal(edited, e)
+    assert not expr_equal(e, edited)
+    assert not expr_equal(edited, e)
 
 
 @settings(max_examples=100, deadline=None)

@@ -417,6 +417,34 @@ def test_rejected_redefinition_keeps_the_registry(interp):
     assert run(interp, "A(a = 1)$a").payload == [1]
 
 
+def test_copy_reads_the_instance_not_its_redefined_class(interp):
+    run(interp, 'P <- setRefClass("P", fields = list(a = "numeric"))')
+    run(interp, "p <- P$new(a = 1)")
+    run(interp, 'P <- setRefClass("P", fields = list(b = "numeric"))')
+    run(interp, "q <- copy(p)")
+    assert printer.format_value(run(interp, "q$a"), interp) == "[1] 1"
+    with pytest.raises(MlsError) as err:
+        run(interp, "q$b")
+    assert err.value.message == "'b' is not a field or method of class 'P'"
+    run(interp, "q$a <- 2")
+    assert run(interp, "p$a").payload == [1]
+    with pytest.raises(MlsError, match="invalid value for field 'a'"):
+        run(interp, 'q$a <- "x"')
+
+
+def test_copy_keeps_methods_and_accessors_over_the_copy(interp):
+    run(interp, 'P <- setRefClass("P", fields = list(w = "numeric", '
+                "twice = list(get = function() w * 2)), "
+                "methods = list(get_w = function() w, bump = function() w <<- w + 1))")
+    run(interp, "p <- P$new(w = 1)\np$get_w <- 7")
+    run(interp, 'P <- setRefClass("P", fields = list(z = "numeric"))')
+    run(interp, "q <- copy(p)\nq$bump()")
+    assert (run(interp, "q$w").payload, run(interp, "q$twice").payload) == ([2], [4])
+    assert (run(interp, "p$w").payload, run(interp, "q$get_w").payload) == ([1], [7])
+    with pytest.raises(MlsError, match="'z' is not a field or method"):
+        run(interp, "q$z")
+
+
 def test_seeded_trajectory_matches_reference(interp):
     make_pop(interp)
     run(interp, "set_seed(42)")
