@@ -15,6 +15,7 @@ only aliasing values are environments and reference-class instances.
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -29,6 +30,13 @@ OPTIONS_NAME = ".Options"
 DEFAULT_SEED = 0
 
 MAX_CALL_DEPTH = HOST_RECURSION_LIMIT // 24  # one MLS call takes up to 24 host frames
+
+
+@functools.cache
+def _prelude() -> list:
+    """Parsed by the first interpreter and shared: compiled trees capture
+    no interpreter."""
+    return reader.parse_program('print <- function(x) UseMethod("print")')
 
 
 @dataclass
@@ -115,7 +123,8 @@ class Interpreter:
         self.foreign_stubs: dict = {}
         self.register_foreign("identity", lambda interp, args: args[0] if args else values.null_value())
         builtin_defs.install(self)
-        self._load_prelude()
+        for e in _prelude():
+            self.eval(e, self.base_env)
 
     # -- output ------------------------------------------------------------
 
@@ -128,11 +137,6 @@ class Interpreter:
         err.write(f"warning: {message}\n")
 
     # -- setup ---------------------------------------------------------------
-
-    def _load_prelude(self):
-        src = 'print <- function(x) UseMethod("print")'
-        for e in reader.parse_program(src):
-            self.eval(e, self.base_env)
 
     def register_foreign(self, tag: str, fn):
         self.foreign_stubs[tag] = fn

@@ -14,9 +14,9 @@ at run time may still be refused certification.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import reader, syntax, values
@@ -547,42 +547,47 @@ def analyze_modules(modules, policy: Optional[dict] = None) -> AnalysisReport:
 # report rendering
 
 
-def report_as_dict(report: AnalysisReport) -> dict:
-    return {
-        "modules": [
-            {
-                "name": mname,
-                "functions": [
-                    {
-                        "function": fr.name,
-                        "status": fr.verdict.status,
-                        "reasons": [
-                            {
-                                "kind": v.kind,
-                                "line": v.line,
-                                "column": v.column,
-                                "detail": v.detail,
-                            }
-                            for v in fr.verdict.reasons
-                        ],
-                        "via": list(fr.verdict.via),
-                        "suggestions": list(fr.suggestions),
-                    }
-                    for fr in reports
-                ],
-            }
-            for mname, reports in report.modules
-        ],
-        "summary": {
-            "functional": report.summary[FUNCTIONAL],
-            "nonfunctional": report.summary[NONFUNCTIONAL],
-            "uncertifiable": report.summary[UNCERTIFIABLE],
-        },
-    }
-
-
 def render_json(report: AnalysisReport) -> str:
-    return json.dumps(report_as_dict(report), sort_keys=True, indent=2) + "\n"
+    """The report as JSON with sorted keys, a two-space indent and ASCII
+    escapes: the text `json.dumps(..., sort_keys=True, indent=2)` gives
+    for its dict form.  The schema is fixed, so it is written directly;
+    with any indent, json encodes in Python rather than in C."""
+    q = encode_basestring_ascii
+    modules = []
+    for mname, reports in report.modules:
+        functions = []
+        for fr in reports:
+            verdict = fr.verdict
+            reasons = [
+                '{\n              "column": %d,\n              "detail": %s,'
+                '\n              "kind": %s,\n              "line": %d\n            }'
+                % (v.column, q(v.detail), q(v.kind), v.line)
+                for v in verdict.reasons
+            ]
+            functions.append(
+                '{\n          "function": %s,\n          "reasons": %s,'
+                '\n          "status": %s,\n          "suggestions": %s,'
+                '\n          "via": %s\n        }'
+                % (q(fr.name), _json_array(reasons, 10), q(verdict.status),
+                   _json_array(map(q, fr.suggestions), 10), _json_array(map(q, verdict.via), 10))
+            )
+        modules.append('{\n      "functions": %s,\n      "name": %s\n    }'
+                       % (_json_array(functions, 6), q(mname)))
+    s = report.summary
+    return (
+        '{\n  "modules": %s,\n  "summary": {\n    "functional": %d,'
+        '\n    "nonfunctional": %d,\n    "uncertifiable": %d\n  }\n}\n'
+        % (_json_array(modules, 2), s[FUNCTIONAL], s[NONFUNCTIONAL], s[UNCERTIFIABLE])
+    )
+
+
+def _json_array(items, indent: int) -> str:
+    """A JSON array of encoded `items`, one per line, closed at column
+    `indent`.  An encoded item is never empty, so an empty join means an
+    empty array."""
+    pad = "\n" + " " * (indent + 2)
+    body = ("," + pad).join(items)
+    return f"[{pad}{body}\n{' ' * indent}]" if body else "[]"
 
 
 def render_text(report: AnalysisReport) -> str:

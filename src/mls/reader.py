@@ -132,22 +132,24 @@ class Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.tok = tokens[0]  # the current token; hot paths test it inline
 
     def peek(self) -> Token:
-        return self.tokens[self.pos]
+        return self.tok
 
     def advance(self) -> Token:
-        tok = self.tokens[self.pos]
+        tok = self.tok
         if tok.type != "EOF":
             self.pos += 1
+            self.tok = self.tokens[self.pos]
         return tok
 
     def at(self, type_, text=None) -> bool:
-        tok = self.peek()
+        tok = self.tok
         return tok.type == type_ and (text is None or tok.text == text)
 
     def expect(self, type_, text=None) -> Token:
-        tok = self.peek()
+        tok = self.tok
         if not self.at(type_, text):
             what = text or type_
             raise MlsSyntaxError(
@@ -158,7 +160,7 @@ class Parser:
         return self.advance()
 
     def error_here(self, message):
-        tok = self.peek()
+        tok = self.tok
         raise MlsSyntaxError(message, tok.loc, incomplete=(tok.type == "EOF"))
 
     # -- statement sequencing ------------------------------------------------
@@ -170,8 +172,8 @@ class Parser:
             if self.at("EOF"):
                 return exprs
             exprs.append(self.expression())
-            if not (self.at("EOF") or self.at("OP", ";") or self.peek().after_newline):
-                self.error_here(f"unexpected token {self.peek().text!r}")
+            if not (self.at("EOF") or self.at("OP", ";") or self.tok.after_newline):
+                self.error_here(f"unexpected token {self.tok.text!r}")
 
     def skip_separators(self):
         while self.at("OP", ";"):
@@ -181,11 +183,11 @@ class Parser:
 
     def expression(self):
         left = self.operand(0)
-        tok = self.peek()
+        tok = self.tok
         if tok.type == "OP" and tok.text in ("<-", "<<-") and not tok.after_newline:
-            op = self.advance()
+            self.advance()
             value = self.expression()  # right-associative
-            return self.make_assignment(left, value, op)
+            return self.make_assignment(left, value, tok)
         if tok.type == "OP" and tok.text == "=" and not tok.after_newline:
             raise MlsSyntaxError(
                 "'=' is only valid for named arguments; use '<-' for assignment", tok.loc
@@ -214,7 +216,7 @@ class Parser:
         """Precedence climbing: the longest expression whose operators all
         bind at least as tightly as `min_prec`.  A binary operator must
         start on its left operand's line."""
-        tok = self.peek()
+        tok = self.tok
         prec = syntax.PREFIX_PRECEDENCE.get(tok.text) if tok.type == "OP" else None
         if prec is not None and prec >= min_prec:
             self.advance()
@@ -223,7 +225,7 @@ class Parser:
         else:
             left = self.postfix()
         while True:
-            tok = self.peek()
+            tok = self.tok
             if tok.type != "OP" or tok.after_newline:
                 return left
             prec = syntax.BINARY_PRECEDENCE.get(tok.text)
@@ -238,28 +240,27 @@ class Parser:
     def postfix(self):
         expr = self.primary()
         while True:
-            tok = self.peek()
+            tok = self.tok
             if tok.type != "OP" or tok.after_newline:
                 # a call/index/field suffix must start on the callee's line
                 return expr
-            if self.at("OP", "("):
+            text = tok.text
+            if text == "(":
                 self.advance()
-                args = self.call_args()
-                expr = syntax.Call(expr, args, loc=expr.loc)
-            elif self.at("OP", "["):
-                open_tok = self.advance()
-                indices = []
+                expr = syntax.Call(expr, self.call_args(), loc=expr.loc)
+            elif text == "[":
+                self.advance()
                 if self.at("OP", "]"):
-                    raise MlsSyntaxError("missing index", open_tok.loc)
-                indices.append(self.expression())
+                    raise MlsSyntaxError("missing index", tok.loc)
+                indices = [self.expression()]
                 while self.at("OP", ","):
                     self.advance()
                     indices.append(self.expression())
                 self.expect("OP", "]")
                 expr = syntax.Index(expr, indices, loc=expr.loc)
-            elif self.at("OP", "$"):
+            elif text == "$":
                 self.advance()
-                name_tok = self.peek()
+                name_tok = self.tok
                 if name_tok.type not in ("SYM", "STR"):
                     self.error_here("expected a field name after '$'")
                 self.advance()
@@ -274,13 +275,13 @@ class Parser:
             return args
         while True:
             name = None
-            tok = self.peek()
-            if tok.type == "SYM" and self.tokens[self.pos + 1].type == "OP" and self.tokens[
-                self.pos + 1
-            ].text == "=":
-                name = tok.value
-                self.advance()
-                self.advance()
+            tok = self.tok
+            if tok.type == "SYM":
+                after = self.tokens[self.pos + 1]
+                if after.type == "OP" and after.text == "=":
+                    name = tok.value
+                    self.advance()
+                    self.advance()
             args.append((name, self.expression()))
             if self.at("OP", ","):
                 self.advance()
@@ -289,7 +290,10 @@ class Parser:
             return args
 
     def primary(self):
-        tok = self.peek()
+        tok = self.tok
+        if tok.type == "SYM":
+            self.advance()
+            return syntax.Symbol(tok.value, loc=tok.loc)
         if tok.type == "INT":
             self.advance()
             return syntax.Constant(values.scalar_int(tok.value), loc=tok.loc)
@@ -299,9 +303,6 @@ class Parser:
         if tok.type == "STR":
             self.advance()
             return syntax.Constant(values.scalar_string(tok.value), loc=tok.loc)
-        if tok.type == "SYM":
-            self.advance()
-            return syntax.Symbol(tok.value, loc=tok.loc)
         if tok.type == "KW":
             if tok.text == "TRUE":
                 self.advance()
@@ -319,12 +320,12 @@ class Parser:
             if tok.text == "while":
                 return self.while_expr()
             self.error_here(f"unexpected keyword {tok.text!r}")
-        if self.at("OP", "("):
+        if tok.type == "OP" and tok.text == "(":
             self.advance()
             inner = self.expression()
             self.expect("OP", ")")
             return inner
-        if self.at("OP", "{"):
+        if tok.type == "OP" and tok.text == "{":
             return self.block()
         self.error_here(f"unexpected token {tok.text or 'end of input'!r}")
 
@@ -335,7 +336,7 @@ class Parser:
         seen = set()
         if not self.at("OP", ")"):
             while True:
-                name_tok = self.peek()
+                name_tok = self.tok
                 if name_tok.type != "SYM":
                     self.error_here("expected a formal argument name")
                 self.advance()
@@ -386,12 +387,12 @@ class Parser:
                 self.advance()
                 return syntax.Block(body, loc=start.loc)
             if self.at("EOF"):
-                raise MlsSyntaxError("unexpected end of input in block", self.peek().loc, incomplete=True)
+                raise MlsSyntaxError("unexpected end of input in block", self.tok.loc, incomplete=True)
             body.append(self.expression())
             if self.at("OP", "}"):
                 continue
-            if not (self.at("OP", ";") or self.peek().after_newline):
-                self.error_here(f"unexpected token {self.peek().text!r}")
+            if not (self.at("OP", ";") or self.tok.after_newline):
+                self.error_here(f"unexpected token {self.tok.text!r}")
 
 
 HOST_RECURSION_LIMIT = 24_000  # the reader takes 4 or 5 host frames per level of nesting

@@ -188,7 +188,7 @@ def field_or_method(interp, obj: Value, name: str, loc=None) -> Value:
 def field_set(interp, obj: Value, name: str, v: Value, loc=None):
     backing = obj.payload.backing
     binding = backing.frame.get(name)
-    if binding is None or name == ".self":
+    if binding is None or binding.field is None:  # a method or `.self`
         raise MlsError(f"'{name}' is not a field of class '{obj.payload.class_name}'", loc)
     backing.set_value(name, v, interp, loc)
 

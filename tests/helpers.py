@@ -1,6 +1,7 @@
 """Shared test utilities: state snapshots, the differential purity
 harness, a generator of random pure programs, structural equality of
-syntax trees, and a guard against host recursion errors."""
+syntax trees, the dict form of an analysis report, and a guard against
+host recursion errors."""
 
 import contextlib
 import random
@@ -42,6 +43,42 @@ def expr_equal(a, b) -> bool:
         ):
             return False
     return True
+
+
+def report_as_dict(report) -> dict:
+    """The dict form of a `purity.AnalysisReport`; `json.dumps` of it
+    with sorted keys and indent 2 is the oracle for `purity.render_json`."""
+    return {
+        "modules": [
+            {
+                "name": mname,
+                "functions": [
+                    {
+                        "function": fr.name,
+                        "status": fr.verdict.status,
+                        "reasons": [
+                            {
+                                "kind": v.kind,
+                                "line": v.line,
+                                "column": v.column,
+                                "detail": v.detail,
+                            }
+                            for v in fr.verdict.reasons
+                        ],
+                        "via": list(fr.verdict.via),
+                        "suggestions": list(fr.suggestions),
+                    }
+                    for fr in reports
+                ],
+            }
+            for mname, reports in report.modules
+        ],
+        "summary": {
+            "functional": report.summary[purity.FUNCTIONAL],
+            "nonfunctional": report.summary[purity.NONFUNCTIONAL],
+            "uncertifiable": report.summary[purity.UNCERTIFIABLE],
+        },
+    }
 
 
 def snapshot_frame(env):

@@ -694,6 +694,20 @@ def test_independent_interpreters_share_nothing():
     assert b.eval_source('get_option("tol")').kind == values.NULL
 
 
+def test_a_print_redefined_in_one_interpreter_leaves_the_other_dispatching():
+    # the prelude that defines `print` is parsed once for all interpreters
+    a, b = Interpreter(stdout=io.StringIO()), Interpreter(stdout=io.StringIO())
+    a.eval_source('print <- function(x) invisible("replaced")', a.base_env)
+    exprs = reader.parse_program(
+        'print.tag <- function(x) print("tagged")\nx <- set_attr(1, "class", "tag")\nprint(x)\nx'
+    )
+    for interp in (a, b):
+        interp.run_top_level(exprs)
+    assert a.stdout.getvalue() == ""
+    assert b.stdout.getvalue() == '[1] "tagged"\n[1] "tagged"\n'
+    assert printed(exprs) == b.stdout.getvalue()
+
+
 def test_runaway_recursion_is_a_clean_error(interp):
     with pytest.raises(MlsError, match="nested too deeply"):
         run(interp, "f <- function() f(); f()")

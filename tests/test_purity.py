@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import differential_check
+from helpers import differential_check, report_as_dict
 from mls import purity, reader, syntax
 from mls.builtins import BUILTIN_NAMES
 from mls.values import MlsError
@@ -305,8 +307,8 @@ def test_foreign_module_uncertifiable():
 
 def test_report_is_deterministic():
     src = "f <- function(x) { y <<- rng_draw(1); mystery(x) }\ng <- function(x) f(x)"
-    a = purity.report_as_dict(analyze(src))
-    b = purity.report_as_dict(analyze(src))
+    a = report_as_dict(analyze(src))
+    b = report_as_dict(analyze(src))
     assert a == b
     assert purity.render_json(analyze(src)) == purity.render_json(analyze(src))
 
@@ -360,6 +362,36 @@ def test_json_report_schema():
     fn = doc["modules"][0]["functions"][0]
     assert set(fn) == {"function", "status", "reasons", "via", "suggestions"}
     assert set(fn["reasons"][0]) == {"kind", "line", "column", "detail"}
+
+
+# strings that json must escape: quotes, backslashes, control characters,
+# non-ASCII, astral characters and a lone surrogate
+_awkward = st.text(alphabet='"\\/\x00\x08\x0c\x1f\x7f\n\t\u00e9\u2028\U0001f600\ud800a ', max_size=8)
+_strings = st.one_of(st.text(max_size=8), _awkward)
+_counts = st.integers(min_value=0, max_value=10**12)
+_violations = st.builds(purity.Violation, _strings, _counts, _counts, _strings)
+_verdicts = st.builds(
+    purity.Verdict, _strings, st.lists(_violations, max_size=3),
+    st.lists(_strings, max_size=3), st.just([]),
+)
+_function_reports = st.builds(
+    purity.FunctionReport, _strings, _strings, _verdicts, st.lists(_strings, max_size=3)
+)
+_reports = st.builds(
+    purity.AnalysisReport,
+    st.lists(st.tuples(_strings, st.lists(_function_reports, max_size=3)), max_size=3),
+    st.just([]),
+    st.fixed_dictionaries(
+        {purity.FUNCTIONAL: _counts, purity.NONFUNCTIONAL: _counts, purity.UNCERTIFIABLE: _counts}
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reports)
+def test_render_json_matches_the_json_module(report):
+    expected = json.dumps(report_as_dict(report), sort_keys=True, indent=2) + "\n"
+    assert purity.render_json(report) == expected
 
 
 def test_operator_named_definitions_are_analyzed(corpus_dir):

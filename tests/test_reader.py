@@ -264,6 +264,46 @@ def test_tokenizer_edge_cases(source, expected):
     assert _lexed(source) == expected
 
 
+def _parse_error(source):
+    try:
+        reader.parse_program(source)
+    except MlsSyntaxError as e:
+        return e.message, e.loc, e.incomplete
+    raise AssertionError(f"{source!r} parsed")
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        # a call, index or field suffix must start on its callee's line
+        ("f\n(1 2", ("expected ')' but found '2'", (2, 4), False)),
+        ("x\n[1]", ("unexpected token '['", (2, 1), False)),
+        ("x\n$a", ("unexpected token '$'", (2, 1), False)),
+        ("x$1", ("expected a field name after '$'", (1, 3), False)),
+        ("x$", ("expected a field name after '$'", (1, 3), True)),
+        ("f(1 2", ("expected ')' but found '2'", (1, 5), False)),
+        ("f(", ("unexpected token 'end of input'", (1, 3), True)),
+        ("g(a = )", ("unexpected token ')'", (1, 7), False)),
+        ("a[]", ("missing index", (1, 2), False)),
+        ("x[1", ("expected ']' but found 'end of input'", (1, 4), True)),
+        ("1 + !x", ("unexpected token '!'", (1, 5), False)),
+        ("1 +", ("unexpected token 'end of input'", (1, 4), True)),
+        ("x = 1", ("'=' is only valid for named arguments; use '<-' for assignment",
+                   (1, 3), False)),
+        ("{ 1", ("unexpected token ''", (1, 4), True)),
+        ("{ 1 2 }", ("unexpected token '2'", (1, 5), False)),
+        ("(1", ("expected ')' but found 'end of input'", (1, 3), True)),
+        (")", ("unexpected token ')'", (1, 1), False)),
+        ("1 2", ("unexpected token '2'", (1, 3), False)),
+        ("else", ("unexpected keyword 'else'", (1, 1), False)),
+        ("function(1) 2", ("expected a formal argument name", (1, 10), False)),
+        ("if (1) 2 else", ("unexpected token 'end of input'", (1, 14), True)),
+    ],
+)
+def test_parser_error_outputs(source, expected):
+    assert _parse_error(source) == expected
+
+
 def test_nesting_deeper_than_the_host_stack_is_a_syntax_error():
     depth = HOST_RECURSION_LIMIT  # each level costs at least one host frame
     with no_host_recursion(), pytest.raises(MlsSyntaxError, match="nested too deeply"):

@@ -435,8 +435,10 @@ def test_copy_reads_the_instance_not_its_redefined_class(interp):
 def test_copy_keeps_methods_and_accessors_over_the_copy(interp):
     run(interp, 'P <- setRefClass("P", fields = list(w = "numeric", '
                 "twice = list(get = function() w * 2)), "
-                "methods = list(get_w = function() w, bump = function() w <<- w + 1))")
-    run(interp, "p <- P$new(w = 1)\np$get_w <- 7")
+                "methods = list(get_w = function() w, bump = function() w <<- w + 1, "
+                "pin = function() get_w <<- 7))")
+    # `<<-` in a method may rebind a method; `p$get_w <- 7` may not
+    run(interp, "p <- P$new(w = 1)\np$pin()")
     run(interp, 'P <- setRefClass("P", fields = list(z = "numeric"))')
     run(interp, "q <- copy(p)\nq$bump()")
     assert (run(interp, "q$w").payload, run(interp, "q$twice").payload) == ([2], [4])
@@ -452,3 +454,17 @@ def test_seeded_trajectory_matches_reference(interp):
     got = run(interp, "p$size").payload
     expected = ref.simulate_population(42, 0.08, 0.1, 100, 10)
     assert got == expected
+
+
+@pytest.mark.parametrize("name", ["run", ".self"])
+def test_dollar_assignment_rejects_a_method_or_self(interp, name):
+    run(interp, 'P <- setRefClass("P", fields = list(a = "numeric"), '
+                'methods = list(run = function() a))')
+    run(interp, "p <- P$new(a = 1)")
+    with pytest.raises(MlsError) as err:
+        run(interp, f"p$`{name}` <- 5")
+    assert err.value.message == f"'{name}' is not a field of class 'P'"
+    assert err.value.loc == (1, 1)
+    assert run(interp, "p$run()").payload == [1]
+    run(interp, "p$a <- 2")
+    assert run(interp, "p$run()").payload == [2]
