@@ -257,7 +257,12 @@ class Interpreter:
     def assign_super(self, name: str, v: Value, env: Environment, loc=None):
         cur = env.parent
         while cur is not None:
-            if name in cur.frame:
+            b = cur.frame.get(name)
+            if b is not None:
+                if b.field is None and cur.tag.startswith("ref:"):
+                    # a method or `.self` in an instance's frame, tagged `ref:<class>`
+                    # (refclasses._build_instance), is refused as `p$run <- v` is
+                    raise MlsError(f"'{name}' is not a field of class '{cur.tag[4:]}'", loc)
                 cur.set_value(name, v, self, loc)
                 return
             cur = cur.parent

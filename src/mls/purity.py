@@ -120,9 +120,6 @@ def default_policy() -> dict:
 
 _IMPORT_RE = re.compile(r"^\s*import\s+([A-Za-z_.][A-Za-z0-9_.]*)\s*\(([^)]*)\)\s*$")
 
-# operator spellings are grammar, not user-resolvable callees
-_OPERATOR_NAMES = set(syntax.BINARY_OPS) | set(syntax.UNARY_OPS)
-
 
 def parse_module(name: str, source: str, path=None) -> ModuleUnit:
     """Parse one module: leading `import mod (a, b)` header lines declare
@@ -157,30 +154,6 @@ def parse_module(name: str, source: str, path=None) -> ModuleUnit:
 # scanning: per-function local facts
 
 
-def _collect_locals(body, scope: set):
-    """Add to `scope` the names assigned with `<-` anywhere in this
-    function body (not in nested function literals): they are local to
-    the function."""
-    stack = [body]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, syntax.FunctionLiteral):
-            continue
-        if isinstance(e, syntax.Assign):
-            scope.add(e.target.name)
-        # a literal name given to assign() becomes a local binding
-        if (
-            isinstance(e, syntax.Call)
-            and isinstance(e.callee, syntax.Symbol)
-            and e.callee.name == "assign"
-            and e.args
-            and isinstance(e.args[0][1], syntax.Constant)
-            and e.args[0][1].value.kind == values.STRING
-        ):
-            scope.add(e.args[0][1].value.payload[0])
-        stack.extend(syntax.child_expressions(e))
-
-
 def _first_string_arg(args) -> Optional[str]:
     for name, arg in args:
         if name not in (None, "name", "tag"):
@@ -192,82 +165,99 @@ def _first_string_arg(args) -> Optional[str]:
     return None
 
 
+# calls that are grammar, such as operator spellings: their arguments are
+# walked, and their head is no user-resolvable callee
+_SYNTAX_HEADS = frozenset(("{", "if", "while", "[", "[<-", "$", "$<-")
+                          + syntax.BINARY_OPS + syntax.UNARY_OPS)
+
+
 def scan_function(name: str, literal: syntax.FunctionLiteral) -> FunctionFacts:
     """Collect superassignments, interesting callees, and free names,
-    each with its source location."""
-    facts = FunctionFacts(name)
+    each with its source location, in one walk of each function body.
 
-    def walk_function(fl: syntax.FunctionLiteral, enclosing: set):
-        scope = enclosing | {n for n, _ in fl.formals}
-        _collect_locals(fl.body, scope)
+    The walk keeps every name use (a Symbol) and every call of a named
+    callee in walk order, and collects each function's locals as it
+    goes: names assigned with `<-` or given literally to assign(), not
+    in nested function literals or formal defaults.  When a function
+    literal's walk ends, the uses its formals and locals bind are
+    dropped; the rest are uses of the enclosing function."""
+    violations = []
+    names = []  # Symbol uses not yet known to be bound
+    calls = []  # Calls of a named callee not yet known to be bound
+
+    def walk_function(fl: syntax.FunctionLiteral):
+        n0, c0 = len(names), len(calls)
         for _, default in fl.formals:
             if default is not None:
-                walk(default, scope)
-        walk(fl.body, scope)
+                walk(default, set())  # an assignment in a default binds no local
+        bound = {n for n, _ in fl.formals}
+        walk(fl.body, bound)
+        names[n0:] = [s for s in names[n0:] if s.name not in bound]
+        calls[c0:] = [c for c in calls[c0:] if c.callee.name not in bound]
 
-    def walk(e, scope):
-        if isinstance(e, syntax.Symbol):
-            if e.name not in scope:
-                facts.name_uses.setdefault(e.name, e.loc)
+    def walk(e, local: set):
+        cls = type(e)
+        if cls is syntax.Symbol:
+            names.append(e)
             return
-        if isinstance(e, syntax.Constant):
+        if cls is syntax.Constant:
             return
-        if isinstance(e, syntax.FunctionLiteral):
-            walk_function(e, scope)
+        if cls is not syntax.Call:
+            head = e.HEAD
+            if head == "function":
+                walk_function(e)
+            elif head in ("<-", "<<-"):
+                if head == "<-":
+                    local.add(e.target.name)
+                else:
+                    superassign(e, e.target.name)
+                walk(e.value, local)
+            else:
+                for x in syntax.child_expressions(e):
+                    walk(x, local)
             return
-        call = syntax.as_call(e)
-        callee = call.callee
-        if isinstance(callee, syntax.Symbol):
+        callee, args = e.callee, e.args
+        if type(callee) is syntax.Symbol:
             cname = callee.name
-            # a backquoted `<-` call with other than two arguments is ordinary
-            assigns = len(call.args) == 2
-            if cname == "<<-" and assigns:
-                target, value = call.args[0][1], call.args[1][1]
-                facts.violations.append(
-                    Violation(
-                        NONLOCAL_ASSIGNMENT,
-                        e.loc[0],
-                        e.loc[1],
-                        syntax.deparse(e),
-                        subject=getattr(target, "name", None),
-                    )
-                )
-                walk(value, scope)
+            if cname in ("<-", "<<-") and len(args) == 2:
+                # a backquoted assignment: its target is no use, but what the
+                # target assigns is local; other arities are ordinary calls
+                target = args[0][1]
+                kept = len(names), len(calls), len(violations)
+                walk(target, local)
+                del names[kept[0]:], calls[kept[1]:], violations[kept[2]:]
+                if cname == "<<-":
+                    superassign(e, getattr(target, "name", None))
+                walk(args[1][1], local)
                 return
-            if cname == "<-" and assigns:
-                # target is local by _collect_locals; only the value is a use
-                walk(call.args[1][1], scope)
-                return
-            if cname in ("{", "if", "while", "[", "[<-", "$", "$<-") or (
-                cname in _OPERATOR_NAMES
-            ):
-                for _, arg in call.args:
-                    walk(arg, scope)
-                return
-            if cname not in scope:
-                has_envir = any(n == "envir" for n, _ in call.args) or (
-                    sum(1 for n, _ in call.args if n is None) >= 3
-                )
-                facts.callees.append(
-                    CalleeUse(cname, e.loc, _first_string_arg(call.args), has_envir)
-                )
-            for _, arg in call.args:
-                walk(arg, scope)
-            return
-        # computed callee: the target of the call cannot be resolved statically
-        facts.violations.append(
-            Violation(
-                DYNAMIC_CODE,
-                callee.loc[0],
-                callee.loc[1],
-                f"computed callee: {syntax.deparse(callee)}",
-            )
-        )
-        walk(callee, scope)
-        for _, arg in call.args:
-            walk(arg, scope)
+            if cname not in _SYNTAX_HEADS:
+                if cname == "assign" and args:  # a literal name assigned is a local
+                    first = args[0][1]
+                    if type(first) is syntax.Constant and first.value.kind == values.STRING:
+                        local.add(first.value.payload[0])
+                calls.append(e)
+        else:
+            # computed callee: the target of the call cannot be resolved statically
+            violations.append(Violation(DYNAMIC_CODE, *callee.loc,
+                                        f"computed callee: {syntax.deparse(callee)}"))
+            walk(callee, local)
+        for _, arg in args:
+            walk(arg, local)
 
-    walk_function(literal, set())
+    def superassign(e, subject):
+        violations.append(Violation(NONLOCAL_ASSIGNMENT, *e.loc, syntax.deparse(e), subject))
+
+    walk_function(literal)
+    facts = FunctionFacts(name, violations)
+    for s in names:
+        facts.name_uses.setdefault(s.name, s.loc)
+    for c in calls:
+        has_envir = any(n == "envir" for n, _ in c.args) or (
+            sum(1 for n, _ in c.args if n is None) >= 3
+        )
+        facts.callees.append(
+            CalleeUse(c.callee.name, c.loc, _first_string_arg(c.args), has_envir)
+        )
     return facts
 
 

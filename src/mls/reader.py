@@ -1,9 +1,12 @@
 """Tokenizer and parser for MLS source text.
 
 The lexical grammar is one master regex, `_TOKEN`, with a named
-alternative per token class; `tokenize` matches it at each position and
-reads the class from `lastgroup` (the "Writing a Tokenizer" example in
-Python's `re` documentation).
+alternative per token class (the "Writing a Tokenizer" example in
+Python's `re` documentation).  Blanks and a comment are not tokens of
+their own: `_TOKEN` takes them in a prefix before the alternatives, so
+`tokenize` makes one match per token, reads its class from `lastgroup`
+and its column from where that group starts.  The `END` alternative
+matches the end of the text.
 
 The grammar is a small R-like surface: `<-` assignment, `<<-`
 superassignment, `$` field access, `[ ]` indexing, `function`
@@ -27,21 +30,24 @@ from .values import MlsError
 _MULTI_OPS = ["<<-", "<-", "<=", ">=", "==", "!=", "&&", "||"]
 _SINGLE_OPS = "+-*/<>!=(){}[],;$"
 
-# Alternatives are tried in order.  Numbers use ASCII digits only, because
-# int() and float() reject other digits such as "²".  A name may continue
-# with any alphanumeric character but starts only where str.isalpha()
-# holds or with "." or "_"; no re class says that, so tokenize checks it.
-# ERROR takes the one character nothing else accepts, such as an unclosed
-# quote.
-_TOKEN = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in [
+# Blanks and a comment to the end of the line lead the token; a comment
+# ends before the newline, so no blank can follow it.  Alternatives are
+# tried in order.  Numbers use ASCII digits only, because int() and
+# float() reject other digits such as "²".  A name may continue with any
+# alphanumeric character but starts only where str.isalpha() holds or
+# with "." or "_"; no re class says that, so tokenize checks it.  ERROR
+# takes the one character nothing else accepts, such as an unclosed
+# quote, and END the end of the text.
+_TOKEN = re.compile(r"[ \t\r]*(?:#[^\n]*)?(?:%s)" % "|".join(
+    f"(?P<{kind}>{pattern})" for kind, pattern in [
     ("NEWLINE", r"\n"),
-    ("SKIP", r"[ \t\r]+|#[^\n]*"),
     ("NUM", r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"),
     ("STR", r'"[^"\\]*(?:\\[\s\S][^"\\]*)*"' + r"|'[^'\\]*(?:\\[\s\S][^'\\]*)*'"),
     ("QUOTED", r"`[^`\n]*`"),
     ("SYM", r"[\w.]+"),
     ("OP", "|".join(map(re.escape, _MULTI_OPS)) + f"|[{re.escape(_SINGLE_OPS)}]"),
     ("ERROR", r"[\s\S]"),
+    ("END", r"\Z"),
 ]))
 _ESCAPE = re.compile(r"\\([\s\S])")
 _ESCAPED = {"n": "\n", "t": "\t"}
@@ -73,19 +79,18 @@ def tokenize(source: str) -> list:
     # newlines separate statements except inside ( ) and [ ]; braces restore it
     brackets = []
     after_newline = False
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN.match(source, pos)
-        kind, text = m.lastgroup, m.group()
-        col = pos - line_start + 1
-        pos = m.end()
-        if kind == "SKIP":
-            continue
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        start = m.start(kind)
+        col = start - line_start + 1
         if kind == "NEWLINE":
             if not brackets or brackets[-1] == "{":
                 after_newline = True
-            line, line_start = line + 1, pos
+            line, line_start = line + 1, start + 1
             continue
+        if kind == "END":
+            break
+        text = m[kind]
         value = text
         if kind == "SYM":
             if not (text[0].isalpha() or text[0] in "._"):
@@ -123,8 +128,8 @@ def tokenize(source: str) -> list:
         tokens.append(Token(kind, text, value, line, col, after_newline))
         after_newline = False
         if kind == "STR" and "\n" in text:
-            line, line_start = line + text.count("\n"), m.start() + text.rindex("\n") + 1
-    tokens.append(Token("EOF", "", None, line, pos - line_start + 1, after_newline))
+            line, line_start = line + text.count("\n"), start + text.rindex("\n") + 1
+    tokens.append(Token("EOF", "", None, line, col, after_newline))
     return tokens
 
 
@@ -173,7 +178,7 @@ class Parser:
                 return exprs
             exprs.append(self.expression())
             if not (self.at("EOF") or self.at("OP", ";") or self.tok.after_newline):
-                self.error_here(f"unexpected token {self.tok.text!r}")
+                self.error_here(f"unexpected token {self.tok.text or 'end of input'!r}")
 
     def skip_separators(self):
         while self.at("OP", ";"):
@@ -392,7 +397,7 @@ class Parser:
             if self.at("OP", "}"):
                 continue
             if not (self.at("OP", ";") or self.tok.after_newline):
-                self.error_here(f"unexpected token {self.tok.text!r}")
+                self.error_here(f"unexpected token {self.tok.text or 'end of input'!r}")
 
 
 HOST_RECURSION_LIMIT = 24_000  # the reader takes 4 or 5 host frames per level of nesting

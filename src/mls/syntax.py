@@ -1,13 +1,13 @@
 """Expression trees for MLS source code.
 
-Control syntax is sugar over function calls: every composite node can be
-viewed as a Call through `as_call`, which is the form the purity
-analyzer walks.  Every node carries the (line, column) it came from so
-analysis findings can point at source.
+Control syntax is sugar over function calls: every composite node other
+than a Call names, in `HEAD`, the function its call form calls, and the
+purity analyzer reads that name and the node's children.  Every node
+carries the (line, column) it came from so analysis findings can point
+at source.
 
-Each node dataclass declares its children once, in its field annotations
-and, for sugar, the `HEAD` its call form calls; `child_expressions`
-and `as_call` walk the `_LAYOUT` read from them.
+Each node dataclass declares its children once, in its field
+annotations; `child_expressions` walks the `_LAYOUT` read from them.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ class Expr:
     # ignore it.
     _run = None
 
-    # The function a sugar node's call form calls (see as_call).
+    # The function a sugar node's call form calls: `<-` for an Assign,
+    # `{` for a Block; None for a Constant, a Symbol or a Call.
     HEAD = None
 
 
@@ -169,31 +170,6 @@ _LAYOUT = _Layouts(
     (cls, tuple((f.name, _SLOTS[f.type]) for f in fields(cls) if f.name != "loc"))
     for cls in Expr.__subclasses__()
 )
-
-
-def as_call(e: Expr) -> Optional[Call]:
-    """Canonical Call view of a composite node.
-
-    Constants and symbols are not calls and map to None; every other
-    node maps to an equivalent Call so analyses can treat the tree
-    uniformly.  A sugar node's call passes its fields in order: a field
-    name as a string constant and an absent default as NULL.
-    """
-    layout = _LAYOUT[type(e)]
-    if e.HEAD is None:
-        return e if isinstance(e, Call) else None
-    loc = e.loc
-    args = []
-    for name, slots in layout:
-        v = getattr(e, name)
-        if slots is None:
-            args.append((None, Constant(values.scalar_string(v), loc=loc)))
-        else:
-            args += [
-                (n, Constant(values.null_value(), loc=loc) if x is None else x)
-                for n, x in slots(v)
-            ]
-    return Call(Symbol(e.HEAD, loc=loc), args, loc=loc)
 
 
 def child_expressions(e: Expr) -> list:

@@ -1,14 +1,17 @@
 """Shared test utilities: state snapshots, the differential purity
 harness, a generator of random pure programs, structural equality of
-syntax trees, the dict form of an analysis report, and a guard against
-host recursion errors."""
+syntax trees, the Call view of a node, the dict form of an analysis
+report, a guard against host recursion errors, and the reference
+tokenizer and purity scan that the fast ones are checked against."""
 
 import contextlib
 import random
+import re
+from typing import Optional
 
 import pytest
 
-from mls import purity, syntax, values
+from mls import purity, reader, syntax, values
 from mls.interpreter import Interpreter
 
 
@@ -43,6 +46,199 @@ def expr_equal(a, b) -> bool:
         ):
             return False
     return True
+
+
+def as_call(e) -> Optional[syntax.Call]:
+    """Canonical Call view of a composite node.
+
+    Constants and symbols are not calls and map to None; every other
+    node maps to an equivalent Call.  A sugar node's call passes its
+    fields in order: a field name as a string constant and an absent
+    default as NULL.
+    """
+    layout = syntax._LAYOUT[type(e)]
+    if e.HEAD is None:
+        return e if isinstance(e, syntax.Call) else None
+    loc = e.loc
+    args = []
+    for name, slots in layout:
+        v = getattr(e, name)
+        if slots is None:
+            args.append((None, syntax.Constant(values.scalar_string(v), loc=loc)))
+        else:
+            args += [
+                (n, syntax.Constant(values.null_value(), loc=loc) if x is None else x)
+                for n, x in slots(v)
+            ]
+    return syntax.Call(syntax.Symbol(e.HEAD, loc=loc), args, loc=loc)
+
+
+# -- reference tokenizer: one match per token and per run of blanks or comment
+
+_REFERENCE_TOKEN = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in [
+    ("NEWLINE", r"\n"),
+    ("SKIP", r"[ \t\r]+|#[^\n]*"),
+    ("NUM", r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"),
+    ("STR", r'"[^"\\]*(?:\\[\s\S][^"\\]*)*"' + r"|'[^'\\]*(?:\\[\s\S][^'\\]*)*'"),
+    ("QUOTED", r"`[^`\n]*`"),
+    ("SYM", r"[\w.]+"),
+    ("OP", "|".join(map(re.escape, reader._MULTI_OPS)) + f"|[{re.escape(reader._SINGLE_OPS)}]"),
+    ("ERROR", r"[\s\S]"),
+]))
+
+
+def reference_tokenize(source: str) -> list:
+    """`reader.tokenize` as it was before blanks and comments joined the
+    token's match: the oracle for it."""
+    MlsSyntaxError = reader.MlsSyntaxError
+    tokens = []
+    line, line_start = 1, 0
+    brackets = []
+    after_newline = False
+    pos = 0
+    while pos < len(source):
+        m = _REFERENCE_TOKEN.match(source, pos)
+        kind, text = m.lastgroup, m.group()
+        col = pos - line_start + 1
+        pos = m.end()
+        if kind == "SKIP":
+            continue
+        if kind == "NEWLINE":
+            if not brackets or brackets[-1] == "{":
+                after_newline = True
+            line, line_start = line + 1, pos
+            continue
+        value = text
+        if kind == "SYM":
+            if not (text[0].isalpha() or text[0] in "._"):
+                raise MlsSyntaxError(f"unexpected character {text[0]!r}", (line, col))
+            if text in syntax.KEYWORDS:
+                kind = "KW"
+        elif kind == "OP":
+            if text in "([{":
+                brackets.append(text)
+            elif text in ")]}" and brackets:
+                brackets.pop()
+        elif kind == "NUM":
+            if text.isdigit():
+                try:
+                    kind, value = "INT", int(text)
+                except ValueError:
+                    raise MlsSyntaxError(
+                        f"integer literal too long ({len(text)} digits)", (line, col)
+                    ) from None
+            else:
+                value = float(text)
+        elif kind == "STR":
+            value = reader._ESCAPE.sub(lambda e: reader._ESCAPED.get(e[1], e[1]), text[1:-1])
+        elif kind == "QUOTED":
+            kind = "SYM"
+            text = value = text[1:-1]
+            if not text:
+                raise MlsSyntaxError("empty quoted name", (line, col))
+        elif text in "\"'":
+            raise MlsSyntaxError("unterminated string constant", (line, col), incomplete=True)
+        elif text == "`":
+            raise MlsSyntaxError("unterminated quoted name", (line, col))
+        else:
+            raise MlsSyntaxError(f"unexpected character {text!r}", (line, col))
+        tokens.append(reader.Token(kind, text, value, line, col, after_newline))
+        after_newline = False
+        if kind == "STR" and "\n" in text:
+            line, line_start = line + text.count("\n"), m.start() + text.rindex("\n") + 1
+    tokens.append(reader.Token("EOF", "", None, line, pos - line_start + 1, after_newline))
+    return tokens
+
+
+# -- reference purity scan: locals collected in a pass of their own, then a
+# walk of each node's Call view
+
+
+def _reference_collect_locals(body, scope: set):
+    stack = [body]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, syntax.FunctionLiteral):
+            continue
+        if isinstance(e, syntax.Assign):
+            scope.add(e.target.name)
+        if (
+            isinstance(e, syntax.Call)
+            and isinstance(e.callee, syntax.Symbol)
+            and e.callee.name == "assign"
+            and e.args
+            and isinstance(e.args[0][1], syntax.Constant)
+            and e.args[0][1].value.kind == values.STRING
+        ):
+            scope.add(e.args[0][1].value.payload[0])
+        stack.extend(syntax.child_expressions(e))
+
+
+def reference_scan_function(name, literal):
+    """`purity.scan_function` as it was when it walked each function body
+    twice, once for its locals and once for its uses, and each sugar node
+    through `as_call`: the oracle for it."""
+    facts = purity.FunctionFacts(name)
+    grammar = ("{", "if", "while", "[", "[<-", "$", "$<-") + syntax.BINARY_OPS + syntax.UNARY_OPS
+
+    def walk_function(fl, enclosing):
+        scope = enclosing | {n for n, _ in fl.formals}
+        _reference_collect_locals(fl.body, scope)
+        for _, default in fl.formals:
+            if default is not None:
+                walk(default, scope)
+        walk(fl.body, scope)
+
+    def walk(e, scope):
+        if isinstance(e, syntax.Symbol):
+            if e.name not in scope:
+                facts.name_uses.setdefault(e.name, e.loc)
+            return
+        if isinstance(e, syntax.Constant):
+            return
+        if isinstance(e, syntax.FunctionLiteral):
+            walk_function(e, scope)
+            return
+        call = as_call(e)
+        callee = call.callee
+        if isinstance(callee, syntax.Symbol):
+            cname = callee.name
+            assigns = len(call.args) == 2
+            if cname == "<<-" and assigns:
+                target, value = call.args[0][1], call.args[1][1]
+                facts.violations.append(purity.Violation(
+                    purity.NONLOCAL_ASSIGNMENT, e.loc[0], e.loc[1], syntax.deparse(e),
+                    subject=getattr(target, "name", None),
+                ))
+                walk(value, scope)
+                return
+            if cname == "<-" and assigns:
+                walk(call.args[1][1], scope)
+                return
+            if cname in grammar:
+                for _, arg in call.args:
+                    walk(arg, scope)
+                return
+            if cname not in scope:
+                has_envir = any(n == "envir" for n, _ in call.args) or (
+                    sum(1 for n, _ in call.args if n is None) >= 3
+                )
+                facts.callees.append(purity.CalleeUse(
+                    cname, e.loc, purity._first_string_arg(call.args), has_envir
+                ))
+            for _, arg in call.args:
+                walk(arg, scope)
+            return
+        facts.violations.append(purity.Violation(
+            purity.DYNAMIC_CODE, callee.loc[0], callee.loc[1],
+            f"computed callee: {syntax.deparse(callee)}",
+        ))
+        walk(callee, scope)
+        for _, arg in call.args:
+            walk(arg, scope)
+
+    walk_function(literal, set())
+    return facts
 
 
 def report_as_dict(report) -> dict:

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import differential_check, report_as_dict
-from mls import purity, reader, syntax
+from helpers import differential_check, reference_scan_function, report_as_dict
+from mls import purity, reader, syntax, values
 from mls.builtins import BUILTIN_NAMES
 from mls.values import MlsError
+from test_reader import _extend, _leaves, _names
 
 
 def module_of(src, name="m"):
@@ -97,6 +98,78 @@ def test_scan_assign_envir_detection():
     assert facts.callees[0].has_envir
     facts = scan('function(v) assign("x", v)')
     assert not facts.callees[0].has_envir
+
+
+def _facts_fields(facts):
+    return facts.name, facts.violations, facts.callees, list(facts.name_uses.items())
+
+
+def assert_scan_matches_the_reference(literal):
+    """The one-walk scan against the two-pass reference: every field, in order."""
+    got = purity.scan_function("f", literal)
+    want = reference_scan_function("f", literal)
+    assert _facts_fields(got) == _facts_fields(want)
+
+
+@pytest.mark.parametrize(
+    "src, free",
+    [
+        # a backquoted `<-` or `<<-` walks only its value, but an
+        # assignment inside its target still binds a local
+        ("function() { `<-`(h(y <- 1), y + w); y }", ["w"]),
+        ('function() { `<<-`(h(assign("z", 1)), z); z + w }', ["w"]),
+        ("function() { `<-`(h(function() v <- 1), 2); v }", ["v"]),
+        # an assignment in a formal default binds no local
+        ("function(a = (b <- 1)) b", ["b"]),
+        ("function(a = (b <- 1), c = b) c", ["b"]),
+        # a local assigned after its first use is still local
+        ("function() { print(x); x <- 1 }", []),
+        ('function() { u; assign("u", 2) }', []),
+        # a nested function reads a local its enclosing function assigns later
+        ("function() { g <- function() x + k; x <- 1; g() }", ["k"]),
+        ("function() { g <- function(h) h(1) + k(2); g }", []),
+        ("function(p) { g <- function(q = x) { h <- function() p + q + x + m; h }; x <- 1 }",
+         ["m"]),
+    ],
+)
+def test_scan_binds_locals_as_the_two_pass_scan_did(src, free):
+    literal = reader.parse_one(src)
+    assert list(purity.scan_function("f", literal).name_uses) == free
+    assert_scan_matches_the_reference(literal)
+
+
+def _extend_for_scan(children):
+    """`test_reader`'s trees plus the calls the scan treats specially:
+    backquoted `<-` and `<<-` calls, assign() with a literal name, and
+    calls of names a formal binds."""
+    of_formal = st.builds(
+        lambda head, a: syntax.Call(syntax.Symbol(head), [(None, a)]),
+        st.sampled_from(["p", "q", "r", "x"]), children,
+    )
+    two = st.builds(
+        lambda head, t, v: syntax.Call(syntax.Symbol(head), [(None, t), (None, v)]),
+        st.sampled_from(["<-", "<<-"]), children, children,
+    )
+    assign = st.builds(
+        lambda n, v, rest: syntax.Call(
+            syntax.Symbol("assign"),
+            [(None, syntax.Constant(values.scalar_string(n))), (None, v), *rest],
+        ),
+        _names, children, st.sampled_from([[], [("envir", syntax.Symbol("e"))]]),
+    )
+    return st.one_of(_extend(children), of_formal, two, assign)
+
+
+_scan_trees = st.recursive(_leaves, _extend_for_scan, max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["p", "x", "zed"]), st.none() | _scan_trees),
+                max_size=2, unique_by=lambda f: f[0]), _scan_trees)
+def test_scan_matches_the_two_pass_scan(formals, body):
+    # reparsed from its deparse, so that every node has its source location
+    literal = reader.parse_one(syntax.deparse(syntax.FunctionLiteral(formals, body)))
+    assert_scan_matches_the_reference(literal)
 
 
 # -- resolution ------------------------------------------------------------------

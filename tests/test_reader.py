@@ -3,10 +3,10 @@ import dataclasses
 from functools import partial
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import expr_equal, no_host_recursion
+from helpers import as_call, expr_equal, no_host_recursion, reference_tokenize
 from mls import reader, syntax, values
 from mls.interpreter import HOST_RECURSION_LIMIT
 from mls.reader import MlsSyntaxError
@@ -42,7 +42,7 @@ def test_function_literal_formals():
 def test_if_expression_parses_and_canonicalizes():
     e = parse1("if (x > 0) x * factorial(x - 1) else 1")
     assert isinstance(e, syntax.If)
-    c = syntax.as_call(e)
+    c = as_call(e)
     assert c.callee.name == "if"
     assert len(c.args) == 3
 
@@ -264,6 +264,37 @@ def test_tokenizer_edge_cases(source, expected):
     assert _lexed(source) == expected
 
 
+def _lexed_fully(tokenize, source):
+    """Every field of each token, or the error's message, location and
+    `incomplete` flag."""
+    try:
+        return [(t.type, t.text, t.value, t.line, t.col, t.after_newline) for t in tokenize(source)]
+    except MlsSyntaxError as e:
+        return ("error", e.message, e.loc, e.incomplete)
+
+
+_SOUP = st.sampled_from([
+    " ", "  ", "\t", "\r", "\n", "\r\n", "#", "# note", "x", "a.b", "_y", "x²", "²", "½",
+    "12", "1.5e3", ".5", "1e", '"s"', '"two\nlines"', '"a\\"b"', "'q'", "'x\ny\nz'",
+    '"open', "'open", "`q`", "`open", "`a\nb`", "``", "<-", "<<-", "=", "==", "&&", "&",
+    "(", ")", "[", "]", "{", "}", ",", ";", "$", "+", "-", "\\", "\f", "function", "TRUE",
+    "99999999999999999999",
+])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_SOUP, max_size=30).map("".join))
+@example("x # note")
+@example("x  \t")
+@example("x\r")
+@example('f( "a\nb" y) # c')
+@example("'open # c")
+@example("`open\n")
+@example("a ²")
+def test_tokenize_matches_the_reference_tokenizer(source):
+    assert _lexed_fully(reader.tokenize, source) == _lexed_fully(reference_tokenize, source)
+
+
 def _parse_error(source):
     try:
         reader.parse_program(source)
@@ -290,7 +321,7 @@ def _parse_error(source):
         ("1 +", ("unexpected token 'end of input'", (1, 4), True)),
         ("x = 1", ("'=' is only valid for named arguments; use '<-' for assignment",
                    (1, 3), False)),
-        ("{ 1", ("unexpected token ''", (1, 4), True)),
+        ("{ 1", ("unexpected token 'end of input'", (1, 4), True)),
         ("{ 1 2 }", ("unexpected token '2'", (1, 5), False)),
         ("(1", ("expected ')' but found 'end of input'", (1, 3), True)),
         (")", ("unexpected token ')'", (1, 1), False)),
@@ -335,14 +366,14 @@ CANONICAL_CASES = [
 @pytest.mark.parametrize("src,head", CANONICAL_CASES)
 def test_canonical_call_view(src, head):
     e = reader.parse_one(src)
-    c = syntax.as_call(e)
+    c = as_call(e)
     assert isinstance(c, syntax.Call)
     assert c.callee.name == head
 
 
 def test_canonicalization_leaves():
-    assert syntax.as_call(reader.parse_one("x")) is None
-    assert syntax.as_call(reader.parse_one("1")) is None
+    assert as_call(reader.parse_one("x")) is None
+    assert as_call(reader.parse_one("1")) is None
 
 
 # -- property: parse/deparse round trip ---------------------------------------
@@ -503,7 +534,7 @@ def test_canonicalization_totality(e):
     stack = [e]
     while stack:
         node = stack.pop()
-        c = syntax.as_call(node)
+        c = as_call(node)
         children = syntax.child_expressions(node)
         stack.extend(children)
         if isinstance(node, (syntax.Constant, syntax.Symbol)):

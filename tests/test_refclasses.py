@@ -435,14 +435,13 @@ def test_copy_reads_the_instance_not_its_redefined_class(interp):
 def test_copy_keeps_methods_and_accessors_over_the_copy(interp):
     run(interp, 'P <- setRefClass("P", fields = list(w = "numeric", '
                 "twice = list(get = function() w * 2)), "
-                "methods = list(get_w = function() w, bump = function() w <<- w + 1, "
-                "pin = function() get_w <<- 7))")
-    # `<<-` in a method may rebind a method; `p$get_w <- 7` may not
-    run(interp, "p <- P$new(w = 1)\np$pin()")
+                "methods = list(get_w = function() w, bump = function() w <<- w + 1))")
+    run(interp, "p <- P$new(w = 1)")
+    # the class no longer has `get_w`; the copy keeps it, enclosed over the copy
     run(interp, 'P <- setRefClass("P", fields = list(z = "numeric"))')
     run(interp, "q <- copy(p)\nq$bump()")
     assert (run(interp, "q$w").payload, run(interp, "q$twice").payload) == ([2], [4])
-    assert (run(interp, "p$w").payload, run(interp, "q$get_w").payload) == ([1], [7])
+    assert (run(interp, "p$get_w()").payload, run(interp, "q$get_w()").payload) == ([1], [2])
     with pytest.raises(MlsError, match="'z' is not a field or method"):
         run(interp, "q$z")
 
@@ -468,3 +467,20 @@ def test_dollar_assignment_rejects_a_method_or_self(interp, name):
     assert run(interp, "p$run()").payload == [1]
     run(interp, "p$a <- 2")
     assert run(interp, "p$run()").payload == [2]
+
+
+@pytest.mark.parametrize("name", ["run", ".self"])
+def test_superassignment_in_a_method_rejects_a_method_or_self(interp, name):
+    source = ('P <- setRefClass("P", fields = list(a = "numeric"), methods = list('
+              f"run = function() a, clobber = function() `{name}` <<- 5, "
+              "bump = function() { a <<- a + 1; b <<- 9 }))")
+    run(interp, source)
+    run(interp, "p <- P$new(a = 1)")
+    with pytest.raises(MlsError) as err:
+        run(interp, "p$clobber()")
+    assert err.value.message == f"'{name}' is not a field of class 'P'"
+    assert err.value.loc == (1, source.index("`") + 1)
+    assert run(interp, "p$run()").payload == [1]
+    # a field and a name outside the instance are still assigned
+    run(interp, "p$bump()")
+    assert (run(interp, "p$run()").payload, run(interp, "b").payload) == ([2], [9])
