@@ -1,9 +1,9 @@
-"""Compare two checkouts on one benchmark workload in alternating pairs.
+"""Compare two checkouts on benchmark workloads in alternating pairs.
 
     python3 scripts/bench_pairs.py --parent ../mls-parent --change . \
-        --workload vectors --seeds 11-20 --seconds 20
+        --workload vectors objects --seeds 11-20 --seconds 20
 
-Each pair runs `perfbench/run.py --trace 0` once in each checkout with
+Each workload is compared in turn, with the same seeds.  Each pair runs `perfbench/run.py --trace 0` once in each checkout with
 the same seed, the parent first on even pairs (0, 2, ...) and the change
 first on odd ones, so slow drift of the machine falls on both sides.
 For every end-to-end metric in the change's BENCHMARK.json it prints the
@@ -78,23 +78,25 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, type=Path, help="checkout with the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, nargs="+", help="one or more workloads")
     parser.add_argument("--seeds", required=True, nargs="+", help="seeds, e.g. 11-20 or 11 12")
     parser.add_argument("--seconds", type=float, default=20)
     args = parser.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    runs = {"parent": [], "change": []}
-    for i, seed in enumerate(parse_seeds(args.seeds)):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            result = run_once(sides[side], args.workload, seed, args.seconds)
-            runs[side].append(result)
-            ups = result["metrics"]["units_per_s"]["value"]
-            print(f"# pair {i} seed {seed} {side}: units_per_s {ups:.4g}", flush=True)
-    print(f"workload {args.workload}, {len(runs['parent'])} pairs, --seconds {args.seconds:g}")
-    print("\n".join(summarize(spec["end_to_end"], runs["parent"], runs["change"])))
+    for workload in args.workload:
+        runs = {"parent": [], "change": []}
+        for i, seed in enumerate(parse_seeds(args.seeds)):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                result = run_once(sides[side], workload, seed, args.seconds)
+                runs[side].append(result)
+                ups = result["metrics"]["units_per_s"]["value"]
+                print(f"# {workload} pair {i} seed {seed} {side}: units_per_s {ups:.4g}",
+                      flush=True)
+        print(f"workload {workload}, {len(runs['parent'])} pairs, --seconds {args.seconds:g}")
+        print("\n".join(summarize(spec["end_to_end"], runs["parent"], runs["change"])), flush=True)
     return 0
 
 

@@ -118,12 +118,6 @@ class Environment:
             env = env.parent
         return None
 
-    def get_value(self, name: str, interp, loc=None) -> values.Value:
-        b = self.lookup_binding(name)
-        if b is None:
-            raise MlsError(f"object '{name}' not found", loc)
-        return b.resolve(interp, loc)
-
     def has(self, name: str) -> bool:
         return self.lookup_binding(name) is not None
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from . import ops, reader, rng, s3, syntax, values
-from .environment import BINARY_OPERATORS, COMPARISON_OPERATORS, Binding, Environment, Promise
+from .environment import BINARY_OPERATORS, COMPARISON_OPERATORS, DONE, Binding, Environment, Promise
 from .reader import HOST_RECURSION_LIMIT, deep_host_stack
 from .values import MlsError, Value
 
@@ -30,6 +30,8 @@ OPTIONS_NAME = ".Options"
 DEFAULT_SEED = 0
 
 MAX_CALL_DEPTH = HOST_RECURSION_LIMIT // 24  # one MLS call takes up to 24 host frames
+
+_NUMBER_KINDS = (values.INTEGER, values.DOUBLE)
 
 
 @functools.cache
@@ -71,10 +73,13 @@ class CallFrame:
 
 def apply_operator(interp, op, lhs, rhs, env, loc=None) -> Value:
     """`lhs op rhs` for a binary operator: the S3 method either operand's
-    class selects, else the base arithmetic or comparison of `ops`."""
-    dispatched = s3.dispatch_binary_op(interp, op, lhs, rhs, env, loc)
-    if dispatched is not None:
-        return dispatched
+    class selects, else the base arithmetic or comparison of `ops`.  Only
+    an operand with a class attribute, or a formal instance, selects."""
+    if ("class" in lhs.attributes or "class" in rhs.attributes
+            or lhs.kind in values.FORMAL_KINDS or rhs.kind in values.FORMAL_KINDS):
+        dispatched = s3.dispatch_binary_op(interp, op, lhs, rhs, env, loc)
+        if dispatched is not None:
+            return dispatched
     compute = ops.compare_binary if op in COMPARISON_OPERATORS else ops.arith_binary
     return compute(op, lhs, rhs, loc)
 
@@ -377,7 +382,11 @@ class Interpreter:
 # Function bodies compile on their first call, through `Interpreter.eval`.
 # Functions of other modules (`ops.*`, `interp.*`) are looked up at each
 # call, not bound at compile time, so wrappers installed on them (as a
-# tracer does) still see every call.
+# tracer does) still see every call.  Two common cases make no such call.
+# An operator site computes two attribute-free numeric scalars in place
+# from the per-element functions of `ops`, so a tracer counts that
+# arithmetic as interpreter self time; a symbol reads an immediate
+# binding or a forced promise without calling `Binding.resolve`.
 
 
 def compile_expr(e: syntax.Expr):
@@ -399,11 +408,25 @@ def _compile_constant(e: syntax.Constant):
 
 
 def _compile_symbol(e: syntax.Symbol):
+    """Walk the frames from `env` outward to the first binding of the
+    name: its value, a forced promise's value, or else whatever
+    `Binding.resolve` makes of a pending promise, a missing formal or an
+    active binding."""
     name, loc = e.name, e.loc
 
     def run(interp, env):
         interp.visible = True
-        return env.get_value(name, interp, loc)
+        while env is not None:
+            b = env.frame.get(name)
+            if b is not None:
+                if b.value is not None:
+                    return b.value
+                p = b.promise
+                if p is not None and p.state == DONE:
+                    return p.value
+                return b.resolve(interp, loc)
+            env = env.parent
+        raise MlsError(f"object '{name}' not found", loc)
 
     return run
 
@@ -447,6 +470,9 @@ def _compile_call(e: syntax.Call):
         return run
     (_, lhs_run), (_, rhs_run) = arg_runs
 
+    compare, arith = ops._COMPARE.get(fname), ops._ARITH.get(fname)
+    overflow = f"integer overflow in '{fname}'"
+
     def run_operator(interp, env):
         if fname in interp.shadowed_operators:
             fn = interp.lookup_function(fname, env, loc)
@@ -454,7 +480,24 @@ def _compile_call(e: syntax.Call):
                 return run(interp, env, fn)
         try:
             lhs = lhs_run(interp, env)
-            value = apply_operator(interp, fname, lhs, rhs_run(interp, env), env, loc)
+            rhs = rhs_run(interp, env)
+            if (lhs.kind in _NUMBER_KINDS and rhs.kind in _NUMBER_KINDS
+                    and len(lhs.payload) == 1 and len(rhs.payload) == 1
+                    and not lhs.attributes and not rhs.attributes):
+                x, y = lhs.payload[0], rhs.payload[0]
+                if compare is not None:
+                    value = Value(values.LOGICAL, [bool(compare(x, y))])
+                elif arith is None:  # "/"
+                    value = Value(values.DOUBLE, [ops._safe_div(x, y)])
+                elif lhs.kind == rhs.kind == values.INTEGER:
+                    z = arith(x, y)
+                    if not -values.INT_MAX <= z <= values.INT_MAX:
+                        raise MlsError(overflow, loc)
+                    value = Value(values.INTEGER, [z])
+                else:
+                    value = Value(values.DOUBLE, [arith(x, y)])  # int-op-float is a float
+            else:
+                value = apply_operator(interp, fname, lhs, rhs, env, loc)
         except MlsError as err:
             if err.loc is None:
                 err.loc = loc
@@ -548,10 +591,11 @@ def _compile_index(e: syntax.Index):
 
 def _compile_index_assign(e: syntax.IndexAssign):
     name, loc, value_run = e.obj.name, e.loc, compile_expr(e.value)
+    target_run = _compile_symbol(syntax.Symbol(name, loc=loc))  # errors name the assignment
     index_runs = [compile_expr(i) for i in e.indices]
 
     def run(interp, env):
-        current = env.get_value(name, interp, loc)
+        current = target_run(interp, env)
         indices = [index(interp, env) for index in index_runs]
         v = value_run(interp, env)
         updated = ops.index_assign(current, indices, v, loc)

@@ -7,8 +7,12 @@ structure safely.
 Work is done per value, not per element, wherever no element needs its
 own decision: `c()` builds its payload with one bulk copy per part and
 builds a names vector only when some part has an outer name or a
-`names` attribute, and an operator on two attribute-free numeric
-scalars computes its one element directly.
+`names` attribute.  An operator on two attribute-free numeric scalars
+never gets here: its call site computes the one element in place from
+`_ARITH`, `_COMPARE` and `_safe_div`, the one definition of each
+operator on two numbers.
+
+An integer result beyond `values.INT_MAX` in magnitude is an error.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from . import printer, values
 from .values import MlsError, Value
 
 _NUMERIC_RANK = {values.LOGICAL: 0, values.INTEGER: 1, values.DOUBLE: 2, values.STRING: 3}
-_NUMBER_KINDS = (values.INTEGER, values.DOUBLE)
 
 
 def _as_number_list(v: Value, op: str, loc):
@@ -73,27 +76,13 @@ def arith_unary(op: str, v: Value, loc=None) -> Value:
     return out
 
 
-def _plain_scalars(a: Value, b: Value) -> bool:
-    """Whether both operands are attribute-free length-1 numbers, the case
-    the scalar paths of `arith_binary` and `compare_binary` take."""
-    return (
-        a.kind in _NUMBER_KINDS
-        and b.kind in _NUMBER_KINDS
-        and len(a.payload) == 1
-        and len(b.payload) == 1
-        and not a.attributes
-        and not b.attributes
-    )
+def _check_bound(out: list, what: str, loc):
+    """Fail if an element of an integer payload is beyond `values.INT_MAX`."""
+    if out and (max(out) > values.INT_MAX or min(out) < -values.INT_MAX):
+        raise MlsError(f"integer overflow in {what}", loc)
 
 
 def arith_binary(op: str, a: Value, b: Value, loc=None) -> Value:
-    if _plain_scalars(a, b):
-        x, y = a.payload[0], b.payload[0]
-        if op == "/":
-            return Value(values.DOUBLE, [_safe_div(x, y)])
-        if a.kind == values.DOUBLE or b.kind == values.DOUBLE:
-            return Value(values.DOUBLE, [float(_ARITH[op](x, y))])
-        return Value(values.INTEGER, [_ARITH[op](x, y)])
     xs, ka = _as_number_list(a, op, loc)
     ys, kb = _as_number_list(b, op, loc)
     xs, ys = _recycle(xs, ys, loc)
@@ -105,6 +94,8 @@ def arith_binary(op: str, a: Value, b: Value, loc=None) -> Value:
         fn = _ARITH[op]
         # a DOUBLE payload holds floats, and int-op-float is a float
         out = [fn(x, y) for x, y in zip(xs, ys)]
+        if kind == values.INTEGER:
+            _check_bound(out, f"'{op}'", loc)
     result = Value(kind, out)
     names = _result_names(len(out), a, b)
     if names is not None:
@@ -125,8 +116,6 @@ _COMPARE = {
 
 
 def compare_binary(op: str, a: Value, b: Value, loc=None) -> Value:
-    if _plain_scalars(a, b):
-        return Value(values.LOGICAL, [bool(_COMPARE[op](a.payload[0], b.payload[0]))])
     if values.STRING in (a.kind, b.kind):
         if a.kind != values.STRING or b.kind != values.STRING:
             raise MlsError(f"comparison ({op}) requires compatible types", loc)
@@ -354,7 +343,9 @@ def vector_sum(v: Value, loc=None) -> Value:
     if v.kind == values.LOGICAL:
         return values.scalar_int(sum(1 for x in v.payload if x))
     if v.kind == values.INTEGER:
-        return values.scalar_int(sum(v.payload))
+        total = [sum(v.payload)]
+        _check_bound(total, "sum()", loc)
+        return Value(values.INTEGER, total)
     if v.kind == values.DOUBLE:
         return values.scalar_double(math.fsum(v.payload))
     raise MlsError("invalid argument to sum()", loc)

@@ -507,13 +507,17 @@ def analyze_modules(modules, policy: Optional[dict] = None) -> AnalysisReport:
 
     own: dict = {}
     edges: dict = {}
-    for m in modules:
-        for fname, literal in m.definitions.items():
-            node = (m.name, fname)
-            facts = scan_function(fname, literal)
-            resolved, node_edges = resolve_names(m, facts, universe, policy)
-            own[node] = list(facts.violations) + resolved
-            edges[node] = node_edges
+    with reader.deep_host_stack():  # the scan recurses once per level, as the parser did
+        for m in modules:
+            for fname, literal in m.definitions.items():
+                node = (m.name, fname)
+                try:
+                    facts = scan_function(fname, literal)
+                except RecursionError:
+                    raise MlsError(f"function '{fname}' nested too deeply", literal.loc) from None
+                resolved, node_edges = resolve_names(m, facts, universe, policy)
+                own[node] = list(facts.violations) + resolved
+                edges[node] = node_edges
     verdicts = propagate(own, edges)
 
     module_reports = []

@@ -110,6 +110,8 @@ def tokenize(source: str) -> list:
                     raise MlsSyntaxError(
                         f"integer literal too long ({len(text)} digits)", (line, col)
                     ) from None
+                if value > values.INT_MAX:
+                    raise MlsSyntaxError("integer literal too large", (line, col))
             else:
                 value = float(text)
         elif kind == "STR":

@@ -28,7 +28,7 @@ def lookup_method(interp, name: str, env) -> Value | None:
 def class_vector(interp, v: Value) -> list:
     """The classes dispatch walks: the implicit class vector, or for a
     formal instance without a class attribute its class's linearization."""
-    if v.kind in (values.S4_INSTANCE, values.REF_INSTANCE) and "class" not in v.attributes:
+    if v.kind in values.FORMAL_KINDS and "class" not in v.attributes:
         return list(interp.s4.lineage(v.payload.class_name).distances)
     return list(values.implicit_class(v).payload)
 
@@ -68,15 +68,17 @@ def use_method(interp, generic_name: str, loc=None):
     )
 
 
-def _explicit_classes(v: Value) -> list:
-    cls = v.attributes.get("class")
-    if cls is not None and cls.kind == values.STRING:
-        return list(cls.payload)
+def _operator_classes(interp, v: Value) -> list:
+    """The classes operator dispatch walks: those of an operand with a
+    class attribute or of a formal instance; none for any other value,
+    whose implicit class selects no operator method."""
+    if "class" in v.attributes or v.kind in values.FORMAL_KINDS:
+        return class_vector(interp, v)
     return []
 
 
 def _find_operator_method(interp, op: str, v: Value, env):
-    for cls in _explicit_classes(v):
+    for cls in _operator_classes(interp, v):
         fn = lookup_method(interp, f"{op}.{cls}", env)
         if fn is not None:
             return fn, f"{op}.{cls}"
@@ -84,13 +86,12 @@ def _find_operator_method(interp, op: str, v: Value, env):
 
 
 def dispatch_binary_op(interp, op: str, lhs: Value, rhs: Value, env, loc=None) -> Value | None:
-    """S3 operator dispatch on either operand's class attribute.
+    """S3 operator dispatch on either operand's class attribute or, for a
+    formal instance without one, its class's linearization.
 
     Returns None when neither operand selects a method, in which case
     the caller falls through to the builtin operator.
     """
-    if "class" not in lhs.attributes and "class" not in rhs.attributes:
-        return None
     left_fn, left_name = _find_operator_method(interp, op, lhs, env)
     right_fn, right_name = _find_operator_method(interp, op, rhs, env)
     if left_fn is not None and right_fn is not None and left_fn.payload is not right_fn.payload:

@@ -243,7 +243,7 @@ class Registry:
 # -- value/class relationships ----------------------------------------------
 
 def dispatch_class_of(v: Value) -> str:
-    if v.kind in (values.S4_INSTANCE, values.REF_INSTANCE):
+    if v.kind in values.FORMAL_KINDS:
         return v.payload.class_name
     return values.implicit_class(v).payload[0]
 

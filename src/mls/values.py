@@ -33,6 +33,12 @@ S4_INSTANCE = "s4instance"
 REF_INSTANCE = "refinstance"
 
 VECTOR_KINDS = (LOGICAL, INTEGER, DOUBLE, STRING)
+FORMAL_KINDS = (S4_INSTANCE, REF_INSTANCE)
+
+# The largest integer magnitude: a larger literal is a syntax error and a
+# larger arithmetic result an error.  R's 2^31 - 1 would be too small for
+# programs that print 17! as an integer.
+INT_MAX = 2**63 - 1
 
 _BASE_CLASS_NAMES = {
     NULL: "NULL",

@@ -2,7 +2,8 @@
 harness, a generator of random pure programs, structural equality of
 syntax trees, the Call view of a node, the dict form of an analysis
 report, a guard against host recursion errors, and the reference
-tokenizer and purity scan that the fast ones are checked against."""
+tokenizer, purity scan, operator and variable read that the fast ones
+are checked against."""
 
 import contextlib
 import random
@@ -11,8 +12,10 @@ from typing import Optional
 
 import pytest
 
-from mls import purity, reader, syntax, values
+from mls import ops, purity, reader, s3, syntax, values
+from mls.environment import COMPARISON_OPERATORS
 from mls.interpreter import Interpreter
+from mls.values import MlsError
 
 
 @contextlib.contextmanager
@@ -127,6 +130,8 @@ def reference_tokenize(source: str) -> list:
                     raise MlsSyntaxError(
                         f"integer literal too long ({len(text)} digits)", (line, col)
                     ) from None
+                if value > values.INT_MAX:
+                    raise MlsSyntaxError("integer literal too large", (line, col))
             else:
                 value = float(text)
         elif kind == "STR":
@@ -239,6 +244,59 @@ def reference_scan_function(name, literal):
 
     walk_function(literal, set())
     return facts
+
+
+# -- reference operator and variable read: `ops`' own scalar branches and
+# `Environment.get_value`, which operator sites and symbol nodes replaced
+
+
+def _reference_plain_scalars(a, b) -> bool:
+    number = (values.INTEGER, values.DOUBLE)
+    return (a.kind in number and b.kind in number and len(a.payload) == 1
+            and len(b.payload) == 1 and not a.attributes and not b.attributes)
+
+
+def reference_apply_operator(interp, op, lhs, rhs, env, loc=None):
+    """`lhs op rhs` as a call site applied it before it computed scalars in
+    place: S3 dispatch on an explicit class attribute, then the scalar
+    branch of `ops.arith_binary` or `ops.compare_binary`, then their
+    vector path.  It has no integer bound."""
+    if "class" in lhs.attributes or "class" in rhs.attributes:
+        dispatched = s3.dispatch_binary_op(interp, op, lhs, rhs, env, loc)
+        if dispatched is not None:
+            return dispatched
+    if _reference_plain_scalars(lhs, rhs):
+        x, y = lhs.payload[0], rhs.payload[0]
+        if op in COMPARISON_OPERATORS:
+            return values.Value(values.LOGICAL, [bool(ops._COMPARE[op](x, y))])
+        if op == "/":
+            return values.Value(values.DOUBLE, [ops._safe_div(x, y)])
+        if values.DOUBLE in (lhs.kind, rhs.kind):
+            return values.Value(values.DOUBLE, [float(ops._ARITH[op](x, y))])
+        return values.Value(values.INTEGER, [ops._ARITH[op](x, y)])
+    compute = ops.compare_binary if op in COMPARISON_OPERATORS else ops.arith_binary
+    return compute(op, lhs, rhs, loc)
+
+
+def reference_get_value(env, name, interp, loc=None):
+    """The value of `name` seen from `env`: its first binding, resolved."""
+    b = env.lookup_binding(name)
+    if b is None:
+        raise MlsError(f"object '{name}' not found", loc)
+    return b.resolve(interp, loc)
+
+
+def value_fingerprint(v):
+    """A value's kind, payload elements with their host types (so 1 and
+    1.0, -0.0 and 0.0, NaN and NaN compare as printing sees them) and
+    attributes; a function, environment or instance by identity."""
+    if v.kind == values.LIST:
+        payload = [value_fingerprint(item) for item in v.payload]
+    elif v.kind in values.VECTOR_KINDS:
+        payload = [(type(x).__name__, repr(x)) for x in v.payload]
+    else:
+        payload = id(v.payload)
+    return v.kind, payload, sorted((k, value_fingerprint(a)) for k, a in v.attributes.items())
 
 
 def report_as_dict(report) -> dict:

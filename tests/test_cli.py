@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import no_host_recursion
-from mls import cli, reader, syntax
+from mls import cli, ops, reader, syntax
 from mls.interpreter import HOST_RECURSION_LIMIT
 
 
@@ -235,14 +235,25 @@ def test_overlong_integer_literal_is_a_syntax_error(tmp_path, capsys, int_digit_
     )
 
 
-def test_host_exception_is_one_internal_error_line(tmp_path, capsys, int_digit_limit):
-    # 10 squared 13 times has 8,193 digits, more than the host prints
+def test_host_exception_is_one_internal_error_line(tmp_path, capsys, monkeypatch):
+    def broken_sum(v, loc=None):
+        raise ValueError("host failure")
+
+    monkeypatch.setattr(ops, "vector_sum", broken_sum)
+    script = tmp_path / "sum.mls"
+    script.write_text("x <- 1\nsum(x)\n")
+    code, out, err = run_cli(["run", str(script)], capsys)
+    assert (code, out) == (5, "")
+    assert err == "internal error: ValueError: host failure\n"
+
+
+def test_integer_overflow_is_an_error_at_the_operator(tmp_path, capsys):
+    # 10 squared 5 times is 10^32, beyond the integer bound
     script = tmp_path / "big.mls"
     script.write_text("x <- 10\n" + "x <- x * x\n" * 13 + "paste(x)\n")
     code, out, err = run_cli(["run", str(script)], capsys)
-    assert (code, out) == (5, "")
-    assert err.startswith("internal error: ValueError: ")
-    assert err.count("\n") == 1 and "Traceback" not in err
+    assert (code, out) == (1, "")
+    assert err == "error: integer overflow in '*' (line 6, column 6)\n"
 
 
 class _ClosedStdout(io.StringIO):

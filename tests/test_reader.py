@@ -204,11 +204,21 @@ def test_only_ascii_digits_make_numbers():
 
 def test_integer_literal_longer_than_the_host_converts_is_a_syntax_error(int_digit_limit):
     digits = "1" * int_digit_limit
-    assert parse1("x <- " + digits).value.value.payload == [int(digits)]
+    with pytest.raises(MlsSyntaxError, match="^integer literal too large "):
+        reader.tokenize("x <- " + digits)
     with pytest.raises(MlsSyntaxError) as exc:
         reader.tokenize("x <-\n  " + digits + "1")
     assert exc.value.message == f"integer literal too long ({int_digit_limit + 1} digits)"
     assert exc.value.loc == (2, 3)
+
+
+def test_integer_literal_above_the_integer_bound_is_a_syntax_error():
+    bound = str(values.INT_MAX)
+    assert parse1("x <- " + bound).value.value.payload == [values.INT_MAX]
+    assert parse1("x <- 000" + bound).value.value.payload == [values.INT_MAX]
+    with pytest.raises(MlsSyntaxError) as exc:
+        reader.tokenize("x <-\n  " + str(values.INT_MAX + 1))
+    assert (exc.value.message, exc.value.loc) == ("integer literal too large", (2, 3))
 
 
 def test_escaped_newline_in_string_advances_the_line():
