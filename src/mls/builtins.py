@@ -6,6 +6,8 @@ few (`&&`, `||`) receive raw promises so they can short-circuit.
 
 from __future__ import annotations
 
+import math
+
 from . import ops, printer, refclasses, s3, s4, values
 from .environment import Binding
 from .interpreter import BINARY_OPERATORS, REQUIRED, BuiltinPayload, apply_operator
@@ -23,7 +25,7 @@ def _scalar_int(v: Value, what: str, loc=None) -> int:
         return v.payload[0]
     if v is not None and v.kind == values.DOUBLE and len(v.payload) == 1:
         x = v.payload[0]
-        if x == int(x):
+        if math.isfinite(x) and x == int(x):
             return int(x)
     raise MlsError(f"{what} must be a single integer", loc)
 
@@ -215,6 +217,8 @@ def _bi_rng_draw(ctx, n):
     count = _scalar_int(n, "count", ctx.loc)
     if count < 0:
         raise MlsError("invalid count for rng_draw", ctx.loc)
+    if count > values.MAX_LENGTH:
+        raise MlsError(f"invalid count for rng_draw: more than {values.MAX_LENGTH} draws", ctx.loc)
     return ctx.interp.rng_draw(count)
 
 

@@ -297,6 +297,9 @@ class Interpreter:
 
     # -- interpreter state: RNG and options -------------------------------------
 
+    # `.Random.seed` holds the 64-bit state as its signed (two's complement)
+    # reading; only the state 2^63, read as -2^63, is past the integer bound.
+
     def rng_state(self) -> int:
         b = self.global_env.frame.get(RANDOM_SEED_NAME)
         if b is None:
@@ -308,13 +311,15 @@ class Interpreter:
             v is None
             or v.kind != values.INTEGER
             or len(v.payload) != 1
-            or not (0 < v.payload[0] <= rng.MASK64)
+            or v.payload[0] == 0
+            or not (-(1 << 63) <= v.payload[0] < (1 << 63))
         ):
             raise MlsError(f"invalid {RANDOM_SEED_NAME} value")
-        return v.payload[0]
+        return v.payload[0] & rng.MASK64
 
     def set_rng_state(self, state: int):
-        self.global_env.bind(RANDOM_SEED_NAME, Binding.immediate(values.int_vec([state])), self)
+        signed = state - (1 << 64) if state >> 63 else state
+        self.global_env.bind(RANDOM_SEED_NAME, Binding.immediate(values.int_vec([signed])), self)
 
     def rng_set_seed(self, seed: int):
         self.set_rng_state(rng.seed_state(seed))

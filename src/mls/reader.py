@@ -6,7 +6,10 @@ Python's `re` documentation).  Blanks and a comment are not tokens of
 their own: `_TOKEN` takes them in a prefix before the alternatives, so
 `tokenize` makes one match per token, reads its class from `lastgroup`
 and its column from where that group starts.  The `END` alternative
-matches the end of the text.
+matches the end of the text.  Each token is a plain tuple
+`(type, text, value, loc, after_newline)`, read through the index
+constants `TYPE` to `AFTER_NEWLINE`; `loc` is the `(line, col)` tuple
+that every node built from the token shares.
 
 The grammar is a small R-like surface: `<-` assignment, `<<-`
 superassignment, `$` field access, `[ ]` indexing, `function`
@@ -16,13 +19,18 @@ incomplete expression (an unfinished operator or an open construct).
 An operator is a call to the function it names; the parser reads its
 precedence from `syntax.BINARY_PRECEDENCE` and `PREFIX_PRECEDENCE` by
 precedence climbing (Pratt, "Top down operator precedence", 1973).
+`Parser.operand` builds a leaf (a name, number or string that no `(`,
+`[` or `$` follows on its line) itself, so the common operand costs one
+host frame; `primary` and `postfix` run only for the other operands and
+for suffixes.  Nesting costs 3 host frames per level of parentheses or
+indexing and 4 per level of calls, blocks, `if`, `while` and function
+literals, under the scoped limit `HOST_RECURSION_LIMIT`.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 
 from . import syntax, values
 from .values import MlsError
@@ -59,18 +67,7 @@ class MlsSyntaxError(MlsError):
         self.incomplete = incomplete
 
 
-@dataclass(slots=True)
-class Token:
-    type: str  # NUM INT STR SYM KW OP EOF
-    text: str
-    value: object
-    line: int
-    col: int
-    after_newline: bool
-
-    @property
-    def loc(self):
-        return (self.line, self.col)
+TYPE, TEXT, VALUE, LOC, AFTER_NEWLINE = range(5)  # a token's fields; TYPE is NUM INT STR SYM KW OP EOF
 
 
 def tokenize(source: str) -> list:
@@ -127,138 +124,164 @@ def tokenize(source: str) -> list:
             raise MlsSyntaxError("unterminated quoted name", (line, col))
         else:
             raise MlsSyntaxError(f"unexpected character {text!r}", (line, col))
-        tokens.append(Token(kind, text, value, line, col, after_newline))
+        tokens.append((kind, text, value, (line, col), after_newline))
         after_newline = False
         if kind == "STR" and "\n" in text:
             line, line_start = line + text.count("\n"), start + text.rindex("\n") + 1
-    tokens.append(Token("EOF", "", None, line, col, after_newline))
+    tokens.append(("EOF", "", None, (line, col), after_newline))
     return tokens
 
 
+_LEAVES = frozenset(("SYM", "INT", "NUM", "STR"))  # token types that are whole operands
+_SUFFIXES = frozenset(("(", "[", "$"))  # a call, index or field access follows its operand
+
+
 class Parser:
+    """`tok` is the current token and `pos` its index.  The hot paths test
+    and advance them inline rather than through `at` and `advance`."""
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
-        self.tok = tokens[0]  # the current token; hot paths test it inline
+        self.tok = tokens[0]
 
-    def peek(self) -> Token:
-        return self.tok
-
-    def advance(self) -> Token:
+    def advance(self):
         tok = self.tok
-        if tok.type != "EOF":
+        if tok[TYPE] != "EOF":
             self.pos += 1
             self.tok = self.tokens[self.pos]
         return tok
 
     def at(self, type_, text=None) -> bool:
         tok = self.tok
-        return tok.type == type_ and (text is None or tok.text == text)
+        return tok[TYPE] == type_ and (text is None or tok[TEXT] == text)
 
-    def expect(self, type_, text=None) -> Token:
-        tok = self.tok
+    def expect(self, type_, text=None):
         if not self.at(type_, text):
-            what = text or type_
-            raise MlsSyntaxError(
-                f"expected {what!r} but found {tok.text or 'end of input'!r}",
-                tok.loc,
-                incomplete=(tok.type == "EOF"),
-            )
+            found = self.tok[TEXT] or "end of input"
+            self.error_here(f"expected {text or type_!r} but found {found!r}")
         return self.advance()
 
     def error_here(self, message):
         tok = self.tok
-        raise MlsSyntaxError(message, tok.loc, incomplete=(tok.type == "EOF"))
+        raise MlsSyntaxError(message, tok[LOC], incomplete=(tok[TYPE] == "EOF"))
+
+    def unexpected_token(self):
+        self.error_here(f"unexpected token {self.tok[TEXT] or 'end of input'!r}")
 
     # -- statement sequencing ------------------------------------------------
 
     def parse_program(self):
         exprs = []
         while True:
-            self.skip_separators()
-            if self.at("EOF"):
+            tok = self.tok
+            while tok[TYPE] == "OP" and tok[TEXT] == ";":
+                self.pos += 1
+                tok = self.tok = self.tokens[self.pos]
+            if tok[TYPE] == "EOF":
                 return exprs
             exprs.append(self.expression())
-            if not (self.at("EOF") or self.at("OP", ";") or self.tok.after_newline):
-                self.error_here(f"unexpected token {self.tok.text or 'end of input'!r}")
-
-    def skip_separators(self):
-        while self.at("OP", ";"):
-            self.advance()
+            tok = self.tok
+            kind = tok[TYPE]
+            if not (tok[AFTER_NEWLINE] or kind == "EOF" or (kind == "OP" and tok[TEXT] == ";")):
+                self.unexpected_token()
 
     # -- expressions ---------------------------------------------------------
 
     def expression(self):
         left = self.operand(0)
         tok = self.tok
-        if tok.type == "OP" and tok.text in ("<-", "<<-") and not tok.after_newline:
-            self.advance()
-            value = self.expression()  # right-associative
-            return self.make_assignment(left, value, tok)
-        if tok.type == "OP" and tok.text == "=" and not tok.after_newline:
-            raise MlsSyntaxError(
-                "'=' is only valid for named arguments; use '<-' for assignment", tok.loc
-            )
+        if tok[TYPE] == "OP" and not tok[AFTER_NEWLINE]:
+            text = tok[TEXT]
+            if text == "<-" or text == "<<-":
+                self.advance()
+                value = self.expression()  # right-associative
+                return self.make_assignment(left, value, tok)
+            if text == "=":
+                raise MlsSyntaxError(
+                    "'=' is only valid for named arguments; use '<-' for assignment", tok[LOC]
+                )
         return left
 
     def make_assignment(self, target, value, op_tok):
         loc = target.loc
-        if op_tok.text == "<<-":
+        if op_tok[TEXT] == "<<-":
             if not isinstance(target, syntax.Symbol):
-                raise MlsSyntaxError("invalid superassignment target", op_tok.loc)
+                raise MlsSyntaxError("invalid superassignment target", op_tok[LOC])
             return syntax.SuperAssign(target, value, loc=loc)
         if isinstance(target, syntax.Symbol):
             return syntax.Assign(target, value, loc=loc)
         if isinstance(target, syntax.Index):
             if not isinstance(target.obj, syntax.Symbol):
                 raise MlsSyntaxError(
-                    "indexed assignment requires a named object", op_tok.loc
+                    "indexed assignment requires a named object", op_tok[LOC]
                 )
             return syntax.IndexAssign(target.obj, target.indices, value, loc=loc)
         if isinstance(target, syntax.FieldAccess):
             return syntax.FieldAssign(target.obj, target.name, value, loc=loc)
-        raise MlsSyntaxError("invalid assignment target", op_tok.loc)
+        raise MlsSyntaxError("invalid assignment target", op_tok[LOC])
 
     def operand(self, min_prec):
         """Precedence climbing: the longest expression whose operators all
         bind at least as tightly as `min_prec`.  A binary operator must
-        start on its left operand's line."""
-        tok = self.tok
-        prec = syntax.PREFIX_PRECEDENCE.get(tok.text) if tok.type == "OP" else None
+        start on its left operand's line.  A leaf (a name, number or
+        string) is built here, in this one frame; `postfix` runs only when
+        a call, index or field suffix follows the operand on its line."""
+        kind, text, value, loc, _ = self.tok
+        prec = syntax.PREFIX_PRECEDENCE.get(text) if kind == "OP" else None
         if prec is not None and prec >= min_prec:
-            self.advance()
+            self.pos += 1
+            self.tok = self.tokens[self.pos]
             inner = self.operand(prec)
-            left = syntax.Call(syntax.Symbol(tok.text, loc=tok.loc), [(None, inner)], loc=tok.loc)
-        else:
-            left = self.postfix()
-        while True:
+            left = syntax.Call(syntax.Symbol(text, loc=loc), [(None, inner)], loc=loc)
             tok = self.tok
-            if tok.type != "OP" or tok.after_newline:
+        else:
+            if kind in _LEAVES:
+                self.pos += 1
+                self.tok = self.tokens[self.pos]
+                if kind == "SYM":
+                    left = syntax.Symbol(value, loc=loc)
+                elif kind == "INT":
+                    left = syntax.Constant(values.scalar_int(value), loc=loc)
+                elif kind == "NUM":
+                    left = syntax.Constant(values.scalar_double(value), loc=loc)
+                else:
+                    left = syntax.Constant(values.scalar_string(value), loc=loc)
+            else:
+                left = self.primary()
+            tok = self.tok
+            if tok[TYPE] == "OP" and not tok[AFTER_NEWLINE] and tok[TEXT] in _SUFFIXES:
+                left = self.postfix(left)
+                tok = self.tok
+        while True:
+            if tok[TYPE] != "OP" or tok[AFTER_NEWLINE]:
                 return left
-            prec = syntax.BINARY_PRECEDENCE.get(tok.text)
+            prec = syntax.BINARY_PRECEDENCE.get(tok[TEXT])
             if prec is None or prec < min_prec:
                 return left
-            self.advance()
+            self.pos += 1
+            self.tok = self.tokens[self.pos]
             right = self.operand(prec + 1)
             left = syntax.Call(
-                syntax.Symbol(tok.text, loc=tok.loc), [(None, left), (None, right)], loc=left.loc
+                syntax.Symbol(tok[TEXT], loc=tok[LOC]), [(None, left), (None, right)], loc=left.loc
             )
+            tok = self.tok
 
-    def postfix(self):
-        expr = self.primary()
+    def postfix(self, expr):
+        """Call, index and field suffixes on `expr`; each must start on
+        the callee's line."""
         while True:
             tok = self.tok
-            if tok.type != "OP" or tok.after_newline:
-                # a call/index/field suffix must start on the callee's line
+            if tok[TYPE] != "OP" or tok[AFTER_NEWLINE]:
                 return expr
-            text = tok.text
+            text = tok[TEXT]
             if text == "(":
                 self.advance()
                 expr = syntax.Call(expr, self.call_args(), loc=expr.loc)
             elif text == "[":
                 self.advance()
                 if self.at("OP", "]"):
-                    raise MlsSyntaxError("missing index", tok.loc)
+                    raise MlsSyntaxError("missing index", tok[LOC])
                 indices = [self.expression()]
                 while self.at("OP", ","):
                     self.advance()
@@ -268,73 +291,71 @@ class Parser:
             elif text == "$":
                 self.advance()
                 name_tok = self.tok
-                if name_tok.type not in ("SYM", "STR"):
+                if name_tok[TYPE] not in ("SYM", "STR"):
                     self.error_here("expected a field name after '$'")
                 self.advance()
-                expr = syntax.FieldAccess(expr, str(name_tok.value), loc=expr.loc)
+                expr = syntax.FieldAccess(expr, str(name_tok[VALUE]), loc=expr.loc)
             else:
                 return expr
 
     def call_args(self):
         args = []
-        if self.at("OP", ")"):
-            self.advance()
+        tokens = self.tokens
+        tok = self.tok
+        if tok[TYPE] == "OP" and tok[TEXT] == ")":
+            self.pos += 1
+            self.tok = tokens[self.pos]
             return args
         while True:
             name = None
-            tok = self.tok
-            if tok.type == "SYM":
-                after = self.tokens[self.pos + 1]
-                if after.type == "OP" and after.text == "=":
-                    name = tok.value
-                    self.advance()
-                    self.advance()
+            if tok[TYPE] == "SYM":
+                after = tokens[self.pos + 1]
+                if after[TYPE] == "OP" and after[TEXT] == "=":
+                    name = tok[VALUE]
+                    self.pos += 2
+                    self.tok = tokens[self.pos]
             args.append((name, self.expression()))
-            if self.at("OP", ","):
-                self.advance()
-                continue
-            self.expect("OP", ")")
-            return args
+            tok = self.tok
+            if tok[TYPE] == "OP":
+                if tok[TEXT] == ",":
+                    self.pos += 1
+                    tok = self.tok = tokens[self.pos]
+                    continue
+                if tok[TEXT] == ")":
+                    self.pos += 1
+                    self.tok = tokens[self.pos]
+                    return args
+            self.expect("OP", ")")  # raises
 
     def primary(self):
+        """Every operand but a leaf and a prefix operator."""
         tok = self.tok
-        if tok.type == "SYM":
-            self.advance()
-            return syntax.Symbol(tok.value, loc=tok.loc)
-        if tok.type == "INT":
-            self.advance()
-            return syntax.Constant(values.scalar_int(tok.value), loc=tok.loc)
-        if tok.type == "NUM":
-            self.advance()
-            return syntax.Constant(values.scalar_double(tok.value), loc=tok.loc)
-        if tok.type == "STR":
-            self.advance()
-            return syntax.Constant(values.scalar_string(tok.value), loc=tok.loc)
-        if tok.type == "KW":
-            if tok.text == "TRUE":
+        kind, text = tok[TYPE], tok[TEXT]
+        if kind == "KW":
+            if text == "TRUE":
                 self.advance()
-                return syntax.Constant(values.scalar_bool(True), loc=tok.loc)
-            if tok.text == "FALSE":
+                return syntax.Constant(values.scalar_bool(True), loc=tok[LOC])
+            if text == "FALSE":
                 self.advance()
-                return syntax.Constant(values.scalar_bool(False), loc=tok.loc)
-            if tok.text == "NULL":
+                return syntax.Constant(values.scalar_bool(False), loc=tok[LOC])
+            if text == "NULL":
                 self.advance()
-                return syntax.Constant(values.null_value(), loc=tok.loc)
-            if tok.text == "function":
+                return syntax.Constant(values.null_value(), loc=tok[LOC])
+            if text == "function":
                 return self.function_literal()
-            if tok.text == "if":
+            if text == "if":
                 return self.if_expr()
-            if tok.text == "while":
+            if text == "while":
                 return self.while_expr()
-            self.error_here(f"unexpected keyword {tok.text!r}")
-        if tok.type == "OP" and tok.text == "(":
+            self.error_here(f"unexpected keyword {text!r}")
+        if kind == "OP" and text == "(":
             self.advance()
             inner = self.expression()
             self.expect("OP", ")")
             return inner
-        if tok.type == "OP" and tok.text == "{":
+        if kind == "OP" and text == "{":
             return self.block()
-        self.error_here(f"unexpected token {tok.text or 'end of input'!r}")
+        self.unexpected_token()
 
     def function_literal(self):
         start = self.expect("KW", "function")
@@ -344,26 +365,25 @@ class Parser:
         if not self.at("OP", ")"):
             while True:
                 name_tok = self.tok
-                if name_tok.type != "SYM":
+                if name_tok[TYPE] != "SYM":
                     self.error_here("expected a formal argument name")
                 self.advance()
-                if name_tok.value in seen:
-                    raise MlsSyntaxError(
-                        f"duplicated formal argument '{name_tok.value}'", name_tok.loc
-                    )
-                seen.add(name_tok.value)
+                name = name_tok[VALUE]
+                if name in seen:
+                    raise MlsSyntaxError(f"duplicated formal argument '{name}'", name_tok[LOC])
+                seen.add(name)
                 default = None
                 if self.at("OP", "="):
                     self.advance()
                     default = self.expression()
-                formals.append((name_tok.value, default))
+                formals.append((name, default))
                 if self.at("OP", ","):
                     self.advance()
                     continue
                 break
         self.expect("OP", ")")
         body = self.expression()
-        return syntax.FunctionLiteral(formals, body, loc=start.loc)
+        return syntax.FunctionLiteral(formals, body, loc=start[LOC])
 
     def if_expr(self):
         start = self.expect("KW", "if")
@@ -375,7 +395,7 @@ class Parser:
         if self.at("KW", "else"):
             self.advance()
             orelse = self.expression()
-        return syntax.If(cond, then, orelse, loc=start.loc)
+        return syntax.If(cond, then, orelse, loc=start[LOC])
 
     def while_expr(self):
         start = self.expect("KW", "while")
@@ -383,26 +403,36 @@ class Parser:
         cond = self.expression()
         self.expect("OP", ")")
         body = self.expression()
-        return syntax.While(cond, body, loc=start.loc)
+        return syntax.While(cond, body, loc=start[LOC])
 
     def block(self):
-        start = self.expect("OP", "{")
+        tokens = self.tokens
+        loc = self.tok[LOC]  # the "{" that primary found
+        self.pos += 1
+        tok = self.tok = tokens[self.pos]
         body = []
         while True:
-            self.skip_separators()
-            if self.at("OP", "}"):
-                self.advance()
-                return syntax.Block(body, loc=start.loc)
-            if self.at("EOF"):
-                raise MlsSyntaxError("unexpected end of input in block", self.tok.loc, incomplete=True)
+            while tok[TYPE] == "OP" and tok[TEXT] == ";":
+                self.pos += 1
+                tok = self.tok = tokens[self.pos]
+            if tok[TYPE] == "OP" and tok[TEXT] == "}":
+                self.pos += 1
+                self.tok = tokens[self.pos]
+                return syntax.Block(body, loc=loc)
+            if tok[TYPE] == "EOF":
+                raise MlsSyntaxError("unexpected end of input in block", tok[LOC], incomplete=True)
             body.append(self.expression())
-            if self.at("OP", "}"):
+            tok = self.tok
+            if tok[TYPE] == "OP" and tok[TEXT] in ("}", ";"):
                 continue
-            if not (self.at("OP", ";") or self.tok.after_newline):
-                self.error_here(f"unexpected token {self.tok.text or 'end of input'!r}")
+            if not tok[AFTER_NEWLINE]:
+                self.unexpected_token()
 
 
-HOST_RECURSION_LIMIT = 24_000  # the reader takes 4 or 5 host frames per level of nesting
+# The reader takes 3 host frames per level of nested parentheses or
+# indexing and 4 per level of nested calls, blocks, `if`, `while` and
+# function literals: about 8,000 and 6,000 levels.
+HOST_RECURSION_LIMIT = 24_000
 
 
 class deep_host_stack:
@@ -425,7 +455,7 @@ def parse_program(source: str) -> list:
         with deep_host_stack():
             return parser.parse_program()
     except RecursionError:
-        raise MlsSyntaxError("expression nested too deeply", parser.peek().loc) from None
+        raise MlsSyntaxError("expression nested too deeply", parser.tok[LOC]) from None
 
 
 def parse_one(source: str) -> syntax.Expr:

@@ -40,6 +40,11 @@ FORMAL_KINDS = (S4_INSTANCE, REF_INSTANCE)
 # programs that print 17! as an integer.
 INT_MAX = 2**63 - 1
 
+# The longest vector a builtin builds from a count it is given: a count
+# past it is an error before anything is allocated.  2^24 doubles, with
+# their host objects, fit well inside a 1.5 GB address space.
+MAX_LENGTH = 2**24
+
 _BASE_CLASS_NAMES = {
     NULL: "NULL",
     LOGICAL: "logical",

@@ -2,12 +2,13 @@
 harness, a generator of random pure programs, structural equality of
 syntax trees, the Call view of a node, the dict form of an analysis
 report, a guard against host recursion errors, and the reference
-tokenizer, purity scan, operator and variable read that the fast ones
-are checked against."""
+tokenizers, parser, purity scan, operator and variable read that the
+fast ones are checked against."""
 
 import contextlib
 import random
 import re
+from dataclasses import dataclass
 from typing import Optional
 
 import pytest
@@ -147,12 +148,319 @@ def reference_tokenize(source: str) -> list:
             raise MlsSyntaxError("unterminated quoted name", (line, col))
         else:
             raise MlsSyntaxError(f"unexpected character {text!r}", (line, col))
-        tokens.append(reader.Token(kind, text, value, line, col, after_newline))
+        tokens.append((kind, text, value, (line, col), after_newline))
         after_newline = False
         if kind == "STR" and "\n" in text:
             line, line_start = line + text.count("\n"), m.start() + text.rindex("\n") + 1
-    tokens.append(reader.Token("EOF", "", None, line, pos - line_start + 1, after_newline))
+    tokens.append(("EOF", "", None, (line, pos - line_start + 1), after_newline))
     return tokens
+
+
+# -- reference reader: the parser as it was when a token was an object whose
+# `loc` property built a new tuple, and every operand took the three frames
+# `operand`, `postfix` and `primary`.  It reads the tokens of
+# `reference_tokenize`, which matches with its own regex, not `reader._TOKEN`.
+
+
+@dataclass(slots=True)
+class ReferenceToken:
+    type: str  # NUM INT STR SYM KW OP EOF
+    text: str
+    value: object
+    line: int
+    col: int
+    after_newline: bool
+
+    @property
+    def loc(self):
+        return (self.line, self.col)
+
+
+class ReferenceParser:
+    """`reader.Parser` as it was before tokens became tuples and leaf
+    operands were built in `operand`: the oracle for it."""
+
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+        self.tok = tokens[0]  # the current token; hot paths test it inline
+
+    def peek(self) -> ReferenceToken:
+        return self.tok
+
+    def advance(self) -> ReferenceToken:
+        tok = self.tok
+        if tok.type != "EOF":
+            self.pos += 1
+            self.tok = self.tokens[self.pos]
+        return tok
+
+    def at(self, type_, text=None) -> bool:
+        tok = self.tok
+        return tok.type == type_ and (text is None or tok.text == text)
+
+    def expect(self, type_, text=None) -> ReferenceToken:
+        tok = self.tok
+        if not self.at(type_, text):
+            what = text or type_
+            raise reader.MlsSyntaxError(
+                f"expected {what!r} but found {tok.text or 'end of input'!r}",
+                tok.loc,
+                incomplete=(tok.type == "EOF"),
+            )
+        return self.advance()
+
+    def error_here(self, message):
+        tok = self.tok
+        raise reader.MlsSyntaxError(message, tok.loc, incomplete=(tok.type == "EOF"))
+
+    # -- statement sequencing ------------------------------------------------
+
+    def parse_program(self):
+        exprs = []
+        while True:
+            self.skip_separators()
+            if self.at("EOF"):
+                return exprs
+            exprs.append(self.expression())
+            if not (self.at("EOF") or self.at("OP", ";") or self.tok.after_newline):
+                self.error_here(f"unexpected token {self.tok.text or 'end of input'!r}")
+
+    def skip_separators(self):
+        while self.at("OP", ";"):
+            self.advance()
+
+    # -- expressions ---------------------------------------------------------
+
+    def expression(self):
+        left = self.operand(0)
+        tok = self.tok
+        if tok.type == "OP" and tok.text in ("<-", "<<-") and not tok.after_newline:
+            self.advance()
+            value = self.expression()  # right-associative
+            return self.make_assignment(left, value, tok)
+        if tok.type == "OP" and tok.text == "=" and not tok.after_newline:
+            raise reader.MlsSyntaxError(
+                "'=' is only valid for named arguments; use '<-' for assignment", tok.loc
+            )
+        return left
+
+    def make_assignment(self, target, value, op_tok):
+        loc = target.loc
+        if op_tok.text == "<<-":
+            if not isinstance(target, syntax.Symbol):
+                raise reader.MlsSyntaxError("invalid superassignment target", op_tok.loc)
+            return syntax.SuperAssign(target, value, loc=loc)
+        if isinstance(target, syntax.Symbol):
+            return syntax.Assign(target, value, loc=loc)
+        if isinstance(target, syntax.Index):
+            if not isinstance(target.obj, syntax.Symbol):
+                raise reader.MlsSyntaxError(
+                    "indexed assignment requires a named object", op_tok.loc
+                )
+            return syntax.IndexAssign(target.obj, target.indices, value, loc=loc)
+        if isinstance(target, syntax.FieldAccess):
+            return syntax.FieldAssign(target.obj, target.name, value, loc=loc)
+        raise reader.MlsSyntaxError("invalid assignment target", op_tok.loc)
+
+    def operand(self, min_prec):
+        """Precedence climbing: the longest expression whose operators all
+        bind at least as tightly as `min_prec`.  A binary operator must
+        start on its left operand's line."""
+        tok = self.tok
+        prec = syntax.PREFIX_PRECEDENCE.get(tok.text) if tok.type == "OP" else None
+        if prec is not None and prec >= min_prec:
+            self.advance()
+            inner = self.operand(prec)
+            left = syntax.Call(syntax.Symbol(tok.text, loc=tok.loc), [(None, inner)], loc=tok.loc)
+        else:
+            left = self.postfix()
+        while True:
+            tok = self.tok
+            if tok.type != "OP" or tok.after_newline:
+                return left
+            prec = syntax.BINARY_PRECEDENCE.get(tok.text)
+            if prec is None or prec < min_prec:
+                return left
+            self.advance()
+            right = self.operand(prec + 1)
+            left = syntax.Call(
+                syntax.Symbol(tok.text, loc=tok.loc), [(None, left), (None, right)], loc=left.loc
+            )
+
+    def postfix(self):
+        expr = self.primary()
+        while True:
+            tok = self.tok
+            if tok.type != "OP" or tok.after_newline:
+                # a call/index/field suffix must start on the callee's line
+                return expr
+            text = tok.text
+            if text == "(":
+                self.advance()
+                expr = syntax.Call(expr, self.call_args(), loc=expr.loc)
+            elif text == "[":
+                self.advance()
+                if self.at("OP", "]"):
+                    raise reader.MlsSyntaxError("missing index", tok.loc)
+                indices = [self.expression()]
+                while self.at("OP", ","):
+                    self.advance()
+                    indices.append(self.expression())
+                self.expect("OP", "]")
+                expr = syntax.Index(expr, indices, loc=expr.loc)
+            elif text == "$":
+                self.advance()
+                name_tok = self.tok
+                if name_tok.type not in ("SYM", "STR"):
+                    self.error_here("expected a field name after '$'")
+                self.advance()
+                expr = syntax.FieldAccess(expr, str(name_tok.value), loc=expr.loc)
+            else:
+                return expr
+
+    def call_args(self):
+        args = []
+        if self.at("OP", ")"):
+            self.advance()
+            return args
+        while True:
+            name = None
+            tok = self.tok
+            if tok.type == "SYM":
+                after = self.tokens[self.pos + 1]
+                if after.type == "OP" and after.text == "=":
+                    name = tok.value
+                    self.advance()
+                    self.advance()
+            args.append((name, self.expression()))
+            if self.at("OP", ","):
+                self.advance()
+                continue
+            self.expect("OP", ")")
+            return args
+
+    def primary(self):
+        tok = self.tok
+        if tok.type == "SYM":
+            self.advance()
+            return syntax.Symbol(tok.value, loc=tok.loc)
+        if tok.type == "INT":
+            self.advance()
+            return syntax.Constant(values.scalar_int(tok.value), loc=tok.loc)
+        if tok.type == "NUM":
+            self.advance()
+            return syntax.Constant(values.scalar_double(tok.value), loc=tok.loc)
+        if tok.type == "STR":
+            self.advance()
+            return syntax.Constant(values.scalar_string(tok.value), loc=tok.loc)
+        if tok.type == "KW":
+            if tok.text == "TRUE":
+                self.advance()
+                return syntax.Constant(values.scalar_bool(True), loc=tok.loc)
+            if tok.text == "FALSE":
+                self.advance()
+                return syntax.Constant(values.scalar_bool(False), loc=tok.loc)
+            if tok.text == "NULL":
+                self.advance()
+                return syntax.Constant(values.null_value(), loc=tok.loc)
+            if tok.text == "function":
+                return self.function_literal()
+            if tok.text == "if":
+                return self.if_expr()
+            if tok.text == "while":
+                return self.while_expr()
+            self.error_here(f"unexpected keyword {tok.text!r}")
+        if tok.type == "OP" and tok.text == "(":
+            self.advance()
+            inner = self.expression()
+            self.expect("OP", ")")
+            return inner
+        if tok.type == "OP" and tok.text == "{":
+            return self.block()
+        self.error_here(f"unexpected token {tok.text or 'end of input'!r}")
+
+    def function_literal(self):
+        start = self.expect("KW", "function")
+        self.expect("OP", "(")
+        formals = []
+        seen = set()
+        if not self.at("OP", ")"):
+            while True:
+                name_tok = self.tok
+                if name_tok.type != "SYM":
+                    self.error_here("expected a formal argument name")
+                self.advance()
+                if name_tok.value in seen:
+                    raise reader.MlsSyntaxError(
+                        f"duplicated formal argument '{name_tok.value}'", name_tok.loc
+                    )
+                seen.add(name_tok.value)
+                default = None
+                if self.at("OP", "="):
+                    self.advance()
+                    default = self.expression()
+                formals.append((name_tok.value, default))
+                if self.at("OP", ","):
+                    self.advance()
+                    continue
+                break
+        self.expect("OP", ")")
+        body = self.expression()
+        return syntax.FunctionLiteral(formals, body, loc=start.loc)
+
+    def if_expr(self):
+        start = self.expect("KW", "if")
+        self.expect("OP", "(")
+        cond = self.expression()
+        self.expect("OP", ")")
+        then = self.expression()
+        orelse = None
+        if self.at("KW", "else"):
+            self.advance()
+            orelse = self.expression()
+        return syntax.If(cond, then, orelse, loc=start.loc)
+
+    def while_expr(self):
+        start = self.expect("KW", "while")
+        self.expect("OP", "(")
+        cond = self.expression()
+        self.expect("OP", ")")
+        body = self.expression()
+        return syntax.While(cond, body, loc=start.loc)
+
+    def block(self):
+        start = self.expect("OP", "{")
+        body = []
+        while True:
+            self.skip_separators()
+            if self.at("OP", "}"):
+                self.advance()
+                return syntax.Block(body, loc=start.loc)
+            if self.at("EOF"):
+                raise reader.MlsSyntaxError("unexpected end of input in block", self.tok.loc, incomplete=True)
+            body.append(self.expression())
+            if self.at("OP", "}"):
+                continue
+            if not (self.at("OP", ";") or self.tok.after_newline):
+                self.error_here(f"unexpected token {self.tok.text or 'end of input'!r}")
+
+
+def reference_parse_program(source: str) -> list:
+    """`reader.parse_program` through `reference_tokenize` and
+    `ReferenceParser`: the oracle for it."""
+    parser = ReferenceParser([
+        ReferenceToken(kind, text, value, *loc, after_newline)
+        for kind, text, value, loc, after_newline in reference_tokenize(source)
+    ])
+    try:
+        with reader.deep_host_stack():
+            return parser.parse_program()
+    except RecursionError:
+        raise reader.MlsSyntaxError("expression nested too deeply", parser.peek().loc) from None
+
+
+
 
 
 # -- reference purity scan: locals collected in a pass of their own, then a

@@ -176,7 +176,9 @@ def test_console_entry_point(corpus_dir):
 
 
 def test_deep_parenthesis_nesting_runs_and_analyzes(tmp_path):
-    depth = 5000
+    # 3 host frames per level of parentheses; at 4, the reader stopped
+    # at 5,997 levels
+    depth = 6500
     script = tmp_path / "nested.mls"
     script.write_text(f"f <- function(x) {'(' * depth}x{')' * depth}\nf(1)\n")
     for command in ("run", "analyze"):

@@ -1,15 +1,29 @@
 import copy
 import dataclasses
+import sys
 from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import as_call, expr_equal, no_host_recursion, reference_tokenize
+from helpers import (
+    as_call,
+    expr_equal,
+    no_host_recursion,
+    reference_parse_program,
+    reference_tokenize,
+)
 from mls import reader, syntax, values
 from mls.interpreter import HOST_RECURSION_LIMIT
 from mls.reader import MlsSyntaxError
+
+REPO = Path(__file__).resolve().parents[1]
+if str(REPO / "perfbench") not in sys.path:
+    sys.path.insert(0, str(REPO / "perfbench"))
+
+from mlsbench import harness  # noqa: E402
 
 
 def parse1(src):
@@ -231,7 +245,8 @@ def _lexed(source):
     """Each token as (type, value, line, col, after_newline), or the error
     as ("error", message, line, col, incomplete)."""
     try:
-        return [(t.type, t.value, *t.loc, t.after_newline) for t in reader.tokenize(source)]
+        return [(kind, value, *loc, after_newline)
+                for kind, _, value, loc, after_newline in reader.tokenize(source)]
     except MlsSyntaxError as e:
         return ("error", e.message, *e.loc, e.incomplete)
 
@@ -278,7 +293,8 @@ def _lexed_fully(tokenize, source):
     """Every field of each token, or the error's message, location and
     `incomplete` flag."""
     try:
-        return [(t.type, t.text, t.value, t.line, t.col, t.after_newline) for t in tokenize(source)]
+        return [(kind, text, value, *loc, after_newline)
+                for kind, text, value, loc, after_newline in tokenize(source)]
     except MlsSyntaxError as e:
         return ("error", e.message, e.loc, e.incomplete)
 
@@ -303,6 +319,69 @@ _SOUP = st.sampled_from([
 @example("a ²")
 def test_tokenize_matches_the_reference_tokenizer(source):
     assert _lexed_fully(reader.tokenize, source) == _lexed_fully(reference_tokenize, source)
+
+
+# -- differential: the reader against the reference reader ----------------------------
+
+
+def _read(parse, source):
+    """Each tree with its repr (every field and `loc`), or the error's
+    message, location and `incomplete` flag."""
+    try:
+        return [(e, repr(e)) for e in parse(source)]
+    except MlsSyntaxError as e:
+        return ("error", e.message, e.loc, e.incomplete)
+
+
+def _assert_reads_as_the_reference(source):
+    got, want = _read(reader.parse_program, source), _read(reference_parse_program, source)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, list), got
+    assert [r for _, r in got] == [r for _, r in want]
+    assert all(expr_equal(a, b) for (a, _), (b, _) in zip(got, want))
+
+
+_PARSE_SOUP = st.sampled_from([
+    " ", "\n", "\n\n", "# c\n", "x", "f", "a.b", "`odd name`", "`(`", "12", "1.5", "1e3", '"s"',
+    "'two\nlines'", "TRUE", "FALSE", "NULL", "function", "if", "else", "while", "<-", "<<-",
+    "=", "+", "-", "*", "/", "!", "<", ">=", "==", "!=", "&&", "||", "(", ")", "[", "]", "{",
+    "}", ",", ";", "$", "f(", "x[", "x$", "x$y", "g(n = ", "function(a, b = 1) ", "²", '"open',
+])
+
+
+@settings(max_examples=800, deadline=None)
+@given(st.tuples(st.sampled_from(["", " "]), st.lists(_PARSE_SOUP, max_size=30))
+       .map(lambda sep_parts: sep_parts[0].join(sep_parts[1])))
+@example("f\n(1)")
+@example("x <- f(a)[1]$b(2)\n-y")
+@example("(function(x) x)(1)")
+@example("-x$y(1) + !z")
+@example("{ a; b\n c }")
+def test_parser_matches_the_reference_parser_on_token_soups(source):
+    _assert_reads_as_the_reference(source)
+
+
+@pytest.mark.parametrize("path", sorted((REPO / "corpus").rglob("*.mls")), ids=lambda p: p.name)
+def test_parser_matches_the_reference_parser_on_the_corpus_and_its_prefixes(path):
+    text = path.read_text(encoding="utf-8")
+    _assert_reads_as_the_reference(text)
+    for end in range(0, len(text), 3):
+        _assert_reads_as_the_reference(text[:end])
+
+
+@pytest.mark.parametrize("workload", harness.WORKLOADS)
+def test_parser_matches_the_reference_parser_on_generated_units(workload):
+    for unit in harness.generate(workload, 11, 0.2, REPO):
+        if workload != "analyze":
+            _assert_reads_as_the_reference(unit.source)
+            continue
+        for _, source in unit.modules:  # import lines blanked, as purity.parse_module does
+            lines = source.split("\n")
+            _assert_reads_as_the_reference(
+                "\n".join("" if line.startswith("import ") else line for line in lines)
+            )
 
 
 def _parse_error(source):
@@ -479,6 +558,14 @@ def test_parse_deparse_roundtrip(e):
     text = syntax.deparse(e)
     reparsed = reader.parse_one(text)
     assert expr_equal(e, reparsed), text
+
+
+@settings(max_examples=300, deadline=None)
+@given(_expressions)
+def test_parser_matches_the_reference_parser_on_deparsed_trees(e):
+    text = syntax.deparse(e)
+    _assert_reads_as_the_reference(text)
+    _assert_reads_as_the_reference(text.replace(" ", "\n"))  # a suffix or operator after a newline
 
 
 @settings(max_examples=300, deadline=None)
