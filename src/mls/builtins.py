@@ -322,7 +322,7 @@ def _bi_set_generic(ctx, **kw):
         return s4.call_generic(ctx.interp, gdef, args, ctx.env, ctx.loc)
 
     generic = BuiltinPayload(name=gname, fn=call, lazy=True, meta=gdef)
-    ctx.env.bind(gname, Binding.immediate(Value(values.BUILTIN, generic)), interp)
+    ctx.env.bind(gname, Binding(value=Value(values.BUILTIN, generic)), interp)
     return _generic_reflection(gdef)
 
 
@@ -452,7 +452,7 @@ def _registry():
 
 # every builtin's purity class, and the prelude's `print` generic, pure
 BUILTIN_PURITY = {name: purity for name, _, purity, *_ in _registry()} | {"print": "pure"}
-BUILTIN_NAMES = tuple(BUILTIN_PURITY)
+BUILTIN_NAMES = frozenset(BUILTIN_PURITY)  # every name base binds
 
 
 def install(interp):
@@ -460,5 +460,4 @@ def install(interp):
         payload = BuiltinPayload(
             name=name, fn=fn, formals=formals, lazy=lazy, invisible=invisible
         )
-        interp.base_env.frame[name] = Binding.immediate(Value(values.BUILTIN, payload))
-    interp.base_operators = {op: interp.base_env.frame[op].value for op in BINARY_OPERATORS}
+        interp.base_env.frame[name] = Binding(value=Value(values.BUILTIN, payload))

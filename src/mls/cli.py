@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import printer, purity, reader
-from .interpreter import HOST_RECURSION_LIMIT, Interpreter
+from .interpreter import Interpreter
 from .reader import MlsSyntaxError
 from .values import MlsError
 
@@ -77,10 +77,13 @@ def cmd_repl(stdin=None, stdout=None) -> int:
             for name in sorted(interp.global_env.frame):
                 binding = interp.global_env.frame[name]
                 try:
-                    v = binding.resolve(interp)
-                    preview = printer.format_value(v, interp).split("\n")[0]
+                    with reader.deep_host_stack():
+                        v = binding.resolve(interp)
+                        preview = printer.format_value(v, interp).split("\n")[0]
                 except MlsError as exc:
                     preview = f"<error: {exc.message}>"
+                except RecursionError:
+                    preview = "<error: evaluation nested too deeply>"
                 emit(f"{name}: {preview}\n")
             continue
         buffer = buffer + "\n" + line if buffer else line
@@ -149,7 +152,6 @@ def cmd_analyze(paths, report_format: str = "text") -> int:
 
 
 def main(argv=None) -> int:
-    sys.setrecursionlimit(HOST_RECURSION_LIMIT)
     parser = argparse.ArgumentParser(prog="mls", description="MLS interpreter and analyzer")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -18,7 +18,6 @@ PENDING, FORCING, DONE = 0, 1, 2
 # The binary operators a call site may apply directly (`interpreter._compile_call`)
 COMPARISON_OPERATORS = ("<", "<=", ">", ">=", "==", "!=")
 BINARY_OPERATORS = ("+", "-", "*", "/") + COMPARISON_OPERATORS
-OPERATOR_NAMES = frozenset(BINARY_OPERATORS)
 
 
 class Promise:
@@ -70,22 +69,6 @@ class Binding:
         self.field = field
         self.missing_name = missing_name
 
-    @classmethod
-    def immediate(cls, value, field=None):
-        return cls(value=value, field=field)
-
-    @classmethod
-    def lazy(cls, promise):
-        return cls(promise=promise)
-
-    @classmethod
-    def active(cls, getter, setter=None, field=None):
-        return cls(getter=getter, setter=setter, field=field)
-
-    @classmethod
-    def missing(cls, name):
-        return cls(missing_name=name)
-
     def resolve(self, interp, loc=None):
         if self.missing_name is not None:
             raise MlsError(
@@ -122,17 +105,17 @@ class Environment:
         return self.lookup_binding(name) is not None
 
     def bind(self, name: str, binding: Binding, interp):
-        """The one write into a frame outside `builtins.install`; it marks an
-        operator name in `interp.shadowed_operators`."""
-        if name in OPERATOR_NAMES:
-            interp.shadowed_operators.add(name)
+        """The one write into a frame outside `builtins.install`; it marks a
+        base name in `interp.shadowed` (see `Interpreter.find_function`)."""
+        if name in interp.base_names:
+            interp.shadowed.add(name)
         self.frame[name] = binding
 
     def set_value(self, name: str, value: values.Value, interp, loc=None):
         """Assign into this frame, honoring active bindings and typed fields."""
         b = self.frame.get(name)
         if b is None:
-            self.bind(name, Binding.immediate(value), interp)
+            self.bind(name, Binding(value=value), interp)
             return
         if b.getter is not None:
             if b.setter is None:
@@ -147,7 +130,7 @@ class Environment:
             b.promise = None
             b.missing_name = None
             return
-        self.bind(name, Binding.immediate(value), interp)
+        self.bind(name, Binding(value=value), interp)
 
     def env_value(self) -> values.Value:
         return values.Value(values.ENVIRONMENT, self)

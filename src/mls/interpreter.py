@@ -110,20 +110,18 @@ def match_formals(formals, args, loc=None):
 
 
 class Interpreter:
-    def __init__(self, stdout=None, stderr=None, max_call_depth=MAX_CALL_DEPTH):
-        """`max_call_depth` caps MLS call nesting; the host limit fits the
-        default, so a larger cap may end in a host RecursionError."""
+    def __init__(self, stdout=None, stderr=None):
         from . import builtins as builtin_defs
         from . import s4
 
-        self.max_call_depth = max_call_depth
         self.stdout = stdout
         self.stderr = stderr
         self.base_env = Environment(None, "base")
         self.global_env = Environment(self.base_env, "global")
         self.frames: list = []
         self.visible = True
-        self.shadowed_operators: set = set()  # see `Environment.bind`
+        self.base_names = builtin_defs.BUILTIN_NAMES
+        self.shadowed: set = set()  # the base names some frame has bound
         self.s4 = s4.Registry()
         self.foreign_stubs: dict = {}
         self.register_foreign("identity", lambda interp, args: args[0] if args else values.null_value())
@@ -162,7 +160,11 @@ class Interpreter:
     # -- calls ---------------------------------------------------------------
 
     def find_function(self, name: str, env: Environment, loc=None) -> Optional[Value]:
-        """The first function bound to `name` from `env` outward, or None."""
+        """The first function bound to `name` from `env` outward, or None.
+        A base name that no frame has bound since `builtins.install` (so
+        `Environment.bind` has not marked it) is base's builtin."""
+        if name in self.base_names and name not in self.shadowed:
+            return self.base_env.frame[name].value
         cur = env
         while cur is not None:
             b = cur.frame.get(name)
@@ -234,15 +236,15 @@ class Interpreter:
             raise MlsError(f"unused argument ({detail})", loc)
         for name, default in closure.formals:
             if name in matched:
-                call_env.bind(name, Binding.lazy(matched[name]), self)
+                call_env.bind(name, Binding(promise=matched[name]), self)
             elif default is not None:
-                call_env.bind(name, Binding.lazy(Promise(default, call_env)), self)
+                call_env.bind(name, Binding(promise=Promise(default, call_env)), self)
             else:
-                call_env.bind(name, Binding.missing(name), self)
+                call_env.bind(name, Binding(missing_name=name), self)
         return call_env
 
     def exec_closure(self, fn: Value, call_env, caller_env, loc, args, label=None) -> Value:
-        if len(self.frames) >= self.max_call_depth:
+        if len(self.frames) >= MAX_CALL_DEPTH:
             raise MlsError(
                 "evaluation nested too deeply (possible infinite recursion)", loc
             )
@@ -319,7 +321,7 @@ class Interpreter:
 
     def set_rng_state(self, state: int):
         signed = state - (1 << 64) if state >> 63 else state
-        self.global_env.bind(RANDOM_SEED_NAME, Binding.immediate(values.int_vec([signed])), self)
+        self.global_env.bind(RANDOM_SEED_NAME, Binding(value=values.int_vec([signed])), self)
 
     def rng_set_seed(self, seed: int):
         self.set_rng_state(rng.seed_state(seed))
@@ -337,13 +339,13 @@ class Interpreter:
         b = self.global_env.frame.get(OPTIONS_NAME)
         if b is None:
             v = values.list_value([])
-            self.global_env.bind(OPTIONS_NAME, Binding.immediate(v), self)
+            self.global_env.bind(OPTIONS_NAME, Binding(value=v), self)
             return v
         return b.value
 
     def set_option(self, name: str, value: Value):
         table = ops.field_assign_list(self.options_value(), name, value)
-        self.global_env.bind(OPTIONS_NAME, Binding.immediate(table), self)
+        self.global_env.bind(OPTIONS_NAME, Binding(value=table), self)
 
     def get_option(self, name: str) -> Value:
         return ops.field_get_list(self.options_value(), name)
@@ -444,11 +446,11 @@ def _compile_call(e: syntax.Call):
     a closure restores laziness.
 
     A binary operator called with two unnamed arguments is applied
-    directly while no frame has bound its name (`Environment.bind` marks
-    it in `interp.shadowed_operators`), or else while the name resolves
-    to the base builtin in `interp.base_operators`; otherwise the general
-    call runs with the function resolved: an assumption that a write
-    invalidates, with a fallback (Würthinger et al., Onward! 2013)."""
+    directly while no frame has bound its name; once `Environment.bind`
+    has marked it in `interp.shadowed`, the site takes the general call.
+    The same mark lets `Interpreter.find_function` return an unbound base
+    name's builtin without walking the frames: an assumption that a
+    write invalidates, with a fallback (Würthinger et al., Onward! 2013)."""
     loc = e.loc
     arg_exprs = e.args
     arg_runs = [(name, compile_expr(arg)) for name, arg in e.args]
@@ -457,9 +459,8 @@ def _compile_call(e: syntax.Call):
     else:
         fname, callee_run = None, compile_expr(e.callee)
 
-    def run(interp, env, fn=None):
-        if fn is None:
-            fn = callee_run(interp, env) if callee_run else interp.lookup_function(fname, env, loc)
+    def run(interp, env):
+        fn = callee_run(interp, env) if callee_run else interp.lookup_function(fname, env, loc)
         try:
             if fn.kind == values.BUILTIN and not fn.payload.lazy:
                 args = [(name, arg(interp, env)) for name, arg in arg_runs]
@@ -479,10 +480,8 @@ def _compile_call(e: syntax.Call):
     overflow = f"integer overflow in '{fname}'"
 
     def run_operator(interp, env):
-        if fname in interp.shadowed_operators:
-            fn = interp.lookup_function(fname, env, loc)
-            if fn is not interp.base_operators[fname]:
-                return run(interp, env, fn)
+        if fname in interp.shadowed:
+            return run(interp, env)
         try:
             lhs = lhs_run(interp, env)
             rhs = rhs_run(interp, env)

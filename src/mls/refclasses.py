@@ -164,14 +164,14 @@ def _build_instance(interp, class_name, fields, methods, parent, field_values) -
         if spec.active:
             getter = _re_enclosed(spec.active_get, backing)
             setter = _re_enclosed(spec.active_set, backing) if spec.active_set else None
-            binding = Binding.active(getter, setter, field=spec)
+            binding = Binding(getter=getter, setter=setter, field=spec)
         else:
-            binding = Binding.immediate(field_values[fname], field=spec)
+            binding = Binding(value=field_values[fname], field=spec)
         backing.bind(fname, binding, interp)
     for mname, fn in methods.items():
-        backing.bind(mname, Binding.immediate(_re_enclosed(fn, backing)), interp)
+        backing.bind(mname, Binding(value=_re_enclosed(fn, backing)), interp)
     instance = Value(values.REF_INSTANCE, RefPayload(class_name, backing))
-    backing.bind(".self", Binding.immediate(instance), interp)
+    backing.bind(".self", Binding(value=instance), interp)
     return instance
 
 

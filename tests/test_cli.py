@@ -165,6 +165,41 @@ def test_repl_continues_after_runtime_error():
     assert "[1] 2" in text
 
 
+def test_main_leaves_the_host_recursion_limit_unchanged(corpus_dir, capsys):
+    previous = sys.getrecursionlimit()
+    assert run_cli(["run", str(corpus_dir / "money.mls")], capsys)[0] == 0
+    assert sys.getrecursionlimit() == previous
+
+
+def _nested_list_repl(depth):
+    return (f"x <- list(); i <- 0; while (i < {depth}) {{ x <- list(x); i <- i + 1 }}\n"
+            ":env\n1 + 1\n:quit\n")
+
+
+def test_repl_env_preview_runs_on_the_deep_host_stack():
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    stdout = io.StringIO()
+    try:
+        with no_host_recursion():
+            assert cli.cmd_repl(stdin=io.StringIO(_nested_list_repl(1500)), stdout=stdout) == 0
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(previous)
+    assert "i: [1] 1500\nx: [[1]]\n> [1] 2\n" in stdout.getvalue()
+
+
+def test_repl_env_preview_of_too_deep_a_value_is_an_error_preview():
+    proc = subprocess.run(
+        [sys.executable, "-m", "mls", "repl"],
+        input=_nested_list_repl(30_000),
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "x: <error: evaluation nested too deeply>\n> [1] 2\n" in proc.stdout
+
+
 def test_console_entry_point(corpus_dir):
     proc = subprocess.run(
         [sys.executable, "-m", "mls", "run", str(corpus_dir / "factorial.mls")],

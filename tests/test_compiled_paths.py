@@ -96,8 +96,8 @@ def method_interp():
 @given(op=st.sampled_from(BINARY_OPERATORS), lhs=_OPERANDS, rhs=_OPERANDS)
 def test_operator_site_matches_the_parent_operator(method_interp, op, lhs, rhs):
     interp, env = method_interp, method_interp.global_env
-    env.bind("a", Binding.immediate(lhs), interp)
-    env.bind("b", Binding.immediate(rhs), interp)
+    env.bind("a", Binding(value=lhs), interp)
+    env.bind("b", Binding(value=rhs), interp)
     site = _SITES[op]
     got = _outcome(interp, lambda: interp.eval(site, env))
     expected = _outcome(
@@ -206,22 +206,22 @@ def _symbol_setup(mode, frame):
     if mode == "unbound":
         return interp, local, None
     if target is not interp.base_env:
-        interp.base_env.bind("v", Binding.immediate(values.scalar_string("decoy")), interp)
+        interp.base_env.bind("v", Binding(value=values.scalar_string("decoy")), interp)
     if mode == "immediate":
-        binding = Binding.immediate(values.scalar_int(1))
+        binding = Binding(value=values.scalar_int(1))
     elif mode in ("pending", "forced"):
-        binding = Binding.lazy(Promise(reader.parse_one("1 + 1"), interp.global_env))
+        binding = Binding(promise=Promise(reader.parse_one("1 + 1"), interp.global_env))
         if mode == "forced":
             binding.promise.force(interp)
     elif mode == "recursive default":
-        binding = Binding.lazy(Promise(syntax.Symbol("v", loc=(7, 9)), local))
+        binding = Binding(promise=Promise(syntax.Symbol("v", loc=(7, 9)), local))
     elif mode == "missing":
-        binding = Binding.missing("v")
+        binding = Binding(missing_name="v")
     elif mode == "active field":
         getter = interp.eval_source("function() 42")
-        binding = Binding.active(getter, field=RefField("v", active_get=getter))
+        binding = Binding(getter=getter, field=RefField("v", active_get=getter))
     else:
-        binding = Binding.immediate(values.scalar_double(2.5), field=RefField("v", "numeric"))
+        binding = Binding(value=values.scalar_double(2.5), field=RefField("v", "numeric"))
     target.bind("v", binding, interp)
     return interp, local, binding
 

@@ -464,13 +464,13 @@ def test_function_value_from_assignment_is_invisible(capture):
 
 def outcome(src, walk=False):
     """Stdout, stderr and the error (message, location) of running `src`
-    at top level in a fresh interpreter.  With `walk`, every operator
-    starts out marked as shadowed, so each operator call site resolves
-    its name."""
+    at top level in a fresh interpreter.  With `walk`, every base name
+    starts out marked as shadowed, so each call resolves its function by
+    walking the frames and each operator site takes the general call."""
     out, err = io.StringIO(), io.StringIO()
     interp = Interpreter(stdout=out, stderr=err)
     if walk:
-        interp.shadowed_operators.update(interpreter.BINARY_OPERATORS)
+        interp.shadowed.update(interp.base_names)
     try:
         interp.run_top_level(reader.parse_program(src))
         error = None
@@ -513,11 +513,11 @@ def test_operator_call_sites_keep_call_semantics(src, expected):
 
 
 def test_operator_call_site_guards_on_the_base_builtin_value(capture):
-    """A call site applies `+` directly while `+` resolves to the base
-    builtin, even when its `fn` is wrapped (as a tracer does); a named
+    """A call site applies `+` directly while no frame has bound `+`, even
+    when the base builtin's `fn` is wrapped (as a tracer does); a named
     argument or a rebinding reaches the builtin's `fn` through the
     general call."""
-    payload = capture.base_operators["+"].payload
+    payload = capture.base_env.frame["+"].value.payload
     calls = []
     inner = payload.fn
     payload.fn = lambda ctx, args: calls.append(1) or inner(ctx, args)
@@ -527,50 +527,92 @@ def test_operator_call_site_guards_on_the_base_builtin_value(capture):
 
 
 _OPERATORS = ("+", "-", "*", "/", "<", "<=", ">", ">=", "==", "!=")
+_FUNCTIONS = ("c", "length", "el", "paste", "print", "UseMethod", "copy")
 
-# Each way a frame can come to bind an operator name; `{use}` calls an
-# operator inside the binding's scope.
+# Each way a frame can come to bind a base name; `{use}` calls a base
+# function inside the binding's scope.
 _WRITE_FORMS = (
-    "`{op}` <- {value}\n{use}",
-    "f <- function() {{ `{op}` <- {value}; {use} }}\nf()",
-    "f <- function() {{ `{op}` <<- {value}; {use} }}\nf()",
-    "`{op}` <<- {value}\n{use}",  # at top level this rebinds the base operator
-    'assign("{op}", {value})\n{use}',
-    'f <- function() {{ assign("{op}", {value}, envir = environment()); {use} }}\nf()',
-    "f <- function() {{ e <- environment(); e$`{op}` <- {value}; {use} }}\nf()",
-    "f <- function(`{op}` = {value}) {use}\nf()",
-    "f <- function(`{op}`) {use}\nf({value})",
-    'setGeneric("{op}", function(e1, e2) standardGeneric("{op}"))\n'
-    'setMethod("{op}", c("numeric", "numeric"), function(e1, e2) 42)\n{use}',
-    'R <- setRefClass("R", fields = list(`{op}` = "ANY"), '
-    "methods = list(run = function() {use}))\nR$new(`{op}` = {value})$run()",
-    'R <- setRefClass("R", methods = list(`{op}` = {value}, run = function() {use}))\n'
+    "`{name}` <- {value}\n{use}",
+    "f <- function() {{ `{name}` <- {value}; {use} }}\nf()",
+    "f <- function() {{ `{name}` <<- {value}; {use} }}\nf()",
+    "`{name}` <<- {value}\n{use}",  # at top level this rebinds the base function
+    'assign("{name}", {value})\n{use}',
+    'f <- function() {{ assign("{name}", {value}, envir = environment()); {use} }}\nf()',
+    "f <- function() {{ e <- environment(); e$`{name}` <- {value}; {use} }}\nf()",
+    "f <- function(`{name}` = {value}) {use}\nf()",
+    "f <- function(`{name}`) {use}\nf({value})",
+    'setGeneric("{name}", function(e1, e2) standardGeneric("{name}"))\n'
+    'setMethod("{name}", c("numeric", "numeric"), function(e1, e2) 42)\n{use}',
+    'R <- setRefClass("R", fields = list(`{name}` = "ANY"), '
+    "methods = list(run = function() {use}))\nR$new(`{name}` = {value})$run()",
+    'R <- setRefClass("R", methods = list(`{name}` = {value}, run = function() {use}))\n'
     "R$new()$run()",
 )
 _SHADOW_VALUES = ("function(e1, e2) 99", 'function(e1, e2) stop("shadow")', "3",
                   "function(e1) 1", 'function(e1, e2) invisible("inv")')
+# A call of each base function on two operands `{0}` and `{1}`; `gen`
+# is an S3 generic whose own frame resolves `UseMethod`.
+_FUNCTION_USES = {
+    "c": "c({0}, {1})",
+    "length": "length(list({0}, {1}))",
+    "el": "el(list({0}, {1}), 2)",
+    "paste": "paste({0}, {1})",
+    "print": "print({0})",
+    "UseMethod": '(function(x, y) UseMethod("gen"))({0}, {1})',
+    "copy": "copy(c({0}, {1}))",
+}
+_GENERIC = 'gen.default <- function(x, y) paste("gen", x)\n'
 
 
 @st.composite
-def _operator_use(draw):
-    op = draw(st.sampled_from(_OPERATORS))
+def _base_use(draw, name):
     lhs, rhs = draw(st.integers(-3, 3)), draw(st.sampled_from(["2", "0.5", "c(1, 2)", '"a"']))
-    return draw(st.sampled_from(["print({} {} {})", "{} {} {}"])).format(lhs, op, rhs)
+    if name in _OPERATORS:
+        call = f"{lhs} {name} {rhs}"
+    else:
+        call = _FUNCTION_USES[name].format(lhs, rhs)
+    return draw(st.sampled_from(["print({})", "{}"])).format(call)
+
+
+_BASE_NAMES = st.sampled_from(_OPERATORS + _FUNCTIONS)
 
 
 @st.composite
 def _shadowing_programs(draw):
     form = draw(st.sampled_from(_WRITE_FORMS))
-    op = draw(st.sampled_from(_OPERATORS))
-    inside = draw(_operator_use())
-    before, after = draw(_operator_use()), draw(_operator_use())
-    body = form.format(op=op, value=draw(st.sampled_from(_SHADOW_VALUES)), use=inside)
-    return f"{before}\n{body}\n{after}\ng <- function(x) {after}\ng(1)"
+    name = draw(_BASE_NAMES)
+    inside = draw(_base_use(draw(st.sampled_from((name, draw(_BASE_NAMES))))))
+    before, after = draw(_base_use(draw(_BASE_NAMES))), draw(_base_use(draw(_BASE_NAMES)))
+    body = form.format(name=name, value=draw(st.sampled_from(_SHADOW_VALUES)), use=inside)
+    return f"{_GENERIC}{before}\n{body}\n{after}\ng <- function(x) {after}\ng(1)"
+
+
+# Shadowing base functions by a formal, a reference-class method, an S4
+# generic and a top-level `<<-` that rebinds base's own binding.
+_BASE_FUNCTION_CASES = {
+    "f <- function(c) c(c, 1)\nf(2)\nh <- function(c) c(1)\nh(function(x) 7)\nc(3)":
+        ("[1] 2 1\n[1] 7\n[1] 3\n", "", None),
+    'R <- setRefClass("R", methods = list(copy = function() "mine", run = function() copy()))\n'
+    "R$new()$run()\ncopy(1)":
+        ('[1] "mine"\n[1] 1\n', "", None),
+    'setGeneric("length", function(x) standardGeneric("length"))\n'
+    'setMethod("length", "numeric", function(x) 42)\nlength(c(1, 2))\nlength(list(1))':
+        ("[1] 42\n", "",
+         ("unable to find an inherited method for function 'length' for signature (list)",
+          (4, 1))),
+    "c <<- 5\nc(1, 2)": ("", "", ("could not find function 'c'", (2, 1))),
+}
+
+
+@pytest.mark.parametrize("src", sorted(_BASE_FUNCTION_CASES))
+def test_shadowing_a_base_function_keeps_call_semantics(src):
+    assert outcome(src) == outcome(src, walk=True) == _BASE_FUNCTION_CASES[src]
 
 
 @settings(max_examples=400, deadline=None)
 @given(_shadowing_programs())
 def test_shadowing_an_operator_matches_an_interpreter_that_always_walks(src):
+    """Operators and base functions alike, under every write form."""
     assert outcome(src) == outcome(src, walk=True)
 
 
@@ -584,6 +626,13 @@ def test_one_parse_runs_in_interpreters_that_do_and_do_not_shadow_an_operator():
     assert printed(exprs) == "[1] 3\n[1] 7\n"
     assert printed(exprs, "`+` <- function(e1, e2) 99") == "[1] 99\n[1] 99\n"
     assert printed(exprs) == "[1] 3\n[1] 7\n"
+
+
+def test_one_parse_runs_in_interpreters_that_do_and_do_not_shadow_a_base_function():
+    exprs = reader.parse_program("f <- function(a) length(c(a, a))\nf(1)\nc(3, 4)")
+    assert printed(exprs) == "[1] 2\n[1] 3 4\n"
+    assert printed(exprs, "c <- function(x, y) 99") == "[1] 1\n[1] 99\n"
+    assert printed(exprs) == "[1] 2\n[1] 3 4\n"
 
 
 def _writes_a_frame_directly(node) -> bool:
@@ -600,8 +649,10 @@ def _writes_a_frame_directly(node) -> bool:
 
 
 def test_frames_are_written_only_through_environment_bind():
-    """The operator fast path is sound only if every frame write but
-    `builtins.install`'s goes through `Environment.bind`."""
+    """The base-name mark is sound only if every frame write but
+    `builtins.install`'s goes through `Environment.bind`: an unmarked
+    base name is found in base without walking the frames, and an
+    unmarked operator is applied directly."""
     offenders = []
     for path in sorted(Path(mls.__file__).parent.glob("*.py")):
         if path.name == "environment.py":
@@ -772,13 +823,15 @@ def test_loop_and_bare_conditional_results_are_invisible(capture):
     assert capture.out.getvalue() == "NULL\n"
 
 
-def test_evaluator_total_over_junk_programs():
+def test_evaluator_total_over_junk_programs(monkeypatch):
     from hypothesis import HealthCheck, given, settings
     from hypothesis import strategies as st
 
     from mls import reader
     from mls.interpreter import Interpreter
     from mls.reader import MlsSyntaxError
+
+    monkeypatch.setattr(interpreter, "MAX_CALL_DEPTH", 50)
 
     @settings(max_examples=200, deadline=None, suppress_health_check=list(HealthCheck))
     @given(st.text(alphabet='abx12 .+-*/<>=!&|(){}[]$,;"\n', max_size=30))
@@ -788,7 +841,7 @@ def test_evaluator_total_over_junk_programs():
         except MlsSyntaxError:
             return
         try:
-            Interpreter(max_call_depth=50).eval_program(exprs)
+            Interpreter().eval_program(exprs)
         except MlsError:
             pass
 
