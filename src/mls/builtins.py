@@ -148,10 +148,6 @@ def _bi_identity(ctx, x):
     return x
 
 
-def _bi_invisible(ctx, x):
-    return x
-
-
 def _bi_print_default(ctx, x):
     ctx.interp.write(printer.format_value(x, ctx.interp) + "\n")
     return x
@@ -411,7 +407,7 @@ def _registry():
     add("inherits", _bi_inherits, "pure", [("x", REQUIRED), ("what", REQUIRED)])
     add("is_null", _bi_is_null, "pure", [("x", REQUIRED)])
     add("identity", _bi_identity, "pure", [("x", REQUIRED)])
-    add("invisible", _bi_invisible, "pure", [("x", null)], invisible=True)
+    add("invisible", _bi_identity, "pure", [("x", null)], invisible=True)
     add("print.default", _bi_print_default, "pure", [("x", REQUIRED)], invisible=True)
     add("stop", _bi_stop, "pure", [("message", None)])
     add("copy", _bi_copy, "pure", [("x", REQUIRED)])

@@ -223,7 +223,7 @@ def _positions(idx: Value, length: int, names, loc):
         out = []
         for x in idx.payload:
             if idx.kind == values.DOUBLE:
-                if math.isnan(x) or x != int(x):
+                if not math.isfinite(x) or x != int(x):
                     raise MlsError(f"invalid index {printer.format_double(x)}", loc)
                 x = int(x)
             if x < 1:
@@ -261,10 +261,7 @@ def index_get(obj: Value, indices, loc=None) -> Value:
         raise MlsError(f"object of class '{cls}' is not subsettable", loc)
     names = values.element_names(obj)
     pos = _positions(indices[0], len(obj.payload), names, loc)
-    if obj.kind == values.LIST:
-        out = Value(values.LIST, [obj.payload[i] for i in pos])
-    else:
-        out = Value(obj.kind, [obj.payload[i] for i in pos])
+    out = Value(obj.kind, [obj.payload[i] for i in pos])
     if names is not None:
         out.attributes["names"] = values.string_vec([names[i] for i in pos])
     return out
@@ -347,5 +344,8 @@ def vector_sum(v: Value, loc=None) -> Value:
         _check_bound(total, "sum()", loc)
         return Value(values.INTEGER, total)
     if v.kind == values.DOUBLE:
-        return values.scalar_double(math.fsum(v.payload))
+        try:
+            return values.scalar_double(math.fsum(v.payload))
+        except (ValueError, OverflowError):  # Inf - Inf, or a partial sum past the largest double
+            return values.scalar_double(sum(v.payload))
     raise MlsError("invalid argument to sum()", loc)

@@ -16,15 +16,23 @@ superassignment, `$` field access, `[ ]` indexing, `function`
 literals, `if`/`else`, `while`, and `{ }` blocks.  Newlines separate
 statements except inside `( )` and `[ ]`, or when a line ends with an
 incomplete expression (an unfinished operator or an open construct).
-An operator is a call to the function it names; the parser reads its
-precedence from `syntax.BINARY_PRECEDENCE` and `PREFIX_PRECEDENCE` by
-precedence climbing (Pratt, "Top down operator precedence", 1973).
-`Parser.operand` builds a leaf (a name, number or string that no `(`,
-`[` or `$` follows on its line) itself, so the common operand costs one
-host frame; `primary` and `postfix` run only for the other operands and
-for suffixes.  Nesting costs 3 host frames per level of parentheses or
-indexing and 4 per level of calls, blocks, `if`, `while` and function
-literals, under the scoped limit `HOST_RECURSION_LIMIT`.
+An operator is a call to the function it names.  R ranks every call
+form on one precedence scale (`?Syntax`), and `Parser.operand` parses
+that scale by precedence climbing (Pratt, "Top down operator
+precedence", 1973) in one loop: call, index and field suffixes bind
+tightest, binary operators bind by `syntax.BINARY_PRECEDENCE` and
+prefix operators by `PREFIX_PRECEDENCE`, and `<-` and `<<-` bind
+loosest and to the right.  `operand` builds a leaf (a name, number or
+string) itself, so the common operand costs one host frame; `primary`
+runs only for keywords, parentheses and blocks.
+
+Nesting costs host frames under the scoped limit `HOST_RECURSION_LIMIT`
+(24,000): one per level of indexing, prefix operators and assignment
+(`operand`), so about 24,000 levels; two per level of calls (`operand`,
+`call_args`) and parentheses (`operand`, `primary`), about 12,000; and
+three per level of blocks, `if`, `while` and function literals
+(`operand`, `primary`, and `statements` or the form's own method),
+about 8,000.
 """
 
 from __future__ import annotations
@@ -133,7 +141,6 @@ def tokenize(source: str) -> list:
 
 
 _LEAVES = frozenset(("SYM", "INT", "NUM", "STR"))  # token types that are whole operands
-_SUFFIXES = frozenset(("(", "[", "$"))  # a call, index or field access follows its operand
 
 
 class Parser:
@@ -171,37 +178,28 @@ class Parser:
 
     # -- statement sequencing ------------------------------------------------
 
-    def parse_program(self):
+    def statements(self, closer):
+        """Statements separated by newlines or `;` up to `closer`, which is
+        "}" in a block and "" (the EOF token's text) at top level; a block
+        consumes its "}"."""
+        tokens = self.tokens
         exprs = []
         while True:
             tok = self.tok
             while tok[TYPE] == "OP" and tok[TEXT] == ";":
                 self.pos += 1
-                tok = self.tok = self.tokens[self.pos]
-            if tok[TYPE] == "EOF":
+                tok = self.tok = tokens[self.pos]
+            if tok[TEXT] == closer:
+                self.advance()
                 return exprs
-            exprs.append(self.expression())
+            if tok[TYPE] == "EOF":
+                raise MlsSyntaxError("unexpected end of input in block", tok[LOC], incomplete=True)
+            exprs.append(self.operand(0))
             tok = self.tok
-            kind = tok[TYPE]
-            if not (tok[AFTER_NEWLINE] or kind == "EOF" or (kind == "OP" and tok[TEXT] == ";")):
+            if not (tok[AFTER_NEWLINE] or tok[TEXT] == closer or tok[TEXT] == ";"):
                 self.unexpected_token()
 
     # -- expressions ---------------------------------------------------------
-
-    def expression(self):
-        left = self.operand(0)
-        tok = self.tok
-        if tok[TYPE] == "OP" and not tok[AFTER_NEWLINE]:
-            text = tok[TEXT]
-            if text == "<-" or text == "<<-":
-                self.advance()
-                value = self.expression()  # right-associative
-                return self.make_assignment(left, value, tok)
-            if text == "=":
-                raise MlsSyntaxError(
-                    "'=' is only valid for named arguments; use '<-' for assignment", tok[LOC]
-                )
-        return left
 
     def make_assignment(self, target, value, op_tok):
         loc = target.loc
@@ -222,81 +220,80 @@ class Parser:
         raise MlsSyntaxError("invalid assignment target", op_tok[LOC])
 
     def operand(self, min_prec):
-        """Precedence climbing: the longest expression whose operators all
-        bind at least as tightly as `min_prec`.  A binary operator must
-        start on its left operand's line.  A leaf (a name, number or
-        string) is built here, in this one frame; `postfix` runs only when
-        a call, index or field suffix follows the operand on its line."""
+        """Precedence climbing over one scale, as R ranks its call forms
+        (`?Syntax`): the longest expression whose operators all bind at
+        least as tightly as `min_prec`.  A leaf (a name, number or string)
+        is built in this frame.  Call, index and field suffixes bind
+        tightest and are taken at any `min_prec`; `<-` and `<<-` bind
+        loosest and to the right, so only `min_prec` 0 takes them.  Every
+        suffix and binary operator must start on its left operand's line."""
+        tokens = self.tokens
         kind, text, value, loc, _ = self.tok
         prec = syntax.PREFIX_PRECEDENCE.get(text) if kind == "OP" else None
         if prec is not None and prec >= min_prec:
             self.pos += 1
-            self.tok = self.tokens[self.pos]
+            self.tok = tokens[self.pos]
             inner = self.operand(prec)
             left = syntax.Call(syntax.Symbol(text, loc=loc), [(None, inner)], loc=loc)
-            tok = self.tok
-        else:
-            if kind in _LEAVES:
-                self.pos += 1
-                self.tok = self.tokens[self.pos]
-                if kind == "SYM":
-                    left = syntax.Symbol(value, loc=loc)
-                elif kind == "INT":
-                    left = syntax.Constant(values.scalar_int(value), loc=loc)
-                elif kind == "NUM":
-                    left = syntax.Constant(values.scalar_double(value), loc=loc)
-                else:
-                    left = syntax.Constant(values.scalar_string(value), loc=loc)
-            else:
-                left = self.primary()
-            tok = self.tok
-            if tok[TYPE] == "OP" and not tok[AFTER_NEWLINE] and tok[TEXT] in _SUFFIXES:
-                left = self.postfix(left)
-                tok = self.tok
-        while True:
-            if tok[TYPE] != "OP" or tok[AFTER_NEWLINE]:
-                return left
-            prec = syntax.BINARY_PRECEDENCE.get(tok[TEXT])
-            if prec is None or prec < min_prec:
-                return left
+        elif kind in _LEAVES:
             self.pos += 1
-            self.tok = self.tokens[self.pos]
-            right = self.operand(prec + 1)
-            left = syntax.Call(
-                syntax.Symbol(tok[TEXT], loc=tok[LOC]), [(None, left), (None, right)], loc=left.loc
-            )
-            tok = self.tok
-
-    def postfix(self, expr):
-        """Call, index and field suffixes on `expr`; each must start on
-        the callee's line."""
+            self.tok = tokens[self.pos]
+            if kind == "SYM":
+                left = syntax.Symbol(value, loc=loc)
+            elif kind == "INT":
+                left = syntax.Constant(values.scalar_int(value), loc=loc)
+            elif kind == "NUM":
+                left = syntax.Constant(values.scalar_double(value), loc=loc)
+            else:
+                left = syntax.Constant(values.scalar_string(value), loc=loc)
+        else:
+            left = self.primary()
         while True:
             tok = self.tok
             if tok[TYPE] != "OP" or tok[AFTER_NEWLINE]:
-                return expr
+                return left
             text = tok[TEXT]
-            if text == "(":
+            prec = syntax.BINARY_PRECEDENCE.get(text)
+            if prec is not None:
+                if prec < min_prec:
+                    return left
+                self.pos += 1
+                self.tok = tokens[self.pos]
+                right = self.operand(prec + 1)
+                left = syntax.Call(
+                    syntax.Symbol(text, loc=tok[LOC]), [(None, left), (None, right)], loc=left.loc
+                )
+            elif text == "(":
                 self.advance()
-                expr = syntax.Call(expr, self.call_args(), loc=expr.loc)
+                left = syntax.Call(left, self.call_args(), loc=left.loc)
             elif text == "[":
                 self.advance()
                 if self.at("OP", "]"):
                     raise MlsSyntaxError("missing index", tok[LOC])
-                indices = [self.expression()]
+                indices = [self.operand(0)]
                 while self.at("OP", ","):
                     self.advance()
-                    indices.append(self.expression())
+                    indices.append(self.operand(0))
                 self.expect("OP", "]")
-                expr = syntax.Index(expr, indices, loc=expr.loc)
+                left = syntax.Index(left, indices, loc=left.loc)
             elif text == "$":
                 self.advance()
                 name_tok = self.tok
                 if name_tok[TYPE] not in ("SYM", "STR"):
                     self.error_here("expected a field name after '$'")
                 self.advance()
-                expr = syntax.FieldAccess(expr, str(name_tok[VALUE]), loc=expr.loc)
+                left = syntax.FieldAccess(left, str(name_tok[VALUE]), loc=left.loc)
+            elif text == "<-" or text == "<<-":
+                if min_prec:
+                    return left
+                self.advance()
+                return self.make_assignment(left, self.operand(0), tok)
+            elif text == "=":
+                raise MlsSyntaxError(
+                    "'=' is only valid for named arguments; use '<-' for assignment", tok[LOC]
+                )
             else:
-                return expr
+                return left
 
     def call_args(self):
         args = []
@@ -314,7 +311,7 @@ class Parser:
                     name = tok[VALUE]
                     self.pos += 2
                     self.tok = tokens[self.pos]
-            args.append((name, self.expression()))
+            args.append((name, self.operand(0)))
             tok = self.tok
             if tok[TYPE] == "OP":
                 if tok[TEXT] == ",":
@@ -350,11 +347,12 @@ class Parser:
             self.error_here(f"unexpected keyword {text!r}")
         if kind == "OP" and text == "(":
             self.advance()
-            inner = self.expression()
+            inner = self.operand(0)
             self.expect("OP", ")")
             return inner
         if kind == "OP" and text == "{":
-            return self.block()
+            self.advance()
+            return syntax.Block(self.statements("}"), loc=tok[LOC])
         self.unexpected_token()
 
     def function_literal(self):
@@ -375,63 +373,41 @@ class Parser:
                 default = None
                 if self.at("OP", "="):
                     self.advance()
-                    default = self.expression()
+                    default = self.operand(0)
                 formals.append((name, default))
                 if self.at("OP", ","):
                     self.advance()
                     continue
                 break
         self.expect("OP", ")")
-        body = self.expression()
+        body = self.operand(0)
         return syntax.FunctionLiteral(formals, body, loc=start[LOC])
 
     def if_expr(self):
         start = self.expect("KW", "if")
         self.expect("OP", "(")
-        cond = self.expression()
+        cond = self.operand(0)
         self.expect("OP", ")")
-        then = self.expression()
+        then = self.operand(0)
         orelse = None
         if self.at("KW", "else"):
             self.advance()
-            orelse = self.expression()
+            orelse = self.operand(0)
         return syntax.If(cond, then, orelse, loc=start[LOC])
 
     def while_expr(self):
         start = self.expect("KW", "while")
         self.expect("OP", "(")
-        cond = self.expression()
+        cond = self.operand(0)
         self.expect("OP", ")")
-        body = self.expression()
+        body = self.operand(0)
         return syntax.While(cond, body, loc=start[LOC])
 
-    def block(self):
-        tokens = self.tokens
-        loc = self.tok[LOC]  # the "{" that primary found
-        self.pos += 1
-        tok = self.tok = tokens[self.pos]
-        body = []
-        while True:
-            while tok[TYPE] == "OP" and tok[TEXT] == ";":
-                self.pos += 1
-                tok = self.tok = tokens[self.pos]
-            if tok[TYPE] == "OP" and tok[TEXT] == "}":
-                self.pos += 1
-                self.tok = tokens[self.pos]
-                return syntax.Block(body, loc=loc)
-            if tok[TYPE] == "EOF":
-                raise MlsSyntaxError("unexpected end of input in block", tok[LOC], incomplete=True)
-            body.append(self.expression())
-            tok = self.tok
-            if tok[TYPE] == "OP" and tok[TEXT] in ("}", ";"):
-                continue
-            if not tok[AFTER_NEWLINE]:
-                self.unexpected_token()
 
-
-# The reader takes 3 host frames per level of nested parentheses or
-# indexing and 4 per level of nested calls, blocks, `if`, `while` and
-# function literals: about 8,000 and 6,000 levels.
+# The reader takes one host frame per level of nested indexing, prefix
+# operators and assignment, two per level of calls and parentheses, and
+# three per level of blocks, `if`, `while` and function literals: about
+# 24,000, 12,000 and 8,000 levels.
 HOST_RECURSION_LIMIT = 24_000
 
 
@@ -453,7 +429,7 @@ def parse_program(source: str) -> list:
     parser = Parser(tokenize(source))
     try:
         with deep_host_stack():
-            return parser.parse_program()
+            return parser.statements("")
     except RecursionError:
         raise MlsSyntaxError("expression nested too deeply", parser.tok[LOC]) from None
 

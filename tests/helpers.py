@@ -157,8 +157,9 @@ def reference_tokenize(source: str) -> list:
 
 
 # -- reference reader: the parser as it was when a token was an object whose
-# `loc` property built a new tuple, and every operand took the three frames
-# `operand`, `postfix` and `primary`.  It reads the tokens of
+# `loc` property built a new tuple, every operand took the three frames
+# `operand`, `postfix` and `primary`, and assignment and each statement and
+# call argument went through `expression`.  It reads the tokens of
 # `reference_tokenize`, which matches with its own regex, not `reader._TOKEN`.
 
 
@@ -177,8 +178,11 @@ class ReferenceToken:
 
 
 class ReferenceParser:
-    """`reader.Parser` as it was before tokens became tuples and leaf
-    operands were built in `operand`: the oracle for it."""
+    """`reader.Parser` as it was before tokens became tuples, leaf
+    operands were built in `operand`, and `operand`'s one loop took over
+    suffixes from `postfix` and assignment from `expression`: the oracle
+    for each of these changes.  Trees, syntax-error messages, locations
+    and the `incomplete` flag must match it."""
 
     def __init__(self, tokens):
         self.tokens = tokens

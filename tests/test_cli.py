@@ -211,7 +211,7 @@ def test_console_entry_point(corpus_dir):
 
 
 def test_deep_parenthesis_nesting_runs_and_analyzes(tmp_path):
-    # 3 host frames per level of parentheses; at 4, the reader stopped
+    # 2 host frames per level of parentheses; at 4, the reader stopped
     # at 5,997 levels
     depth = 6500
     script = tmp_path / "nested.mls"
@@ -293,6 +293,16 @@ def test_integer_overflow_is_an_error_at_the_operator(tmp_path, capsys):
     assert err == "error: integer overflow in '*' (line 6, column 6)\n"
 
 
+def test_infinite_index_and_overflowing_sum_end_in_mls_exit_codes(tmp_path, capsys):
+    script = tmp_path / "inf.mls"
+    script.write_text("sum(c(1/0, -1/0))\nsum(c(1e308, 1e308))\n")
+    assert run_cli(["run", str(script)], capsys) == (0, "[1] NaN\n[1] Inf\n", "")
+    script.write_text("x <- c(1, 2)\nx[-1/0] <- 3\n")
+    assert run_cli(["run", str(script)], capsys) == (
+        1, "", "error: invalid index -Inf (line 2, column 1)\n"
+    )
+
+
 class _ClosedStdout(io.StringIO):
     """A stdout whose reader has gone away, as behind `| head -1`."""
 
@@ -333,6 +343,7 @@ _SOUP_TOKENS = (
 _NESTS = {
     "parentheses": lambda d: "(" * d + "x" + ")" * d,
     "calls": lambda d: "g(" * d + "x" + ")" * d,
+    "indexing": lambda d: "x[" * d + "1" + "]" * d,
     "blocks": lambda d: "{" * d + "x" + "}" * d,
     "if": lambda d: "if (TRUE) " * d + "x",
     "function literals": lambda d: "function() " * d + "x",
@@ -343,7 +354,8 @@ _NESTS = {
 
 def _assert_clean_exit(command, source):
     """`mls <command>` on `source`, in this process: a documented exit
-    code (0-4) and no traceback on either stream."""
+    code (0-4) and no traceback on either stream.  Returns the exit code
+    and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         script = Path(tmp) / "prog.mls"
@@ -352,6 +364,7 @@ def _assert_clean_exit(command, source):
             code = cli.main([command, str(script)])
     assert code in (0, 1, 2, 3, 4)
     assert "Traceback" not in out.getvalue() + err.getvalue()
+    return code, err.getvalue()
 
 
 @settings(max_examples=150, deadline=None)
@@ -368,3 +381,44 @@ def test_token_soups_end_in_a_documented_exit_code(command, source):
 def test_deep_nesting_ends_in_a_documented_exit_code(command, nest):
     body = _NESTS[nest](5000)
     _assert_clean_exit(command, f"g <- function(y) y\nf <- function(x) {body}\nf(1)\n")
+
+
+# host frames the reader takes per level of each form (reader.py's docstring)
+_FRAMES_PER_LEVEL = {
+    "calls": 2, "indexing": 1, "parentheses": 2, "if": 3, "function literals": 3, "blocks": 3,
+}
+
+
+@pytest.mark.parametrize("nest", sorted(_FRAMES_PER_LEVEL))
+def test_nesting_just_under_the_reader_limit_parses_and_ends_cleanly(nest):
+    # 200 frames below the limit leave room for the test's own stack
+    depth = (HOST_RECURSION_LIMIT - 200) // _FRAMES_PER_LEVEL[nest]
+    source = f"g <- function(y) y\nf <- function(x) {_NESTS[nest](depth)}\nf(1)\n"
+    with no_host_recursion():
+        assert len(reader.parse_program(source)) == 3
+        for command in ("run", "analyze"):
+            code, err = _assert_clean_exit(command, source)
+            assert code == 0 or "nested too deeply" in err, err[-300:]
+
+
+def _mls_subprocess(command, tmp_path, source):
+    script = tmp_path / "deep.mls"
+    script.write_text(source)
+    return subprocess.run(
+        [sys.executable, "-m", "mls", command, str(script)], capture_output=True, text=True
+    )
+
+
+def test_printing_a_closure_nested_7990_calls_deep(tmp_path):
+    body = "g(" * 7990 + "x" + ")" * 7990
+    proc = _mls_subprocess("run", tmp_path, f"f <- function(x) {body}\nf\n")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"function(x) {body}\n"
+
+
+def test_analyzing_a_superassignment_nested_11980_calls_deep(tmp_path):
+    body = "g(" * 11980 + "x" + ")" * 11980
+    proc = _mls_subprocess("analyze", tmp_path, f"f <- function(x) z <<- {body}\n")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: function 'f' nested too deeply")
+    assert "Traceback" not in proc.stdout + proc.stderr

@@ -1,5 +1,6 @@
 import ast
 import io
+import math
 import sys
 from pathlib import Path
 
@@ -406,6 +407,29 @@ def test_indexing_errors(interp):
         run(interp, "x[0]")
     with pytest.raises(MlsError, match="not subsettable"):
         run(interp, "f <- function() 1; f[1]")
+
+
+@pytest.mark.parametrize("kind", ["c", "list"])
+@pytest.mark.parametrize("index, shown", [("1/0", "Inf"), ("-1/0", "-Inf")])
+@pytest.mark.parametrize("assign", [False, True], ids=["read", "assign"])
+def test_an_infinite_index_is_an_error_where_nan_is(kind, index, shown, assign):
+    def error(index):
+        source = f"x <- {kind}(1, 2)\nx[{index}]" + (" <- 3" if assign else "")
+        with pytest.raises(MlsError) as exc:
+            Interpreter().eval_source(source)
+        return exc.value.message, exc.value.loc
+
+    message, loc = error(index)
+    assert message == f"invalid index {shown}"
+    assert error("0/0") == ("invalid index NaN", loc)
+
+
+def test_sum_of_doubles_overflows_to_inf_and_cancels_to_nan(interp):
+    assert math.isnan(run(interp, "sum(c(1/0, -1/0))").payload[0])
+    assert run(interp, "sum(c(1e308, 1e308))").payload == [math.inf]
+    assert run(interp, "sum(c(-1e308, -1e308))").payload == [-math.inf]
+    # an exact sum wherever one exists: left to right this is 0.6000000000000001
+    assert run(interp, "sum(c(0.1, 0.2, 0.3))").payload == [0.6]
 
 
 def test_index_assign_promotes(interp):
