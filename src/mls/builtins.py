@@ -77,10 +77,9 @@ def _bi_c(ctx, args):
 def _bi_list(ctx, args):
     items = [v for _, v in args]
     names = [n or "" for n, _ in args]
-    out = Value(values.LIST, items)
     if any(names):
-        out.attributes["names"] = values.string_vec(names)
-    return out
+        return Value(values.LIST, items, {"names": values.string_vec(names)})
+    return Value(values.LIST, items)
 
 
 def _bi_length(ctx, x):
@@ -241,7 +240,7 @@ def _bi_use_method(ctx, generic):
 def _class_def_reflection(cdef: s4.ClassDef, lin: s4.Lineage) -> Value:
     slots = values.string_vec(list(lin.slots.values()))
     if lin.slots:
-        slots.attributes["names"] = values.string_vec(list(lin.slots.keys()))
+        slots = Value(values.STRING, slots.payload, {"names": values.string_vec(list(lin.slots))})
     out = values.list_value(
         [
             values.scalar_string(cdef.name),

@@ -21,7 +21,9 @@ BINARY_OPERATORS = ("+", "-", "*", "/") + COMPARISON_OPERATORS
 
 
 class Promise:
-    """An unevaluated expression paired with its origin environment."""
+    """An unevaluated expression paired with its origin environment.
+    Forcing runs the expression's compiled closure (`syntax.Expr._run`),
+    compiling it through `Interpreter.eval` on its first evaluation."""
 
     __slots__ = ("expr", "env", "value", "state")
 
@@ -47,8 +49,10 @@ class Promise:
                 getattr(self.expr, "loc", None),
             )
         self.state = FORCING
+        expr = self.expr
+        run = expr._run
         try:
-            self.value = interp.eval(self.expr, self.env)
+            self.value = run(interp, self.env) if run is not None else interp.eval(expr, self.env)
         finally:
             if self.state == FORCING:
                 self.state = PENDING

@@ -54,21 +54,26 @@ class BuiltinPayload:
 REQUIRED = object()
 
 
-@dataclass
 class BuiltinContext:
-    interp: "Interpreter"
-    env: Environment
-    loc: Any
+    __slots__ = ("interp", "env", "loc")
+
+    def __init__(self, interp: "Interpreter", env: Environment, loc):
+        self.interp = interp
+        self.env = env
+        self.loc = loc
 
 
-@dataclass
 class CallFrame:
-    closure_value: Value
-    call_env: Environment
-    caller_env: Environment
-    call_loc: Any
-    args: list  # original (name or None, Promise) in call order
-    label: Optional[str] = None
+    __slots__ = ("closure_value", "call_env", "caller_env", "call_loc", "args", "label")
+
+    def __init__(self, closure_value: Value, call_env: Environment, caller_env: Environment,
+                 call_loc, args: list, label: Optional[str] = None):
+        self.closure_value = closure_value
+        self.call_env = call_env
+        self.caller_env = caller_env
+        self.call_loc = call_loc
+        self.args = args  # original (name or None, Promise) in call order
+        self.label = label
 
 
 def apply_operator(interp, op, lhs, rhs, env, loc=None) -> Value:
@@ -169,8 +174,8 @@ class Interpreter:
         while cur is not None:
             b = cur.frame.get(name)
             if b is not None:
-                v = b.resolve(self, loc)
-                if values.is_function(v):
+                v = b.value if b.value is not None else b.resolve(self, loc)
+                if v.kind in (values.CLOSURE, values.BUILTIN):
                     return v
             cur = cur.parent
         return None
@@ -250,8 +255,9 @@ class Interpreter:
             )
         frame = CallFrame(fn, call_env, caller_env, loc, args, label)
         self.frames.append(frame)
+        body = fn.payload.body
         try:
-            return self.eval(fn.payload.body, call_env)
+            return (body._run or compile_expr(body))(self, call_env)
         except s3.UseMethodExit as exit_:
             if exit_.frame is frame:
                 return exit_.value
@@ -386,14 +392,15 @@ class Interpreter:
 # closures for code generation", 1987).  A closure captures its children's
 # closures and constants from the tree, never an interpreter or an
 # environment, so one parsed program runs in any number of interpreters.
-# Function bodies compile on their first call, through `Interpreter.eval`.
+# Function bodies compile on their first call, in `exec_closure`.
 # Functions of other modules (`ops.*`, `interp.*`) are looked up at each
 # call, not bound at compile time, so wrappers installed on them (as a
 # tracer does) still see every call.  Two common cases make no such call.
 # An operator site computes two attribute-free numeric scalars in place
 # from the per-element functions of `ops`, so a tracer counts that
 # arithmetic as interpreter self time; a symbol reads an immediate
-# binding or a forced promise without calling `Binding.resolve`.
+# binding or a promise, forcing it if pending, without calling
+# `Binding.resolve`.
 
 
 def compile_expr(e: syntax.Expr):
@@ -416,9 +423,9 @@ def _compile_constant(e: syntax.Constant):
 
 def _compile_symbol(e: syntax.Symbol):
     """Walk the frames from `env` outward to the first binding of the
-    name: its value, a forced promise's value, or else whatever
-    `Binding.resolve` makes of a pending promise, a missing formal or an
-    active binding."""
+    name: its value, its promise's value (forced here if pending), or
+    else whatever `Binding.resolve` makes of a missing formal or an
+    active binding.  A binding that holds a promise has neither."""
     name, loc = e.name, e.loc
 
     def run(interp, env):
@@ -429,8 +436,8 @@ def _compile_symbol(e: syntax.Symbol):
                 if b.value is not None:
                     return b.value
                 p = b.promise
-                if p is not None and p.state == DONE:
-                    return p.value
+                if p is not None:
+                    return p.value if p.state == DONE else p.force(interp)
                 return b.resolve(interp, loc)
             env = env.parent
         raise MlsError(f"object '{name}' not found", loc)
@@ -532,9 +539,10 @@ def _compile_assign(e):
 
 def _compile_block(e: syntax.Block):
     body_runs = [compile_expr(stmt) for stmt in e.body]
+    null = values.null_value()
 
     def run(interp, env):
-        result = values.null_value()
+        result = null
         interp.visible = True
         for stmt in body_runs:
             result = stmt(interp, env)

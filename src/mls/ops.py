@@ -69,11 +69,10 @@ def arith_unary(op: str, v: Value, loc=None) -> Value:
     xs, kind = _as_number_list(v, op, loc)
     if op == "-":
         xs = [-x for x in xs]
-    out = Value(kind, xs)
     names = v.attributes.get("names")
     if names is not None and len(names.payload) == len(xs):
-        out.attributes["names"] = names
-    return out
+        return Value(kind, xs, {"names": names})
+    return Value(kind, xs)
 
 
 def _check_bound(out: list, what: str, loc):
@@ -96,11 +95,10 @@ def arith_binary(op: str, a: Value, b: Value, loc=None) -> Value:
         out = [fn(x, y) for x, y in zip(xs, ys)]
         if kind == values.INTEGER:
             _check_bound(out, f"'{op}'", loc)
-    result = Value(kind, out)
     names = _result_names(len(out), a, b)
     if names is not None:
-        result.attributes["names"] = names
-    return result
+        return Value(kind, out, {"names": names})
+    return Value(kind, out)
 
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
@@ -125,11 +123,11 @@ def compare_binary(op: str, a: Value, b: Value, loc=None) -> Value:
         ys, _ = _as_number_list(b, op, loc)
     xs, ys = _recycle(xs, ys, loc)
     fn = _COMPARE[op]
-    result = Value(values.LOGICAL, [bool(fn(x, y)) for x, y in zip(xs, ys)])
-    names = _result_names(len(result.payload), a, b)
+    out = [bool(fn(x, y)) for x, y in zip(xs, ys)]
+    names = _result_names(len(out), a, b)
     if names is not None:
-        result.attributes["names"] = names
-    return result
+        return Value(values.LOGICAL, out, {"names": names})
+    return Value(values.LOGICAL, out)
 
 
 def logical_not(v: Value, loc=None) -> Value:
@@ -186,7 +184,7 @@ def concat(args, loc=None) -> Value:
             else:
                 items.append(v)
                 names.append(name or "")
-        out = Value(values.LIST, items)
+        kind = values.LIST
     else:
         kind = max((v.kind for _, v in parts), key=lambda k: _NUMERIC_RANK[k])
         items = []
@@ -195,7 +193,6 @@ def concat(args, loc=None) -> Value:
                 items.extend(v.payload)
             else:
                 items.extend(_coerce_vector_elements(v.payload, v.kind, kind))
-        out = Value(kind, items)
         # no outer name and no names attribute means every name is ""
         names = None
         if any(name or "names" in v.attributes for name, v in parts):
@@ -205,8 +202,8 @@ def concat(args, loc=None) -> Value:
                 inner = values.element_names(v) or [""] * n
                 names.extend(_spliced_name(name, inner[i], i, n) for i in range(n))
     if names and any(names):
-        out.attributes["names"] = values.string_vec(names)
-    return out
+        return Value(kind, items, {"names": values.string_vec(names)})
+    return Value(kind, items)
 
 
 def _spliced_name(outer, inner, i, n):
@@ -222,15 +219,14 @@ def _positions(idx: Value, length: int, names, loc):
     if idx.kind in (values.INTEGER, values.DOUBLE):
         out = []
         for x in idx.payload:
-            if idx.kind == values.DOUBLE:
-                if not math.isfinite(x) or x != int(x):
-                    raise MlsError(f"invalid index {printer.format_double(x)}", loc)
-                x = int(x)
-            if x < 1:
-                raise MlsError(f"invalid index {x}", loc)
-            if x > length:
-                raise MlsError(f"index {x} out of bounds (length {length})", loc)
-            out.append(x - 1)
+            if idx.kind == values.DOUBLE and (not math.isfinite(x) or x != int(x)):
+                raise MlsError(f"invalid index {printer.format_double(x)}", loc)
+            if not 1 <= x <= length:
+                shown = printer.format_element(idx.kind, x)
+                if x < 1:
+                    raise MlsError(f"invalid index {shown}", loc)
+                raise MlsError(f"index {shown} out of bounds (length {length})", loc)
+            out.append(int(x) - 1)
         return out
     if idx.kind == values.LOGICAL:
         if len(idx.payload) != length:
@@ -261,10 +257,10 @@ def index_get(obj: Value, indices, loc=None) -> Value:
         raise MlsError(f"object of class '{cls}' is not subsettable", loc)
     names = values.element_names(obj)
     pos = _positions(indices[0], len(obj.payload), names, loc)
-    out = Value(obj.kind, [obj.payload[i] for i in pos])
+    payload = [obj.payload[i] for i in pos]
     if names is not None:
-        out.attributes["names"] = values.string_vec([names[i] for i in pos])
-    return out
+        return Value(obj.kind, payload, {"names": values.string_vec([names[i] for i in pos])})
+    return Value(obj.kind, payload)
 
 
 def index_assign(obj: Value, indices, v: Value, loc=None) -> Value:

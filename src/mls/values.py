@@ -9,14 +9,18 @@ everything else behaves as if assignment copied it.
 A Value, its payload and its attribute map are never written after the
 value is built: every modifying operation builds a fresh value.  Values
 may therefore share payloads and attributes freely, and copying one is
-never needed.
+never needed.  A value built without attributes shares the one
+read-only empty map `NO_ATTRIBUTES`, so a site that gives a fresh value
+attributes passes its dict to the constructor; and every NULL is the one
+value `null_value()` returns.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Optional
 
 # Value kinds.
@@ -72,11 +76,30 @@ class MlsError(Exception):
         return self.message
 
 
-@dataclass
+NO_ATTRIBUTES = MappingProxyType({})
+
+
 class Value:
-    kind: str
-    payload: Any = None
-    attributes: dict = field(default_factory=dict)
+    __slots__ = ("kind", "payload", "attributes")
+
+    def __init__(self, kind: str, payload: Any = None, attributes=NO_ATTRIBUTES):
+        self.kind = kind
+        self.payload = payload
+        self.attributes = attributes
+
+    def __eq__(self, other):
+        if other.__class__ is not Value:
+            return NotImplemented
+        return (self.kind, self.payload, self.attributes) == (
+            other.kind, other.payload, other.attributes)
+
+    __hash__ = None
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def __repr__(self):  # debugging aid only; user printing lives in printer
         return f"Value({self.kind}, {self.payload!r})"
@@ -97,8 +120,11 @@ class S4Payload:
     slot_values: dict  # name -> Value
 
 
+_NULL = Value(NULL)
+
+
 def null_value() -> Value:
-    return Value(NULL)
+    return _NULL
 
 
 def logical_vec(items) -> Value:
@@ -118,10 +144,9 @@ def string_vec(items) -> Value:
 
 
 def list_value(items, names=None) -> Value:
-    v = Value(LIST, list(items))
-    if names is not None:
-        v.attributes["names"] = string_vec(names)
-    return v
+    if names is None:
+        return Value(LIST, list(items))
+    return Value(LIST, list(items), {"names": string_vec(names)})
 
 
 def scalar_bool(x: bool) -> Value:

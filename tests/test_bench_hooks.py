@@ -13,6 +13,7 @@ if str(PERFBENCH) not in sys.path:
 from mlsbench import harness, tracing  # noqa: E402
 
 from mls import purity  # noqa: E402
+from mls.interpreter import Interpreter  # noqa: E402
 
 
 def test_the_tracer_installs_and_uninstalls_on_the_current_modules():
@@ -30,3 +31,18 @@ def test_the_tracer_installs_and_uninstalls_on_the_current_modules():
     assert tracer.counters["purity.report_bytes"] == len(text)
     assert tracer.counters["purity.functions"] == 1
     assert tracer.count["reader.parse_program"] == 1
+
+
+def test_each_interpreter_counts_its_own_builtin_calls():
+    """The tracer wraps each builtin's `fn` in place as `builtins.install`
+    returns, so a payload shared between interpreters would be wrapped
+    twice and count one call twice."""
+    mls = {name: importlib.import_module(f"mls.{name}") for name in harness.MLS_MODULES}
+    tracer = tracing.Tracer(mls)
+    tracer.install()
+    try:
+        for interp in (Interpreter(), Interpreter()):
+            interp.eval_source("length(1)")
+    finally:
+        tracer.uninstall()
+    assert tracer.count["builtins.length"] == 2

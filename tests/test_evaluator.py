@@ -424,6 +424,22 @@ def test_an_infinite_index_is_an_error_where_nan_is(kind, index, shown, assign):
     assert error("0/0") == ("invalid index NaN", loc)
 
 
+@pytest.mark.parametrize("kind", ["c", "list"])
+@pytest.mark.parametrize("index, message", [
+    ("1e308", "index 1e+308 out of bounds (length 2)"),
+    ("-1e16", "invalid index -1e+16"),
+    ("3.0", "index 3 out of bounds (length 2)"),
+    ("3", "index 3 out of bounds (length 2)"),
+    ("0", "invalid index 0"),
+])
+@pytest.mark.parametrize("assign", [False, True], ids=["read", "assign"])
+def test_an_index_out_of_range_is_shown_as_printed(kind, index, message, assign):
+    source = f"x <- {kind}(1, 2)\nx[{index}]" + (" <- 3" if assign else "")
+    with pytest.raises(MlsError) as exc:
+        Interpreter().eval_source(source)
+    assert exc.value.message == message
+
+
 def test_sum_of_doubles_overflows_to_inf_and_cancels_to_nan(interp):
     assert math.isnan(run(interp, "sum(c(1/0, -1/0))").payload[0])
     assert run(interp, "sum(c(1e308, 1e308))").payload == [math.inf]

@@ -1,3 +1,4 @@
+import copy
 import io
 
 import pytest
@@ -91,6 +92,43 @@ def test_copy_vectors_independent(capture):
 
 def test_deep_copy_null_identity():
     assert values.values_equal(values.deep_copy(values.null_value()), values.null_value())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: values.scalar_int(1),
+    lambda: values.list_value([]),
+    lambda: Value(values.DOUBLE, [1.0]),
+    lambda: ops.arith_binary("+", values.scalar_int(1), values.scalar_int(2)),
+    lambda: ops.concat([(None, values.scalar_int(1))]),
+], ids=["scalar", "list", "constructor", "operator", "concat"])
+def test_a_value_built_without_attributes_cannot_gain_one(make):
+    v = make()
+    assert v.attributes is values.NO_ATTRIBUTES
+    with pytest.raises(TypeError):
+        v.attributes["names"] = values.scalar_string("a")
+
+
+def test_every_null_is_one_value(interp):
+    assert values.null_value() is values.null_value()
+    assert interp.eval_source("NULL") is values.null_value()
+    assert interp.eval_source("f <- function() NULL; f()") is values.null_value()
+
+
+def test_copying_a_value_returns_it():
+    named = values.list_value([values.scalar_int(1)], names=["a"])
+    for v in (values.scalar_double(1.5), named, values.null_value()):
+        assert copy.copy(v) is v
+        assert copy.deepcopy(v) is v
+    assert copy.deepcopy([named]) == [named]
+
+
+def test_values_compare_by_kind_payload_and_attributes_and_do_not_hash():
+    assert Value(values.INTEGER, [1]) == values.scalar_int(1)
+    assert Value(values.INTEGER, [1], {}) == values.scalar_int(1)
+    assert Value(values.INTEGER, [1]) != Value(values.DOUBLE, [1])
+    assert values.list_value([], names=[]) != values.list_value([])
+    with pytest.raises(TypeError):
+        hash(values.scalar_int(1))
 
 
 def test_deep_copy_preserves_environment_aliasing(interp):
