@@ -447,6 +447,8 @@ def _registry():
 
 # every builtin's purity class, and the prelude's `print` generic, pure
 BUILTIN_PURITY = {name: purity for name, _, purity, *_ in _registry()} | {"print": "pure"}
+# every builtin's formals, as `Interpreter.call_value` matches them; None = variadic
+BUILTIN_FORMALS = {name: formals for name, _, _, formals, *_ in _registry()}
 BUILTIN_NAMES = frozenset(BUILTIN_PURITY)  # every name base binds
 
 

@@ -64,16 +64,15 @@ class BuiltinContext:
 
 
 class CallFrame:
-    __slots__ = ("closure_value", "call_env", "caller_env", "call_loc", "args", "label")
+    __slots__ = ("closure_value", "call_env", "caller_env", "call_loc", "args")
 
     def __init__(self, closure_value: Value, call_env: Environment, caller_env: Environment,
-                 call_loc, args: list, label: Optional[str] = None):
+                 call_loc, args: list):
         self.closure_value = closure_value
         self.call_env = call_env
         self.caller_env = caller_env
         self.call_loc = call_loc
         self.args = args  # original (name or None, Promise) in call order
-        self.label = label
 
 
 def apply_operator(interp, op, lhs, rhs, env, loc=None) -> Value:
@@ -190,44 +189,34 @@ class Interpreter:
                    forced=False) -> Value:
         """Apply a function value to (name, Promise) argument pairs or, when
         `forced`, an eager builtin to (name, Value) pairs evaluated in call
-        order."""
+        order.  A lazy builtin takes the promises as they are; every other
+        builtin takes their values, matched to its formals unless it is
+        variadic."""
         caller_env = caller_env if caller_env is not None else self.global_env
         if fn.kind == values.BUILTIN:
-            if forced:
-                return self._apply_builtin(fn.payload, args, caller_env, loc)
-            return self._call_builtin(fn.payload, args, caller_env, loc)
+            payload = fn.payload
+            if not (forced or payload.lazy):
+                args = [(n, p.force(self)) for n, p in args]
+            ctx = BuiltinContext(self, caller_env, loc)
+            formals = payload.formals
+            if formals is None:
+                result = payload.fn(ctx, args)
+            else:
+                matched, extra = match_formals(formals, args, loc)
+                if extra:
+                    raise MlsError(f"unused arguments for '{payload.name}'", loc)
+                for name, default in formals:
+                    if name not in matched:
+                        if default is REQUIRED:
+                            raise MlsError(f"argument '{name}' is missing, with no default", loc)
+                        matched[name] = default
+                result = payload.fn(ctx, **matched)
+            self.visible = not payload.invisible
+            return result
         if fn.kind == values.CLOSURE:
             call_env = self.match_arguments(fn.payload, args, loc, label)
-            return self.exec_closure(fn, call_env, caller_env, loc, args, label)
+            return self.exec_closure(fn, call_env, caller_env, loc, args)
         raise MlsError("attempt to apply non-function", loc)
-
-    def _call_builtin(self, payload: BuiltinPayload, args, caller_env, loc) -> Value:
-        """Apply a builtin to promises: a lazy builtin takes them as they
-        are, every other builtin takes their values in call order."""
-        if not payload.lazy:
-            forced = [(n, p.force(self)) for n, p in args]
-            return self._apply_builtin(payload, forced, caller_env, loc)
-        result = payload.fn(BuiltinContext(self, caller_env, loc), args)
-        self.visible = not payload.invisible
-        return result
-
-    def _apply_builtin(self, payload: BuiltinPayload, args, caller_env, loc) -> Value:
-        """Apply an eager builtin to (name, Value) pairs."""
-        ctx = BuiltinContext(self, caller_env, loc)
-        if payload.formals is None:
-            result = payload.fn(ctx, args)
-        else:
-            matched, extra = match_formals(payload.formals, args, loc)
-            if extra:
-                raise MlsError(f"unused arguments for '{payload.name}'", loc)
-            for name, default in payload.formals:
-                if name not in matched:
-                    if default is REQUIRED:
-                        raise MlsError(f"argument '{name}' is missing, with no default", loc)
-                    matched[name] = default
-            result = payload.fn(ctx, **matched)
-        self.visible = not payload.invisible
-        return result
 
     def match_arguments(self, closure: values.Closure, args, loc=None, label=None) -> Environment:
         """Build the call environment: each formal becomes a lazy promise
@@ -248,12 +237,12 @@ class Interpreter:
                 call_env.bind(name, Binding(missing_name=name), self)
         return call_env
 
-    def exec_closure(self, fn: Value, call_env, caller_env, loc, args, label=None) -> Value:
+    def exec_closure(self, fn: Value, call_env, caller_env, loc, args) -> Value:
         if len(self.frames) >= MAX_CALL_DEPTH:
             raise MlsError(
                 "evaluation nested too deeply (possible infinite recursion)", loc
             )
-        frame = CallFrame(fn, call_env, caller_env, loc, args, label)
+        frame = CallFrame(fn, call_env, caller_env, loc, args)
         self.frames.append(frame)
         body = fn.payload.body
         try:

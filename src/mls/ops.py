@@ -286,8 +286,7 @@ def index_assign(obj: Value, indices, v: Value, loc=None) -> Value:
         )
     for p, x in zip(pos, repl):
         payload[p] = x
-    out = Value(kind, payload, dict(obj.attributes))
-    return out
+    return Value(kind, payload, obj.attributes)
 
 
 def _list_index_assign(obj: Value, idx: Value, v: Value, loc):
@@ -299,7 +298,7 @@ def _list_index_assign(obj: Value, idx: Value, v: Value, loc):
         raise MlsError("list assignment requires a single position", loc)
     payload = list(obj.payload)
     payload[pos[0]] = v
-    return Value(values.LIST, payload, dict(obj.attributes))
+    return Value(values.LIST, payload, obj.attributes)
 
 
 def field_get_list(obj: Value, name: str) -> Value:

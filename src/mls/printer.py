@@ -18,7 +18,7 @@ def format_double(d: float) -> str:
         return "NaN"
     if math.isinf(d):
         return "Inf" if d > 0 else "-Inf"
-    if d == int(d) and abs(d) < 1e15:
+    if d == int(d) and abs(d) < 1e16:
         return str(int(d))
     return repr(d)
 

@@ -20,7 +20,8 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import reader, syntax, values
-from .builtins import BUILTIN_PURITY
+from .builtins import BUILTIN_FORMALS, BUILTIN_PURITY
+from .interpreter import REQUIRED, match_formals
 from .values import MlsError
 
 NONLOCAL_ASSIGNMENT = "NonlocalAssignment"
@@ -56,18 +57,10 @@ class Violation:
 
 
 @dataclass
-class CalleeUse:
-    name: str
-    loc: tuple
-    first_string: Optional[str] = None  # first literal string argument
-    has_envir: bool = False  # assign() given an explicit environment
-
-
-@dataclass
 class FunctionFacts:
     name: str
     violations: list = field(default_factory=list)
-    callees: list = field(default_factory=list)  # CalleeUse
+    callees: list = field(default_factory=list)  # Calls of a named callee
     name_uses: dict = field(default_factory=dict)  # free name -> first loc
 
 
@@ -154,14 +147,27 @@ def parse_module(name: str, source: str, path=None) -> ModuleUnit:
 # scanning: per-function local facts
 
 
-def _first_string_arg(args) -> Optional[str]:
-    for name, arg in args:
-        if name not in (None, "name", "tag"):
-            continue
-        if isinstance(arg, syntax.Constant) and arg.value.kind == values.STRING:
-            if len(arg.value.payload) == 1:
-                return arg.value.payload[0]
+def match_builtin_call(call: syntax.Call) -> Optional[dict]:
+    """The formals of the builtin `call` names, bound to their actual
+    expressions as `Interpreter.call_value` binds them (a variadic builtin
+    binds none), or None when it rejects the call before the builtin
+    runs."""
+    formals = BUILTIN_FORMALS.get(call.callee.name)
+    if formals is None:
+        return {}
+    try:
+        matched, extra = match_formals(formals, call.args)
+    except MlsError:
         return None
+    if extra or any(default is REQUIRED and name not in matched for name, default in formals):
+        return None
+    return matched
+
+
+def _literal(e) -> Optional[str]:
+    """The string of a literal string expression, else None."""
+    if type(e) is syntax.Constant and e.value.kind == values.STRING and len(e.value.payload) == 1:
+        return e.value.payload[0]
     return None
 
 
@@ -231,10 +237,10 @@ def scan_function(name: str, literal: syntax.FunctionLiteral) -> FunctionFacts:
                 walk(args[1][1], local)
                 return
             if cname not in _SYNTAX_HEADS:
-                if cname == "assign" and args:  # a literal name assigned is a local
-                    first = args[0][1]
-                    if type(first) is syntax.Constant and first.value.kind == values.STRING:
-                        local.add(first.value.payload[0])
+                if cname == "assign":  # a literal name assigned is a local
+                    assigned = _literal((match_builtin_call(e) or {}).get("name"))
+                    if assigned is not None:
+                        local.add(assigned)
                 calls.append(e)
         else:
             # computed callee: the target of the call cannot be resolved statically
@@ -248,16 +254,9 @@ def scan_function(name: str, literal: syntax.FunctionLiteral) -> FunctionFacts:
         violations.append(Violation(NONLOCAL_ASSIGNMENT, *e.loc, syntax.deparse(e), subject))
 
     walk_function(literal)
-    facts = FunctionFacts(name, violations)
+    facts = FunctionFacts(name, violations, calls)
     for s in names:
         facts.name_uses.setdefault(s.name, s.loc)
-    for c in calls:
-        has_envir = any(n == "envir" for n, _ in c.args) or (
-            sum(1 for n, _ in c.args if n is None) >= 3
-        )
-        facts.callees.append(
-            CalleeUse(c.callee.name, c.loc, _first_string_arg(c.args), has_envir)
-        )
     return facts
 
 
@@ -265,29 +264,34 @@ def scan_function(name: str, literal: syntax.FunctionLiteral) -> FunctionFacts:
 # resolution: classify free names and build call edges
 
 
-def _builtin_violation(use: CalleeUse, kind: Optional[str], called: bool) -> Optional[Violation]:
-    """The violation of using builtin `use.name` of purity class `kind`."""
-    line, col = use.loc
-    name = use.name
+def _builtin_violation(name: str, loc, kind: Optional[str],
+                       call: Optional[syntax.Call]) -> Optional[Violation]:
+    """The violation of using builtin `name` of purity class `kind`, called
+    by `call` or, when `call` is None, only named."""
+    line, col = loc
     if kind == "pure":
         return None
-    if kind == "local_assign":
-        if called and use.has_envir:
+    if kind == "local_assign" or kind == "state_read":
+        matched = match_builtin_call(call) if call is not None else {}
+        if matched is None:  # the call fails, so it assigns and reads nothing
+            return None
+        if kind == "local_assign":
+            if "envir" not in matched:
+                return None
             return Violation(
                 NONLOCAL_ASSIGNMENT, line, col,
                 "assign() with an explicit target environment",
             )
-        return None
-    if kind == "state_read":
-        opt = use.first_string
+        opt = _literal(matched.get("name"))
         verb = "writes" if name == "options" else "reads"
         if opt is not None:
             return Violation(STATE_READ, line, col, f"{verb} option '{opt}'", subject=opt)
         return Violation(STATE_READ, line, col, f"{verb} a dynamically named option")
     if kind == "rng":
         return Violation(RNG_DEPENDENCE, line, col, f"calls {name}()")
-    if kind == "foreign":
-        tag = use.first_string
+    if kind == "foreign":  # the tag is an unnamed first argument, as `foreign` reads it
+        args = call.args if call is not None else []
+        tag = _literal(args[0][1]) if args and args[0][0] is None else None
         detail = f"calls foreign('{tag}')" if tag else "calls foreign code"
         return Violation(FOREIGN_CODE, line, col, detail)
     if kind == "global_ref":
@@ -312,9 +316,9 @@ def resolve_names(module: ModuleUnit, facts: FunctionFacts, universe: dict, poli
         for n in names:
             import_map[n] = imp_module
 
-    def resolve(name, loc, use: Optional[CalleeUse]):
+    def resolve(name, loc, call: Optional[syntax.Call]):
         line, col = loc
-        called = use is not None
+        called = call is not None
         owner = module if name in module.bindings else universe.get(import_map.get(name))
         if owner is not None:
             if name in owner.definitions:
@@ -335,9 +339,7 @@ def resolve_names(module: ModuleUnit, facts: FunctionFacts, universe: dict, poli
                 )
             return
         if name in BUILTIN_PURITY:
-            v = _builtin_violation(
-                use if use is not None else CalleeUse(name, loc), policy.get(name), called
-            )
+            v = _builtin_violation(name, loc, policy.get(name), call)
             if v is not None:
                 violations.append(v)
             return
@@ -348,8 +350,8 @@ def resolve_names(module: ModuleUnit, facts: FunctionFacts, universe: dict, poli
             )
         )
 
-    for use in facts.callees:
-        resolve(use.name, use.loc, use)
+    for call in facts.callees:
+        resolve(call.callee.name, call.loc, call)
     for name, loc in facts.name_uses.items():
         resolve(name, loc, None)
     return violations, edges
@@ -516,7 +518,7 @@ def analyze_modules(modules, policy: Optional[dict] = None) -> AnalysisReport:
                 except RecursionError:
                     raise MlsError(f"function '{fname}' nested too deeply", literal.loc) from None
                 resolved, node_edges = resolve_names(m, facts, universe, policy)
-                own[node] = list(facts.violations) + resolved
+                own[node] = facts.violations + resolved
                 edges[node] = node_edges
     verdicts = propagate(own, edges)
 

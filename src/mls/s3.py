@@ -30,7 +30,7 @@ def class_vector(interp, v: Value) -> list:
     formal instance without a class attribute its class's linearization."""
     if v.kind in values.FORMAL_KINDS and "class" not in v.attributes:
         return list(interp.s4.lineage(v.payload.class_name).distances)
-    return list(values.implicit_class(v).payload)
+    return values.implicit_class(v).payload
 
 
 def use_method(interp, generic_name: str, loc=None):

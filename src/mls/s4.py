@@ -75,7 +75,7 @@ class Registry:
 
     def __init__(self):
         basics = BASIC_CLASSES.items()
-        self.classes = {n: ClassDef(n, {}, list(sups), basic=True) for n, (_, sups, _) in basics}
+        self.classes = {n: ClassDef(n, {}, sups, basic=True) for n, (_, sups, _) in basics}
         self.generics: dict = {}
         self._lineages: dict = {}
 
@@ -90,7 +90,7 @@ class Registry:
                 raise MlsError(f"undefined superclass '{sup}' for class '{name}'", loc)
             if name == sup or name in self.lineage(sup).distances:
                 raise MlsError(f"inheritance cycle through class '{name}'", loc)
-        cdef = ClassDef(name, dict(own_slots), list(contains), virtual, ref=ref)
+        cdef = ClassDef(name, own_slots, contains, virtual, ref=ref)
         committed = self.classes, self._lineages
         self.classes = {**self.classes, name: cdef}
         redefined = name in committed[0]  # a new name is in no existing lineage
@@ -179,7 +179,7 @@ class Registry:
                     )
             # keep formal-argument order regardless of how the caller spelled it
             signature = tuple(n for n in formal_names if n in set(signature))
-        gdef = GenericDef(name, list(formals), signature, def_env=def_env)
+        gdef = GenericDef(name, formals, signature, def_env=def_env)
         self.generics[name] = gdef
         return gdef
 
@@ -348,7 +348,7 @@ def call_generic(interp, gdef: GenericDef, args, caller_env, loc=None) -> Value:
     method_env = Environment(mdef.fn.payload.enclosure, f"call:{gdef.name}")
     for name, binding in call_env.frame.items():
         method_env.bind(name, binding, interp)
-    return interp.exec_closure(mdef.fn, method_env, caller_env, loc, args, gdef.name)
+    return interp.exec_closure(mdef.fn, method_env, caller_env, loc, args)
 
 
 def is_standard_generic_body(body) -> bool:

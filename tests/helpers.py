@@ -537,12 +537,7 @@ def reference_scan_function(name, literal):
                     walk(arg, scope)
                 return
             if cname not in scope:
-                has_envir = any(n == "envir" for n, _ in call.args) or (
-                    sum(1 for n, _ in call.args if n is None) >= 3
-                )
-                facts.callees.append(purity.CalleeUse(
-                    cname, e.loc, purity._first_string_arg(call.args), has_envir
-                ))
+                facts.callees.append(call)
             for _, arg in call.args:
                 walk(arg, scope)
             return

@@ -427,6 +427,7 @@ def test_an_infinite_index_is_an_error_where_nan_is(kind, index, shown, assign):
 @pytest.mark.parametrize("kind", ["c", "list"])
 @pytest.mark.parametrize("index, message", [
     ("1e308", "index 1e+308 out of bounds (length 2)"),
+    ("1e15", "index 1000000000000000 out of bounds (length 2)"),
     ("-1e16", "invalid index -1e+16"),
     ("3.0", "index 3 out of bounds (length 2)"),
     ("3", "index 3 out of bounds (length 2)"),

@@ -12,6 +12,10 @@ def test_double_formatting():
     assert printer.format_double(float("inf")) == "Inf"
     assert printer.format_double(float("-inf")) == "-Inf"
     assert printer.format_double(1e-8) == "1e-08"
+    # every integral double below 1e16, where repr turns to exponent form, prints as an integer
+    assert printer.format_double(1e15) == "1000000000000000"
+    assert printer.format_double(-9999999999999998.0) == "-9999999999999998"
+    assert printer.format_double(1e16) == "1e+16"
 
 
 def test_vector_formats(interp):

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import differential_check, reference_scan_function, report_as_dict
 from mls import purity, reader, syntax, values
 from mls.builtins import BUILTIN_NAMES
+from mls.interpreter import Interpreter
 from mls.values import MlsError
 from test_reader import _extend, _leaves, _names
 
@@ -53,14 +55,14 @@ def test_scan_pure_body_has_no_facts():
 
 def test_scan_records_callees_and_free_names():
     facts = scan("function(n) helper(n) + stray")
-    assert [c.name for c in facts.callees] == ["helper"]
+    assert [c.callee.name for c in facts.callees] == ["helper"]
     assert list(facts.name_uses) == ["stray"]
 
 
 def test_scan_backquoted_function_call_is_a_callee():
     # only the reader makes function literals; this is an ordinary call
     facts = scan("function(x) `function`(x)")
-    assert [c.name for c in facts.callees] == ["function"]
+    assert [c.callee.name for c in facts.callees] == ["function"]
 
 
 @pytest.mark.parametrize("call", ["`<-`(x)", "`<<-`(x)", "`<-`()"])
@@ -89,15 +91,16 @@ def test_scan_locals_shadow_resolution():
 
 
 def test_scan_option_name_extraction():
-    facts = scan('function() get_option("tol")')
-    assert facts.callees[0].first_string == "tol"
+    reason = verdict_of(analyze('f <- function() get_option("tol")'), "f").verdict.reasons[0]
+    assert (reason.kind, reason.detail, reason.subject) == (
+        purity.STATE_READ, "reads option 'tol'", "tol")
 
 
 def test_scan_assign_envir_detection():
-    facts = scan('function(v, e) assign("x", v, e)')
-    assert facts.callees[0].has_envir
-    facts = scan('function(v) assign("x", v)')
-    assert not facts.callees[0].has_envir
+    verdict = verdict_of(analyze('f <- function(v, e) assign("x", v, e)'), "f").verdict
+    assert [v.kind for v in verdict.reasons] == [purity.NONLOCAL_ASSIGNMENT]
+    verdict = verdict_of(analyze('f <- function(v) assign("x", v)'), "f").verdict
+    assert verdict.status == purity.FUNCTIONAL
 
 
 def _facts_fields(facts):
@@ -170,6 +173,104 @@ def test_scan_matches_the_two_pass_scan(formals, body):
     # reparsed from its deparse, so that every node has its source location
     literal = reader.parse_one(syntax.deparse(syntax.FunctionLiteral(formals, body)))
     assert_scan_matches_the_reference(literal)
+
+
+# -- builtin calls, read as the interpreter matches them ----------------------------
+
+def _run_recorded(builtin, module_src, call_src):
+    """The arguments `Interpreter.call_value` matched to the formals of
+    `builtin` at each of its calls, while `call_src` runs after
+    `module_src`; a call it rejects never reaches the builtin."""
+    interp = Interpreter()
+    payload = interp.base_env.frame[builtin].value.payload
+    seen, fn = [], payload.fn
+
+    def record(ctx, **matched):
+        seen.append(matched)
+        return fn(ctx, **matched)
+
+    payload.fn = record
+    interp.eval_source(module_src)
+    try:
+        interp.eval_source(call_src)
+    except MlsError:
+        pass
+    return seen
+
+
+def _shapes(actuals):
+    """Every argument list of the (formal, source) pairs `actuals`: each
+    passed by name or by position, in every order."""
+    for order in itertools.permutations(actuals):
+        for named in itertools.product([False, True], repeat=len(order)):
+            yield ", ".join(f"{f} = {a}" if n else a for (f, a), n in zip(order, named))
+
+
+# calls the interpreter rejects: a missing, duplicated or unknown formal, or
+# an argument left over
+_REJECTED_ASSIGNS = ['"x"', 'value = "y"', '"x", "y", e, 1', 'name = "x", name = "z", "y"',
+                     '"x", "y", where = e']
+
+
+@pytest.mark.parametrize("args", [*_shapes([("name", '"x"'), ("value", '"y"')]),
+                                  *_shapes([("name", '"x"'), ("value", '"y"'), ("envir", "e")]),
+                                  *_REJECTED_ASSIGNS])
+def test_assign_is_nonlocal_exactly_when_the_interpreter_binds_envir(args):
+    src = f"f <- function(e) {{ assign({args}); x }}"
+    verdict = verdict_of(analyze(src), "f").verdict
+    kinds = [v.kind for v in verdict.reasons]
+    seen = _run_recorded("assign", src, "f(globalenv())")
+    binds_envir = bool(seen) and seen[0]["envir"] is not None
+    assert (purity.NONLOCAL_ASSIGNMENT in kinds) == binds_envir
+    if not binds_envir:
+        # only the literal the interpreter binds to `name` is a local
+        local_x = bool(seen) and seen[0]["name"] == values.scalar_string("x")
+        assert (purity.GLOBAL_REFERENCE in kinds) == (not local_x)
+    if verdict.status == purity.FUNCTIONAL:
+        assert differential_check([module_of(src)], "f(globalenv())").payload == ["y"]
+
+
+@pytest.mark.parametrize("call", [
+    *(f"options({args})" for args in _shapes([("name", '"tol"'), ("value", '"v"')])),
+    *(f"get_option({args})" for args in _shapes([("name", '"tol"')])),
+    'options("tol")', 'options(name = "a", name = "b")', 'options("tol", "v", 1)',
+    "get_option()", 'get_option("tol", "v")', 'get_option(nm = "tol")',
+])
+def test_the_option_named_is_the_one_the_interpreter_binds(call):
+    src = f"f <- function() {call}"
+    reasons = verdict_of(analyze(src), "f").verdict.reasons
+    seen = _run_recorded(call[:call.index("(")], src, "f()")
+    assert [v.subject for v in reasons if v.kind == purity.STATE_READ] == [
+        matched["name"].payload[0] for matched in seen
+    ]
+
+
+@pytest.mark.parametrize("call", [
+    'assign(value = 1, "x", e)', 'assign("x", value = 1, e)', 'assign(name = "x", 1, e)',
+])
+def test_assign_given_its_environment_by_position_is_nonlocal(call):
+    verdict = verdict_of(analyze(f"f <- function(e) {call}"), "f").verdict
+    assert verdict.status == purity.NONFUNCTIONAL
+    assert [v.kind for v in verdict.reasons] == [purity.NONLOCAL_ASSIGNMENT]
+
+
+def test_the_local_assign_binds_is_its_name_not_its_value():
+    verdict = verdict_of(analyze('g <- function() { assign(value = "y", "x"); y }'), "g").verdict
+    assert verdict.status == purity.NONFUNCTIONAL
+    assert [(v.kind, v.detail) for v in verdict.reasons] == [
+        (purity.GLOBAL_REFERENCE, "'y' resolves to no local, module definition, import, or builtin")
+    ]
+
+
+@pytest.mark.parametrize("call, detail", [
+    ('foreign("ext", x)', "calls foreign('ext')"),
+    ('foreign(tag = "ext", x)', "calls foreign code"),  # the interpreter rejects a named tag
+    ('foreign(x, "ext")', "calls foreign code"),
+])
+def test_the_foreign_tag_is_an_unnamed_first_argument(call, detail):
+    verdict = verdict_of(analyze(f"f <- function(x) {call}"), "f").verdict
+    assert verdict.status == purity.UNCERTIFIABLE
+    assert [(v.kind, v.detail) for v in verdict.reasons] == [(purity.FOREIGN_CODE, detail)]
 
 
 # -- resolution ------------------------------------------------------------------
@@ -408,6 +509,15 @@ def test_every_builtin_is_classified():
     assert unclassified == []
     unknown = {name: kind for name, kind in policy.items() if kind not in PURITY_CLASSES}
     assert unknown == {}
+
+
+def test_a_variadic_builtin_classed_state_read_reads_a_dynamically_named_option():
+    policy = purity.default_policy()
+    policy["paste"] = "state_read"
+    report = analyze('f <- function(x) paste(name = "tol", x)', policy=policy)
+    assert [(v.kind, v.detail) for v in verdict_of(report, "f").verdict.reasons] == [
+        (purity.STATE_READ, "reads a dynamically named option")
+    ]
 
 
 def test_whitelist_perturbation():
