@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from . import printer, purity, reader
+from .environment import entry_value
 from .interpreter import Interpreter
 from .reader import MlsSyntaxError
 from .values import MlsError
@@ -75,10 +76,9 @@ def cmd_repl(stdin=None, stdout=None) -> int:
             break
         if not buffer and stripped == ":env":
             for name in sorted(interp.global_env.frame):
-                binding = interp.global_env.frame[name]
                 try:
                     with reader.deep_host_stack():
-                        v = binding.resolve(interp)
+                        v = entry_value(interp.global_env.frame[name], interp)
                         preview = printer.format_value(v, interp).split("\n")[0]
                 except MlsError as exc:
                     preview = f"<error: {exc.message}>"

@@ -1,9 +1,11 @@
-"""Environments: mutable name-to-binding frames with a parent chain.
+"""Environments: mutable name-to-entry frames with a parent chain.
 
-A reference in MLS is a name plus an environment.  Bindings come in
-three modes: immediate values, lazy promises (memoized on first force),
-and active bindings that run accessor functions.  Reference-class
-fields carry their `RefField`, checked on every assignment.
+A reference in MLS is a name plus an environment.  A frame entry is a
+`Value` itself, a lazy `Promise` itself (memoized on first force), or a
+`Binding` for the modes that need more: an active field that runs
+accessor functions, a typed field that carries its `RefField`, checked
+on every assignment, or a missing argument.  `entry_value` reads any
+entry.
 """
 
 from __future__ import annotations
@@ -62,12 +64,15 @@ class Promise:
 
 
 class Binding:
-    __slots__ = ("value", "promise", "getter", "setter", "field", "missing_name")
+    """A frame entry in a special mode: an active field (`getter`, with its
+    `setter`), a typed field (`field`, its value in `value`) or a missing
+    argument (`missing_name`).  `builtins.install` also binds each of base's
+    builtins as a `Binding(value=...)`, whose `.value` a tracer reads."""
 
-    def __init__(self, *, value=None, promise=None, getter=None, setter=None, field=None,
-                 missing_name=None):
+    __slots__ = ("value", "getter", "setter", "field", "missing_name")
+
+    def __init__(self, *, value=None, getter=None, setter=None, field=None, missing_name=None):
         self.value = value
-        self.promise = promise
         self.getter = getter
         self.setter = setter
         self.field = field
@@ -80,9 +85,15 @@ class Binding:
             )
         if self.getter is not None:
             return interp.call_value(self.getter, [], loc=loc)
-        if self.promise is not None:
-            return self.promise.force(interp)
         return self.value
+
+
+def entry_value(entry, interp, loc=None) -> values.Value:
+    """The value a frame entry stands for: a `Value` itself, a `Promise`
+    forced, or whatever `Binding.resolve` makes of a special mode."""
+    if entry.__class__ is values.Value:
+        return entry
+    return entry.force(interp) if entry.__class__ is Promise else entry.resolve(interp, loc)
 
 
 class Environment:
@@ -96,45 +107,30 @@ class Environment:
     def __repr__(self):
         return f"<environment {self.tag or hex(id(self))}>"
 
-    def lookup_binding(self, name: str) -> Optional[Binding]:
-        env = self
-        while env is not None:
-            b = env.frame.get(name)
-            if b is not None:
-                return b
-            env = env.parent
-        return None
-
-    def has(self, name: str) -> bool:
-        return self.lookup_binding(name) is not None
-
-    def bind(self, name: str, binding: Binding, interp):
+    def bind(self, name: str, entry, interp):
         """The one write into a frame outside `builtins.install`; it marks a
         base name in `interp.shadowed` (see `Interpreter.find_function`)."""
         if name in interp.base_names:
             interp.shadowed.add(name)
-        self.frame[name] = binding
+        self.frame[name] = entry
 
     def set_value(self, name: str, value: values.Value, interp, loc=None):
-        """Assign into this frame, honoring active bindings and typed fields."""
+        """Assign into this frame, honoring active and typed fields; any
+        other entry is replaced by the value itself."""
         b = self.frame.get(name)
-        if b is None:
-            self.bind(name, Binding(value=value), interp)
-            return
-        if b.getter is not None:
-            if b.setter is None:
-                raise MlsError(f"active field '{name}' has no setter", loc)
-            interp.call_value(b.setter, [(None, Promise.forced(value))], loc=loc)
-            return
-        if b.field is not None:
-            if b.field.read_only:
-                raise MlsError(f"field '{name}' is read-only", loc)
-            interp.s4.check_value(value, b.field.declared_class, f"field '{name}'", loc)
-            b.value = value
-            b.promise = None
-            b.missing_name = None
-            return
-        self.bind(name, Binding(value=value), interp)
+        if b.__class__ is Binding:
+            if b.getter is not None:
+                if b.setter is None:
+                    raise MlsError(f"active field '{name}' has no setter", loc)
+                interp.call_value(b.setter, [(None, Promise.forced(value))], loc=loc)
+                return
+            if b.field is not None:
+                if b.field.read_only:
+                    raise MlsError(f"field '{name}' is read-only", loc)
+                interp.s4.check_value(value, b.field.declared_class, f"field '{name}'", loc)
+                b.value = value
+                return
+        self.bind(name, value, interp)
 
     def env_value(self) -> values.Value:
         return values.Value(values.ENVIRONMENT, self)

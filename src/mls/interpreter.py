@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from . import ops, reader, rng, s3, syntax, values
-from .environment import BINARY_OPERATORS, COMPARISON_OPERATORS, DONE, Binding, Environment, Promise
+from .environment import (BINARY_OPERATORS, COMPARISON_OPERATORS, DONE, Binding, Environment,
+                          Promise, entry_value)
 from .reader import HOST_RECURSION_LIMIT, deep_host_stack
 from .values import MlsError, Value
 
@@ -173,7 +174,8 @@ class Interpreter:
         while cur is not None:
             b = cur.frame.get(name)
             if b is not None:
-                v = b.value if b.value is not None else b.resolve(self, loc)
+                cls = b.__class__
+                v = b if cls is Value else b.force(self) if cls is Promise else b.resolve(self, loc)
                 if v.kind in (values.CLOSURE, values.BUILTIN):
                     return v
             cur = cur.parent
@@ -219,10 +221,10 @@ class Interpreter:
         raise MlsError("attempt to apply non-function", loc)
 
     def match_arguments(self, closure: values.Closure, args, loc=None, label=None) -> Environment:
-        """Build the call environment: each formal becomes a lazy promise
-        over the actual expression (in the caller) or the default (in the
-        new environment itself); unmatched formals without defaults bind a
-        missing marker that errors when forced."""
+        """Build the call environment: each formal is bound to the caller's
+        promise or to a promise of its default in the new environment
+        itself; unmatched formals without defaults bind a missing marker
+        that errors when read."""
         call_env = Environment(closure.enclosure, f"call:{label or 'function'}")
         matched, extra = match_formals(closure.formals, args, loc)
         if extra:
@@ -230,9 +232,9 @@ class Interpreter:
             raise MlsError(f"unused argument ({detail})", loc)
         for name, default in closure.formals:
             if name in matched:
-                call_env.bind(name, Binding(promise=matched[name]), self)
+                call_env.bind(name, matched[name], self)
             elif default is not None:
-                call_env.bind(name, Binding(promise=Promise(default, call_env)), self)
+                call_env.bind(name, Promise(default, call_env), self)
             else:
                 call_env.bind(name, Binding(missing_name=name), self)
         return call_env
@@ -261,7 +263,7 @@ class Interpreter:
         while cur is not None:
             b = cur.frame.get(name)
             if b is not None:
-                if b.field is None and cur.tag.startswith("ref:"):
+                if b.__class__ is not Binding and cur.tag.startswith("ref:"):
                     # a method or `.self` in an instance's frame, tagged `ref:<class>`
                     # (refclasses._build_instance), is refused as `p$run <- v` is
                     raise MlsError(f"'{name}' is not a field of class '{cur.tag[4:]}'", loc)
@@ -281,7 +283,7 @@ class Interpreter:
             return refclasses.field_or_method(self, obj, name, loc)
         if obj.kind == values.ENVIRONMENT:
             b = obj.payload.frame.get(name)
-            return b.resolve(self, loc) if b is not None else values.null_value()
+            return entry_value(b, self, loc) if b is not None else values.null_value()
         if obj.kind == values.BUILTIN and isinstance(obj.payload.meta, refclasses.RefClassDef):
             return refclasses.generator_field(self, obj.payload, name, loc)
         if obj.kind == values.S4_INSTANCE:
@@ -298,15 +300,13 @@ class Interpreter:
     # reading; only the state 2^63, read as -2^63, is past the integer bound.
 
     def rng_state(self) -> int:
-        b = self.global_env.frame.get(RANDOM_SEED_NAME)
-        if b is None:
+        v = self.global_env.frame.get(RANDOM_SEED_NAME)
+        if v is None:
             state = rng.seed_state(DEFAULT_SEED)
             self.set_rng_state(state)
             return state
-        v = b.value
         if (
-            v is None
-            or v.kind != values.INTEGER
+            v.kind != values.INTEGER
             or len(v.payload) != 1
             or v.payload[0] == 0
             or not (-(1 << 63) <= v.payload[0] < (1 << 63))
@@ -316,7 +316,7 @@ class Interpreter:
 
     def set_rng_state(self, state: int):
         signed = state - (1 << 64) if state >> 63 else state
-        self.global_env.bind(RANDOM_SEED_NAME, Binding(value=values.int_vec([signed])), self)
+        self.global_env.bind(RANDOM_SEED_NAME, values.int_vec([signed]), self)
 
     def rng_set_seed(self, seed: int):
         self.set_rng_state(rng.seed_state(seed))
@@ -331,16 +331,15 @@ class Interpreter:
         return values.double_vec(out)
 
     def options_value(self) -> Value:
-        b = self.global_env.frame.get(OPTIONS_NAME)
-        if b is None:
+        v = self.global_env.frame.get(OPTIONS_NAME)
+        if v is None:
             v = values.list_value([])
-            self.global_env.bind(OPTIONS_NAME, Binding(value=v), self)
-            return v
-        return b.value
+            self.global_env.bind(OPTIONS_NAME, v, self)
+        return v
 
     def set_option(self, name: str, value: Value):
         table = ops.field_assign_list(self.options_value(), name, value)
-        self.global_env.bind(OPTIONS_NAME, Binding(value=table), self)
+        self.global_env.bind(OPTIONS_NAME, table, self)
 
     def get_option(self, name: str) -> Value:
         return ops.field_get_list(self.options_value(), name)
@@ -387,8 +386,8 @@ class Interpreter:
 # tracer does) still see every call.  Two common cases make no such call.
 # An operator site computes two attribute-free numeric scalars in place
 # from the per-element functions of `ops`, so a tracer counts that
-# arithmetic as interpreter self time; a symbol reads an immediate
-# binding or a promise, forcing it if pending, without calling
+# arithmetic as interpreter self time; a symbol reads a frame entry that
+# is a value or a promise, forcing it if pending, without calling
 # `Binding.resolve`.
 
 
@@ -411,10 +410,11 @@ def _compile_constant(e: syntax.Constant):
 
 
 def _compile_symbol(e: syntax.Symbol):
-    """Walk the frames from `env` outward to the first binding of the
-    name: its value, its promise's value (forced here if pending), or
-    else whatever `Binding.resolve` makes of a missing formal or an
-    active binding.  A binding that holds a promise has neither."""
+    """Walk the frames from `env` outward to the first entry for the
+    name and test its class once: a `Value` is the value, a `Promise`
+    gives its value (forced here if pending), and a `Binding` gives
+    whatever `Binding.resolve` makes of a missing formal, an active field
+    or a typed field."""
     name, loc = e.name, e.loc
 
     def run(interp, env):
@@ -422,11 +422,11 @@ def _compile_symbol(e: syntax.Symbol):
         while env is not None:
             b = env.frame.get(name)
             if b is not None:
-                if b.value is not None:
-                    return b.value
-                p = b.promise
-                if p is not None:
-                    return p.value if p.state == DONE else p.force(interp)
+                cls = b.__class__
+                if cls is Value:
+                    return b
+                if cls is Promise:
+                    return b.value if b.state == DONE else b.force(interp)
                 return b.resolve(interp, loc)
             env = env.parent
         raise MlsError(f"object '{name}' not found", loc)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 from . import refclasses, s4, syntax, values
+from .environment import entry_value
 
 
 def format_double(d: float) -> str:
@@ -104,13 +105,11 @@ def _format_lines(v: values.Value, interp, with_attrs: bool = True) -> list:
     elif v.kind == values.REF_INSTANCE:
         p = v.payload
         lines = [f'Reference class object of class "{p.class_name}"']
-        for name, binding in p.backing.frame.items():
+        for name, entry in p.backing.frame.items():
             if name == ".self":
                 continue
-            fv = binding.value
-            if binding.getter is not None:
-                fv = binding.resolve(interp)
-            if fv is None or values.is_function(fv):
+            fv = entry_value(entry, interp)
+            if values.is_function(fv):
                 continue
             lines.append(f'Field "{name}":')
             lines.extend(_format_lines(fv, interp))

@@ -183,10 +183,11 @@ def scan_function(name: str, literal: syntax.FunctionLiteral) -> FunctionFacts:
 
     The walk keeps every name use (a Symbol) and every call of a named
     callee in walk order, and collects each function's locals as it
-    goes: names assigned with `<-` or given literally to assign(), not
-    in nested function literals or formal defaults.  When a function
-    literal's walk ends, the uses its formals and locals bind are
-    dropped; the rest are uses of the enclosing function."""
+    goes: names assigned with `<-` or given literally to an assign()
+    that binds no `envir`, not in nested function literals or formal
+    defaults.  When a function literal's walk ends, the uses its formals
+    and locals bind are dropped; the rest are uses of the enclosing
+    function."""
     violations = []
     names = []  # Symbol uses not yet known to be bound
     calls = []  # Calls of a named callee not yet known to be bound
@@ -237,9 +238,10 @@ def scan_function(name: str, literal: syntax.FunctionLiteral) -> FunctionFacts:
                 walk(args[1][1], local)
                 return
             if cname not in _SYNTAX_HEADS:
-                if cname == "assign":  # a literal name assigned is a local
-                    assigned = _literal((match_builtin_call(e) or {}).get("name"))
-                    if assigned is not None:
+                if cname == "assign":  # a literal name assigned here is a local
+                    matched = match_builtin_call(e) or {}
+                    assigned = _literal(matched.get("name"))
+                    if assigned is not None and "envir" not in matched:
                         local.add(assigned)
                 calls.append(e)
         else:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import s4, values
-from .environment import Binding, Environment
+from .environment import Binding, Environment, entry_value
 from .values import MlsError, Value
 
 
@@ -169,9 +169,9 @@ def _build_instance(interp, class_name, fields, methods, parent, field_values) -
             binding = Binding(value=field_values[fname], field=spec)
         backing.bind(fname, binding, interp)
     for mname, fn in methods.items():
-        backing.bind(mname, Binding(value=_re_enclosed(fn, backing)), interp)
+        backing.bind(mname, _re_enclosed(fn, backing), interp)
     instance = Value(values.REF_INSTANCE, RefPayload(class_name, backing))
-    backing.bind(".self", Binding(value=instance), interp)
+    backing.bind(".self", instance, interp)
     return instance
 
 
@@ -182,13 +182,13 @@ def field_or_method(interp, obj: Value, name: str, loc=None) -> Value:
         raise MlsError(
             f"'{name}' is not a field or method of class '{obj.payload.class_name}'", loc
         )
-    return binding.resolve(interp, loc)
+    return entry_value(binding, interp, loc)
 
 
 def field_set(interp, obj: Value, name: str, v: Value, loc=None):
     backing = obj.payload.backing
     binding = backing.frame.get(name)
-    if binding is None or binding.field is None:  # a method or `.self`
+    if binding.__class__ is not Binding:  # a method, `.self` or nothing
         raise MlsError(f"'{name}' is not a field of class '{obj.payload.class_name}'", loc)
     backing.set_value(name, v, interp, loc)
 
@@ -201,9 +201,9 @@ def copy_instance(interp, obj: Value, loc=None) -> Value:
     old = obj.payload.backing
     fields, methods, field_values = {}, {}, {}
     for name, binding in old.frame.items():
-        if binding.field is None:
+        if binding.__class__ is not Binding:
             if name != ".self":
-                methods[name] = binding.value
+                methods[name] = binding
             continue
         fields[name] = binding.field
         if not binding.field.active:

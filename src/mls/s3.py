@@ -7,7 +7,7 @@ class vector, walks its class's linearization in the class registry."""
 from __future__ import annotations
 
 from . import values
-from .environment import Promise
+from .environment import Promise, entry_value
 from .values import MlsError, Value
 
 
@@ -48,7 +48,7 @@ def use_method(interp, generic_name: str, loc=None):
     binding = frame.call_env.frame.get(first)
     if binding is None:
         raise MlsError(f"argument '{first}' is missing, with no default", loc)
-    obj = binding.resolve(interp, loc)
+    obj = entry_value(binding, interp, loc)
     classes = class_vector(interp, obj)
     for cls in classes + ["default"]:
         fn = lookup_method(interp, f"{generic_name}.{cls}", frame.caller_env)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import syntax, values
-from .environment import Environment
+from .environment import Environment, entry_value
 from .values import MlsError, Value
 
 ANY = "ANY"
@@ -341,13 +341,12 @@ def call_generic(interp, gdef: GenericDef, args, caller_env, loc=None) -> Value:
     call_env = interp.match_arguments(shim, args, loc, gdef.name)
     actual_classes = []
     for name in gdef.signature:
-        binding = call_env.frame[name]
-        v = binding.resolve(interp, loc)
+        v = entry_value(call_env.frame[name], interp, loc)
         actual_classes.append(dispatch_class_of(v))
     mdef = interp.s4.select_method(gdef, actual_classes, loc)
     method_env = Environment(mdef.fn.payload.enclosure, f"call:{gdef.name}")
-    for name, binding in call_env.frame.items():
-        method_env.bind(name, binding, interp)
+    for name, entry in call_env.frame.items():
+        method_env.bind(name, entry, interp)
     return interp.exec_closure(mdef.fn, method_env, caller_env, loc, args)
 
 

@@ -14,7 +14,7 @@ from typing import Optional
 import pytest
 
 from mls import ops, purity, reader, s3, syntax, values
-from mls.environment import COMPARISON_OPERATORS
+from mls.environment import COMPARISON_OPERATORS, entry_value
 from mls.interpreter import Interpreter
 from mls.values import MlsError
 
@@ -484,6 +484,7 @@ def _reference_collect_locals(body, scope: set):
             and isinstance(e.callee, syntax.Symbol)
             and e.callee.name == "assign"
             and e.args
+            and len(e.args) < 3 and "envir" not in [n for n, _ in e.args]  # no envir bound
             and isinstance(e.args[0][1], syntax.Constant)
             and e.args[0][1].value.kind == values.STRING
         ):
@@ -585,12 +586,23 @@ def reference_apply_operator(interp, op, lhs, rhs, env, loc=None):
     return compute(op, lhs, rhs, loc)
 
 
+def lookup_entry(env, name):
+    """The first frame entry for `name` from `env` outward, or None."""
+    while env is not None:
+        entry = env.frame.get(name)
+        if entry is not None:
+            return entry
+        env = env.parent
+    return None
+
+
 def reference_get_value(env, name, interp, loc=None):
-    """The value of `name` seen from `env`: its first binding, resolved."""
-    b = env.lookup_binding(name)
-    if b is None:
+    """The value of `name` seen from `env`: its first entry, read through
+    `environment.entry_value`."""
+    entry = lookup_entry(env, name)
+    if entry is None:
         raise MlsError(f"object '{name}' not found", loc)
-    return b.resolve(interp, loc)
+    return entry_value(entry, interp, loc)
 
 
 def value_fingerprint(v):
@@ -643,25 +655,20 @@ def report_as_dict(report) -> dict:
 
 
 def snapshot_frame(env):
-    """Frozen copies of every immediate binding in one frame."""
-    snap = {}
-    for name, binding in env.frame.items():
-        if binding.value is not None:
-            snap[name] = values.deep_copy(binding.value)
-        else:
-            snap[name] = binding
-    return snap
+    """Frozen copies of every value entry in one frame; other entries as they are."""
+    return {name: values.deep_copy(entry) if entry.__class__ is values.Value else entry
+            for name, entry in env.frame.items()}
 
 
 def frame_matches_snapshot(env, snap):
     if set(env.frame) != set(snap):
         return False
-    for name, binding in env.frame.items():
+    for name, entry in env.frame.items():
         expected = snap[name]
-        if isinstance(expected, values.Value):
-            if binding.value is None or not values.values_equal(binding.value, expected):
+        if expected.__class__ is values.Value:
+            if entry.__class__ is not values.Value or not values.values_equal(entry, expected):
                 return False
-        elif binding is not expected:
+        elif entry is not expected:
             return False
     return True
 

@@ -96,8 +96,8 @@ def method_interp():
 @given(op=st.sampled_from(BINARY_OPERATORS), lhs=_OPERANDS, rhs=_OPERANDS)
 def test_operator_site_matches_the_parent_operator(method_interp, op, lhs, rhs):
     interp, env = method_interp, method_interp.global_env
-    env.bind("a", Binding(value=lhs), interp)
-    env.bind("b", Binding(value=rhs), interp)
+    env.bind("a", lhs, interp)
+    env.bind("b", rhs, interp)
     site = _SITES[op]
     got = _outcome(interp, lambda: interp.eval(site, env))
     expected = _outcome(
@@ -206,28 +206,28 @@ def _symbol_setup(mode, frame):
     if mode == "unbound":
         return interp, local, None
     if target is not interp.base_env:
-        interp.base_env.bind("v", Binding(value=values.scalar_string("decoy")), interp)
+        interp.base_env.bind("v", values.scalar_string("decoy"), interp)
     if mode == "immediate":
-        binding = Binding(value=values.scalar_int(1))
+        entry = values.scalar_int(1)
     elif mode in ("pending", "forced"):
-        binding = Binding(promise=Promise(reader.parse_one("1 + 1"), interp.global_env))
+        entry = Promise(reader.parse_one("1 + 1"), interp.global_env)
         if mode == "forced":
-            binding.promise.force(interp)
+            entry.force(interp)
     elif mode == "recursive default":
-        binding = Binding(promise=Promise(syntax.Symbol("v", loc=(7, 9)), local))
+        entry = Promise(syntax.Symbol("v", loc=(7, 9)), local)
     elif mode == "missing":
-        binding = Binding(missing_name="v")
+        entry = Binding(missing_name="v")
     elif mode == "active field":
         getter = interp.eval_source("function() 42")
-        binding = Binding(getter=getter, field=RefField("v", active_get=getter))
+        entry = Binding(getter=getter, field=RefField("v", active_get=getter))
     else:
-        binding = Binding(value=values.scalar_double(2.5), field=RefField("v", "numeric"))
-    target.bind("v", binding, interp)
-    return interp, local, binding
+        entry = Binding(value=values.scalar_double(2.5), field=RefField("v", "numeric"))
+    target.bind("v", entry, interp)
+    return interp, local, entry
 
 
 def _read(mode, frame, read, monkeypatch):
-    interp, local, binding = _symbol_setup(mode, frame)
+    interp, local, entry = _symbol_setup(mode, frame)
     forced = []
     original = Promise.force
 
@@ -242,7 +242,7 @@ def _read(mode, frame, read, monkeypatch):
         result = ("error", err.message, err.loc)
     finally:
         monkeypatch.setattr(Promise, "force", original)
-    state = binding.promise.state if binding is not None and binding.promise else None
+    state = entry.state if entry.__class__ is Promise else None
     return result, sum(forced), state
 
 

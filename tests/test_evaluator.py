@@ -11,13 +11,17 @@ from hypothesis import strategies as st
 from helpers import (
     PureProgramGenerator,
     frame_matches_snapshot,
+    lookup_entry,
     no_host_recursion,
     snapshot_frame,
 )
 import mls
-from mls import interpreter, reader, syntax, values
+from mls import environment, interpreter, reader, syntax, values
+from mls.environment import Binding, Environment, Promise
 from mls.interpreter import Interpreter
 from mls.values import MlsError
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 
 def run(interp, src):
@@ -354,7 +358,7 @@ def test_unforced_side_effect_never_runs(interp):
 def test_builtin_arguments_run_in_call_order_in_caller_env(capture):
     capture.run_top_level(reader.parse_program("f <- function() { c(x <- 1, x <- 2); x }; f()"))
     assert capture.out.getvalue() == "[1] 2\n"
-    assert not capture.global_env.has("x")
+    assert lookup_entry(capture.global_env, "x") is None
 
 
 def test_builtin_name_rebound_to_closure_is_lazy(capture):
@@ -902,6 +906,96 @@ def test_random_pure_programs_preserve_globals():
         snap = snapshot_frame(interp.global_env)
         interp.eval_source(call)
         assert frame_matches_snapshot(interp.global_env, snap), program
+
+
+# -- frame entries -------------------------------------------------------------------
+
+def _frames_reachable(roots):
+    """Every environment reachable from `roots` through frame entries,
+    promises, closures, environment values, lists, attributes, S4 slots
+    and reference-instance backings."""
+    frames, seen, stack = [], set(), list(roots)
+    while stack:
+        x = stack.pop()
+        if x is None or id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, Environment):
+            frames.append(x)
+            stack += [x.parent, *x.frame.values()]
+        elif isinstance(x, Promise):
+            stack += [x.value, x.env]
+        elif isinstance(x, Binding):
+            stack += [x.value, x.getter, x.setter]
+        elif isinstance(x, values.Value):
+            stack += x.attributes.values()
+            payload = x.payload
+            if x.kind == values.LIST:
+                stack += payload
+            elif x.kind == values.CLOSURE:
+                stack.append(payload.enclosure)
+            elif x.kind == values.ENVIRONMENT:
+                stack.append(payload)
+            elif x.kind == values.REF_INSTANCE:
+                stack.append(payload.backing)
+            elif x.kind == values.S4_INSTANCE:
+                stack += payload.slot_values.values()
+    return frames
+
+
+def _run_checking_frames(source):
+    """Run `source` in a fresh interpreter, then check every entry of every
+    frame reachable from the global and base frames or from a call frame
+    the run made: a `Value`, a `Promise`, a `Binding` in a special mode, or
+    one of the builtins base was installed with.  Returns the number of
+    closure calls the run made."""
+    interp = Interpreter(stdout=io.StringIO(), stderr=io.StringIO())
+    installed = dict(interp.base_env.frame)
+    call_envs = []
+
+    def exec_closure(fn, call_env, *rest, _run=interp.exec_closure):
+        call_envs.append(call_env)
+        return _run(fn, call_env, *rest)
+
+    interp.exec_closure = exec_closure
+    interp.run_top_level(reader.parse_program(source))
+    bad = []
+    for env in _frames_reachable([interp.global_env, interp.base_env, *call_envs]):
+        for name, entry in env.frame.items():
+            if entry.__class__ in (values.Value, Promise) or installed.get(name) is entry:
+                continue
+            if entry.__class__ is Binding and (entry.getter or entry.field or entry.missing_name):
+                continue
+            bad.append((env.tag, name, entry))
+    assert bad == [], source
+    return len(call_envs)
+
+
+def test_frame_entries_are_values_promises_or_special_bindings():
+    for path in sorted(CORPUS.glob("*.mls")):
+        assert _run_checking_frames(path.read_text()) > 0
+    gen = PureProgramGenerator(4321)
+    for _ in range(200):
+        program, call = gen.program()
+        assert _run_checking_frames(f"{program}\n{call}") > 0
+
+
+def test_assignment_and_arguments_leave_the_value_itself_in_the_frame():
+    interp = Interpreter()
+    interp.eval_source("""
+        x <- c(1, 2)
+        f <- function(a, b, d = a) { e <- environment(); a <- 1; e }
+        g <- function(a) { a; environment() }
+        fe <- f(x)
+        ge <- g(x)
+    """)
+    assert interp.global_env.frame["x"].__class__ is values.Value
+    f_frame = interp.global_env.frame["fe"].payload.frame
+    assert f_frame["a"].__class__ is values.Value and f_frame["a"].payload == [1]
+    assert f_frame["b"].__class__ is Binding and f_frame["b"].missing_name == "b"
+    assert f_frame["d"].__class__ is Promise and f_frame["d"].state == environment.PENDING
+    a = interp.global_env.frame["ge"].payload.frame["a"]
+    assert a.__class__ is Promise and a.value is interp.global_env.frame["x"]
 
 
 # -- compiled closures ---------------------------------------------------------------

@@ -262,6 +262,15 @@ def test_the_local_assign_binds_is_its_name_not_its_value():
     ]
 
 
+def test_a_name_assign_writes_into_envir_is_no_local():
+    """The interpreter writes `x` into `e`, so the later read of `x` is free."""
+    verdict = verdict_of(analyze('f <- function(e) { assign("x", 1, e); x }'), "f").verdict
+    assert [(v.kind, v.line, v.column) for v in verdict.reasons] == [
+        (purity.NONLOCAL_ASSIGNMENT, 1, 20), (purity.GLOBAL_REFERENCE, 1, 39)
+    ]
+    assert_scan_matches_the_reference(reader.parse_one('function(e) { assign("x", 1, e); x }'))
+
+
 @pytest.mark.parametrize("call, detail", [
     ('foreign("ext", x)', "calls foreign('ext')"),
     ('foreign(tag = "ext", x)', "calls foreign code"),  # the interpreter rejects a named tag
