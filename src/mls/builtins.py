@@ -181,7 +181,7 @@ def _bi_assign(ctx, name, value, envir=None):
         if envir.kind != values.ENVIRONMENT:
             raise MlsError("envir must be an environment", ctx.loc)
         target = envir.payload
-    target.set_value(_scalar_string(name, "name", ctx.loc), value, ctx.interp, ctx.loc)
+    target.bind(_scalar_string(name, "name", ctx.loc), value, ctx.interp)
     return value
 
 
@@ -253,20 +253,18 @@ def _class_def_reflection(cdef: s4.ClassDef, lin: s4.Lineage) -> Value:
     return values.set_attribute(out, "class", values.string_vec(["classDefinition"]))
 
 
-def _bi_set_class(ctx, name, slots=None, contains=None, virtual=None):
+def _bi_set_class(ctx, name, slots, contains, virtual):
     cname = _scalar_string(name, "class name", ctx.loc)
     own_slots = {
         sname: _scalar_string(sval, f"class of slot '{sname}'", ctx.loc)
         for sname, sval in s4.declared_members(slots, "slot", cname, ctx.loc).items()
     }
     parents = []
-    if contains is not None and not values.is_null(contains):
+    if not values.is_null(contains):
         if contains.kind != values.STRING:
             raise MlsError("contains must be a character vector", ctx.loc)
         parents = list(contains.payload)
-    is_virtual = False
-    if virtual is not None and not values.is_null(virtual):
-        is_virtual = ops.truthy(virtual, ctx.loc)
+    is_virtual = not values.is_null(virtual) and ops.truthy(virtual, ctx.loc)
     cdef = ctx.interp.s4.define_class(cname, own_slots, parents, is_virtual, loc=ctx.loc)
     return _class_def_reflection(cdef, ctx.interp.s4.lineage(cname))
 
@@ -288,7 +286,7 @@ def _bi_set_generic(ctx, **kw):
     interp = ctx.interp
     gname = _scalar_string(name, "generic name", ctx.loc)
     default_method = None
-    if def_ is None or values.is_null(def_):
+    if values.is_null(def_):
         existing = interp.lookup_function(gname, ctx.env, ctx.loc)
         if existing.kind != values.CLOSURE:
             raise MlsError(
@@ -304,7 +302,7 @@ def _bi_set_generic(ctx, **kw):
         if not s4.is_standard_generic_body(def_.payload.body):
             default_method = def_
     sig = None
-    if signature is not None and not values.is_null(signature):
+    if not values.is_null(signature):
         if signature.kind != values.STRING:
             raise MlsError("signature must be a character vector", ctx.loc)
         sig = tuple(signature.payload)
@@ -364,11 +362,8 @@ def _bi_slot_set(ctx, obj, name, value):
 # -- reference classes -----------------------------------------------------------
 
 
-def _bi_set_ref_class(ctx, name, fields=None, methods=None, contains=None):
+def _bi_set_ref_class(ctx, name, fields, methods, contains):
     cname = _scalar_string(name, "class name", ctx.loc)
-    fields = fields if fields is not None else values.null_value()
-    methods = methods if methods is not None else values.null_value()
-    contains = contains if contains is not None else values.null_value()
     return refclasses.set_ref_class(
         ctx.interp, cname, fields, methods, contains, ctx.env, ctx.loc
     )
@@ -445,17 +440,19 @@ def _registry():
     return table
 
 
+_BUILTINS = _registry()
 # every builtin's purity class, and the prelude's `print` generic, pure
-BUILTIN_PURITY = {name: purity for name, _, purity, *_ in _registry()} | {"print": "pure"}
+BUILTIN_PURITY = {name: purity for name, _, purity, *_ in _BUILTINS} | {"print": "pure"}
 # every builtin's formals, as `Interpreter.call_value` matches them; None = variadic
-BUILTIN_FORMALS = {name: formals for name, _, _, formals, *_ in _registry()}
+BUILTIN_FORMALS = {name: formals for name, _, _, formals, *_ in _BUILTINS}
 BUILTIN_NAMES = frozenset(BUILTIN_PURITY)  # every name base binds
 
 
 def install(interp):
-    # base's entries stay `Binding(value=...)`: `perfbench/mlsbench/tracing.py`
-    # reads `.value` off each one to wrap its builtin (see test_bench_hooks.py)
-    for name, fn, _, formals, lazy, invisible in _registry():
+    # each interpreter gets its own payloads, and base's entries stay
+    # `Binding(value=...)`: `perfbench/mlsbench/tracing.py` reads `.value`
+    # off each one to wrap its builtin (see test_bench_hooks.py)
+    for name, fn, _, formals, lazy, invisible in _BUILTINS:
         payload = BuiltinPayload(
             name=name, fn=fn, formals=formals, lazy=lazy, invisible=invisible
         )

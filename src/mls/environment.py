@@ -3,9 +3,9 @@
 A reference in MLS is a name plus an environment.  A frame entry is a
 `Value` itself, a lazy `Promise` itself (memoized on first force), or a
 `Binding` for the modes that need more: an active field that runs
-accessor functions, a typed field that carries its `RefField`, checked
-on every assignment, or a missing argument.  `entry_value` reads any
-entry.
+accessor functions, or a missing argument.  `entry_value` reads any
+entry.  `Environment.bind` is the one frame write; the rules for
+writing a reference-class field are `refclasses.write_field`'s.
 """
 
 from __future__ import annotations
@@ -65,17 +65,16 @@ class Promise:
 
 class Binding:
     """A frame entry in a special mode: an active field (`getter`, with its
-    `setter`), a typed field (`field`, its value in `value`) or a missing
-    argument (`missing_name`).  `builtins.install` also binds each of base's
-    builtins as a `Binding(value=...)`, whose `.value` a tracer reads."""
+    `setter`) or a missing argument (`missing_name`).  `builtins.install`
+    also binds each of base's builtins as a `Binding(value=...)`, whose
+    `.value` a tracer reads."""
 
-    __slots__ = ("value", "getter", "setter", "field", "missing_name")
+    __slots__ = ("value", "getter", "setter", "missing_name")
 
-    def __init__(self, *, value=None, getter=None, setter=None, field=None, missing_name=None):
+    def __init__(self, *, value=None, getter=None, setter=None, missing_name=None):
         self.value = value
         self.getter = getter
         self.setter = setter
-        self.field = field
         self.missing_name = missing_name
 
     def resolve(self, interp, loc=None):
@@ -113,24 +112,6 @@ class Environment:
         if name in interp.base_names:
             interp.shadowed.add(name)
         self.frame[name] = entry
-
-    def set_value(self, name: str, value: values.Value, interp, loc=None):
-        """Assign into this frame, honoring active and typed fields; any
-        other entry is replaced by the value itself."""
-        b = self.frame.get(name)
-        if b.__class__ is Binding:
-            if b.getter is not None:
-                if b.setter is None:
-                    raise MlsError(f"active field '{name}' has no setter", loc)
-                interp.call_value(b.setter, [(None, Promise.forced(value))], loc=loc)
-                return
-            if b.field is not None:
-                if b.field.read_only:
-                    raise MlsError(f"field '{name}' is read-only", loc)
-                interp.s4.check_value(value, b.field.declared_class, f"field '{name}'", loc)
-                b.value = value
-                return
-        self.bind(name, value, interp)
 
     def env_value(self) -> values.Value:
         return values.Value(values.ENVIRONMENT, self)

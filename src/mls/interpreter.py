@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from . import ops, reader, rng, s3, syntax, values
+from . import ops, reader, refclasses, rng, s3, s4, syntax, values
 from .environment import (BINARY_OPERATORS, COMPARISON_OPERATORS, DONE, Binding, Environment,
                           Promise, entry_value)
 from .reader import HOST_RECURSION_LIMIT, deep_host_stack
@@ -117,7 +117,6 @@ def match_formals(formals, args, loc=None):
 class Interpreter:
     def __init__(self, stdout=None, stderr=None):
         from . import builtins as builtin_defs
-        from . import s4
 
         self.stdout = stdout
         self.stderr = stderr
@@ -244,15 +243,12 @@ class Interpreter:
             raise MlsError(
                 "evaluation nested too deeply (possible infinite recursion)", loc
             )
-        frame = CallFrame(fn, call_env, caller_env, loc, args)
-        self.frames.append(frame)
+        self.frames.append(CallFrame(fn, call_env, caller_env, loc, args))
         body = fn.payload.body
         try:
             return (body._run or compile_expr(body))(self, call_env)
-        except s3.UseMethodExit as exit_:
-            if exit_.frame is frame:
-                return exit_.value
-            raise
+        except s3.UseMethodExit as exit_:  # raised for this call, the innermost one
+            return exit_.value
         finally:
             self.frames.pop()
 
@@ -263,20 +259,17 @@ class Interpreter:
         while cur is not None:
             b = cur.frame.get(name)
             if b is not None:
-                if b.__class__ is not Binding and cur.tag.startswith("ref:"):
-                    # a method or `.self` in an instance's frame, tagged `ref:<class>`
-                    # (refclasses._build_instance), is refused as `p$run <- v` is
-                    raise MlsError(f"'{name}' is not a field of class '{cur.tag[4:]}'", loc)
-                cur.set_value(name, v, self, loc)
+                if isinstance(cur, refclasses.InstanceFrame):
+                    refclasses.write_field(self, cur, name, v, loc)
+                else:
+                    cur.bind(name, v, self)
                 return
             cur = cur.parent
-        self.global_env.set_value(name, v, self, loc)
+        self.global_env.bind(name, v, self)
 
     # -- field access ----------------------------------------------------------
 
     def field_get(self, obj: Value, name: str, loc=None) -> Value:
-        from . import refclasses
-
         if obj.kind == values.LIST:
             return ops.field_get_list(obj, name)
         if obj.kind == values.REF_INSTANCE:
@@ -413,8 +406,8 @@ def _compile_symbol(e: syntax.Symbol):
     """Walk the frames from `env` outward to the first entry for the
     name and test its class once: a `Value` is the value, a `Promise`
     gives its value (forced here if pending), and a `Binding` gives
-    whatever `Binding.resolve` makes of a missing formal, an active field
-    or a typed field."""
+    whatever `Binding.resolve` makes of a missing formal or an active
+    field."""
     name, loc = e.name, e.loc
 
     def run(interp, env):
@@ -517,7 +510,7 @@ def _compile_assign(e):
     def run(interp, env):
         v = value_run(interp, env)
         if local:
-            env.set_value(name, v, interp, loc)
+            env.bind(name, v, interp)
         else:
             interp.assign_super(name, v, env, loc)
         interp.visible = False
@@ -600,7 +593,7 @@ def _compile_index_assign(e: syntax.IndexAssign):
         indices = [index(interp, env) for index in index_runs]
         v = value_run(interp, env)
         updated = ops.index_assign(current, indices, v, loc)
-        env.set_value(name, updated, interp, loc)
+        env.bind(name, updated, interp)
         interp.visible = False
         return v
 
@@ -622,8 +615,6 @@ def _compile_field_assign(e: syntax.FieldAssign):
     """`x$f <- v` sets a field of an instance or environment bound to `x`,
     or rebinds `x` to an updated list; `expr$f <- v` needs `expr` to be
     an instance or environment."""
-    from . import refclasses
-
     field, loc, value_run = e.name, e.loc, compile_expr(e.value)
     name = e.obj.name if isinstance(e.obj, syntax.Symbol) else None
     target_run = compile_expr(e.obj)
@@ -634,12 +625,12 @@ def _compile_field_assign(e: syntax.FieldAssign):
         if target.kind == values.REF_INSTANCE:
             refclasses.field_set(interp, target, field, v, loc)
         elif target.kind == values.ENVIRONMENT:
-            target.payload.set_value(field, v, interp, loc)
+            target.payload.bind(field, v, interp)
         elif name is None:
             raise MlsError("cannot assign to a field of a temporary value", loc)
         elif target.kind in (values.LIST, values.NULL):
             updated = ops.field_assign_list(target, field, v, loc)
-            env.set_value(name, updated, interp, loc)
+            env.bind(name, updated, interp)
         else:
             cls = values.implicit_class(target).payload[0]
             raise MlsError(f"cannot set a field on an object of class '{cls}'", loc)

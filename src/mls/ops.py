@@ -158,9 +158,7 @@ def _coerce_vector_elements(items, from_kind, to_kind):
         return [printer.format_element(from_kind, x, quote_strings=False) for x in items]
     if to_kind == values.DOUBLE:
         return [float(x) for x in items]
-    if to_kind == values.INTEGER:
-        return [int(x) for x in items]
-    return list(items)
+    return [int(x) for x in items]  # logical to integer, the one coercion left
 
 
 def concat(args, loc=None) -> Value:
@@ -168,40 +166,31 @@ def concat(args, loc=None) -> Value:
     parts = [(n, v) for n, v in args if not values.is_null(v)]
     if not parts:
         return values.null_value()
+    items = []
     if any(v.kind not in values.VECTOR_KINDS for _, v in parts):
-        names = []
-        items = []
-        for name, v in parts:
+        kind = values.LIST
+        for _, v in parts:
             if v.kind == values.LIST:
-                inner = values.element_names(v) or [""] * len(v.payload)
-                for i, item in enumerate(v.payload):
-                    items.append(item)
-                    names.append(_spliced_name(name, inner[i], i, len(v.payload)))
+                items.extend(v.payload)
             elif v.kind in values.VECTOR_KINDS:
-                for i, x in enumerate(v.payload):
-                    items.append(Value(v.kind, [x]))
-                    names.append(_spliced_name(name, "", i, len(v.payload)))
+                items.extend(Value(v.kind, [x]) for x in v.payload)
             else:
                 items.append(v)
-                names.append(name or "")
-        kind = values.LIST
     else:
         kind = max((v.kind for _, v in parts), key=lambda k: _NUMERIC_RANK[k])
-        items = []
         for _, v in parts:
-            if v.kind == kind:
-                items.extend(v.payload)
-            else:
-                items.extend(_coerce_vector_elements(v.payload, v.kind, kind))
-        # no outer name and no names attribute means every name is ""
-        names = None
-        if any(name or "names" in v.attributes for name, v in parts):
-            names = []
-            for name, v in parts:
-                n = len(v.payload)
-                inner = values.element_names(v) or [""] * n
-                names.extend(_spliced_name(name, inner[i], i, n) for i in range(n))
-    if names and any(names):
+            items.extend(v.payload if v.kind == kind
+                         else _coerce_vector_elements(v.payload, v.kind, kind))
+    # no outer name and no names attribute means every name is ""
+    if not any(name or "names" in v.attributes for name, v in parts):
+        return Value(kind, items)
+    names = []
+    for name, v in parts:
+        spliced = v.kind == values.LIST or v.kind in values.VECTOR_KINDS
+        n = len(v.payload) if spliced else 1
+        inner = (values.element_names(v) if spliced else None) or [""] * n
+        names.extend(_spliced_name(name, inner[i], i, n) for i in range(n))
+    if any(names):
         return Value(kind, items, {"names": values.string_vec(names)})
     return Value(kind, items)
 

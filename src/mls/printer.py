@@ -105,10 +105,8 @@ def _format_lines(v: values.Value, interp, with_attrs: bool = True) -> list:
     elif v.kind == values.REF_INSTANCE:
         p = v.payload
         lines = [f'Reference class object of class "{p.class_name}"']
-        for name, entry in p.backing.frame.items():
-            if name == ".self":
-                continue
-            fv = entry_value(entry, interp)
+        for name in p.fields:
+            fv = entry_value(p.frame[name], interp)
             if values.is_function(fv):
                 continue
             lines.append(f'Field "{name}":')

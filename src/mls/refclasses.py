@@ -1,10 +1,11 @@
-"""Encapsulated OOP: mutable objects backed by environments.
+"""Encapsulated OOP: mutable objects that are environments.
 
-Copying a reference instance copies the reference, never the backing
-environment, so every alias observes every field mutation.  Methods are
-closures re-enclosed over the instance environment: fields and sibling
-methods are visible directly by name, and field assignment inside a
-method uses `<<-`, which lands on the instance frame."""
+A reference instance is its own frame, an `InstanceFrame`.  Copying the
+instance copies the reference, never the frame, so every alias observes
+every field mutation.  Methods are closures re-enclosed over the frame:
+fields and sibling methods are visible directly by name, and field
+assignment inside a method uses `<<-`, which lands on the frame.  Every
+field write, by `$<-` or `<<-`, goes through `write_field`."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import s4, values
-from .environment import Binding, Environment, entry_value
+from .environment import Binding, Environment, Promise, entry_value
 from .values import MlsError, Value
 
 
@@ -39,10 +40,18 @@ class RefClassDef:
     def_env: Environment
 
 
-@dataclass
-class RefPayload:
-    class_name: str
-    backing: Environment
+class InstanceFrame(Environment):
+    """The frame that is a reference instance: each stored field bound to
+    its value, each active field to a `Binding` of its accessors, each
+    method to its closure re-enclosed over the frame, and `.self` to the
+    instance.  `fields` is the instance's `RefField` map."""
+
+    __slots__ = ("class_name", "fields")
+
+    def __init__(self, parent, class_name, fields):
+        super().__init__(parent, f"ref:{class_name}")
+        self.class_name = class_name
+        self.fields = fields
 
 
 def _parse_field_spec(name, spec: Value, loc) -> RefField:
@@ -106,8 +115,6 @@ def generator_value(cdef: RefClassDef) -> Value:
 
 
 def _re_enclosed(fn: Value, env: Environment) -> Value:
-    if fn.kind != values.CLOSURE:  # a method rebound to data stays as it is
-        return fn
     closure = fn.payload
     return Value(values.CLOSURE, values.Closure(closure.formals, closure.body, env))
 
@@ -156,63 +163,73 @@ def generator_new(interp, class_name: str, args, loc=None) -> Value:
 
 
 def _build_instance(interp, class_name, fields, methods, parent, field_values) -> Value:
-    """An instance on a fresh backing environment under `parent`: `fields`
-    bound with their specs, stored ones to `field_values`, the rest
-    re-enclosed over it."""
-    backing = Environment(parent, f"ref:{class_name}")
+    """An instance on a fresh frame under `parent`: stored `fields` bound
+    to `field_values`, active ones' accessors and `methods` re-enclosed
+    over it."""
+    frame = InstanceFrame(parent, class_name, fields)
     for fname, spec in fields.items():
         if spec.active:
-            getter = _re_enclosed(spec.active_get, backing)
-            setter = _re_enclosed(spec.active_set, backing) if spec.active_set else None
-            binding = Binding(getter=getter, setter=setter, field=spec)
+            setter = _re_enclosed(spec.active_set, frame) if spec.active_set else None
+            entry = Binding(getter=_re_enclosed(spec.active_get, frame), setter=setter)
         else:
-            binding = Binding(value=field_values[fname], field=spec)
-        backing.bind(fname, binding, interp)
+            entry = field_values[fname]
+        frame.bind(fname, entry, interp)
     for mname, fn in methods.items():
-        backing.bind(mname, _re_enclosed(fn, backing), interp)
-    instance = Value(values.REF_INSTANCE, RefPayload(class_name, backing))
-    backing.bind(".self", instance, interp)
+        frame.bind(mname, _re_enclosed(fn, frame), interp)
+    instance = Value(values.REF_INSTANCE, frame)
+    frame.bind(".self", instance, interp)
     return instance
 
 
 def field_or_method(interp, obj: Value, name: str, loc=None) -> Value:
-    backing = obj.payload.backing
-    binding = backing.frame.get(name)
-    if binding is None:
+    entry = obj.payload.frame.get(name)
+    if entry is None:
         raise MlsError(
             f"'{name}' is not a field or method of class '{obj.payload.class_name}'", loc
         )
-    return entry_value(binding, interp, loc)
+    return entry_value(entry, interp, loc)
+
+
+def write_field(interp, frame: InstanceFrame, name: str, v: Value, loc=None):
+    """The one write into a field of `frame`.  A method, `.self` or an
+    unknown name is refused; an active field runs its setter; a stored
+    field must be writable and `v` of its declared class."""
+    spec = frame.fields.get(name)
+    if spec is None:
+        raise MlsError(f"'{name}' is not a field of class '{frame.class_name}'", loc)
+    if spec.active:
+        setter = frame.frame[name].setter
+        if setter is None:
+            raise MlsError(f"active field '{name}' has no setter", loc)
+        interp.call_value(setter, [(None, Promise.forced(v))], loc=loc)
+        return
+    if spec.read_only:
+        raise MlsError(f"field '{name}' is read-only", loc)
+    interp.s4.check_value(v, spec.declared_class, f"field '{name}'", loc)
+    frame.bind(name, v, interp)
 
 
 def field_set(interp, obj: Value, name: str, v: Value, loc=None):
-    backing = obj.payload.backing
-    binding = backing.frame.get(name)
-    if binding.__class__ is not Binding:  # a method, `.self` or nothing
-        raise MlsError(f"'{name}' is not a field of class '{obj.payload.class_name}'", loc)
-    backing.set_value(name, v, interp, loc)
+    write_field(interp, obj.payload, name, v, loc)
 
 
 def copy_instance(interp, obj: Value, loc=None) -> Value:
-    """Explicit escape from aliasing: a fresh backing environment with the
-    bindings of the original's own frame, not its class's current ones.
+    """Explicit escape from aliasing: a fresh frame with the fields and
+    methods of the original's own frame, not its class's current ones.
     Fields share the original's values (values are never written after
     construction); reference instances in fields are copied recursively."""
-    old = obj.payload.backing
-    fields, methods, field_values = {}, {}, {}
-    for name, binding in old.frame.items():
-        if binding.__class__ is not Binding:
+    old = obj.payload
+    methods, field_values = {}, {}
+    for name, entry in old.frame.items():
+        spec = old.fields.get(name)
+        if spec is None:
             if name != ".self":
-                methods[name] = binding
-            continue
-        fields[name] = binding.field
-        if not binding.field.active:
-            current = binding.value
-            if current.kind == values.REF_INSTANCE:
-                current = copy_instance(interp, current, loc)
-            field_values[name] = current
-    return _build_instance(interp, obj.payload.class_name, fields, methods, old.parent,
-                           field_values)
+                methods[name] = entry
+        elif not spec.active:
+            if entry.kind == values.REF_INSTANCE:
+                entry = copy_instance(interp, entry, loc)
+            field_values[name] = entry
+    return _build_instance(interp, old.class_name, old.fields, methods, old.parent, field_values)
 
 
 def generator_field(interp, generator, name: str, loc=None) -> Value:

@@ -15,8 +15,7 @@ class UseMethodExit(Exception):
     """Raised by UseMethod to return the selected method's value as the
     value of the generic call."""
 
-    def __init__(self, frame, value):
-        self.frame = frame
+    def __init__(self, value):
         self.value = value
 
 
@@ -45,10 +44,7 @@ def use_method(interp, generic_name: str, loc=None):
             f"UseMethod('{generic_name}') requires a function with at least one argument", loc
         )
     first = closure.formals[0][0]
-    binding = frame.call_env.frame.get(first)
-    if binding is None:
-        raise MlsError(f"argument '{first}' is missing, with no default", loc)
-    obj = entry_value(binding, interp, loc)
+    obj = entry_value(frame.call_env.frame[first], interp, loc)
     classes = class_vector(interp, obj)
     for cls in classes + ["default"]:
         fn = lookup_method(interp, f"{generic_name}.{cls}", frame.caller_env)
@@ -60,7 +56,7 @@ def use_method(interp, generic_name: str, loc=None):
                 caller_env=frame.caller_env,
                 label=f"{generic_name}.{cls}",
             )
-            raise UseMethodExit(frame, result)
+            raise UseMethodExit(result)
     raise MlsError(
         f"no applicable method for '{generic_name}' applied to an object of class "
         f"({', '.join(classes)})",

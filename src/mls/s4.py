@@ -248,11 +248,11 @@ def dispatch_class_of(v: Value) -> str:
     return values.implicit_class(v).payload[0]
 
 
-def declared_members(v: Optional[Value], what: str, class_name: str, loc) -> dict:
+def declared_members(v: Value, what: str, class_name: str, loc) -> dict:
     """The entries of `v`, the named list of slots, fields or methods that
     class `class_name` declares, by name."""
     out = {}
-    if v is None or values.is_null(v):
+    if values.is_null(v):
         return out
     if v.kind != values.LIST:
         raise MlsError(f"{what}s must be a named list", loc)

@@ -197,20 +197,11 @@ def _quote_name(name: str) -> str:
     return name if _is_simple_name(name) else f"`{name}`"
 
 
+_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"})
+
+
 def escape_string(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        else:
-            out.append(ch)
-    return '"' + "".join(out) + '"'
+    return '"' + s.translate(_ESCAPES) + '"'
 
 
 def _deparse_constant(v: values.Value) -> str:

@@ -223,7 +223,7 @@ def deep_copy(v: Value) -> Value:
     value is its own copy.  Environments, and reference instances nested
     in other values, keep their aliasing identity: the copy is the
     reference.  `refclasses.copy_instance` gives a reference instance
-    itself a fresh backing environment.
+    itself a fresh frame.
     """
     return v
 

@@ -694,9 +694,7 @@ def load_universe(modules):
     interp = Interpreter()
     for m in modules:
         for fname, literal in m.definitions.items():
-            interp.global_env.set_value(
-                fname, interp.eval(literal, interp.global_env), interp
-            )
+            interp.global_env.bind(fname, interp.eval(literal, interp.global_env), interp)
     return interp
 
 

@@ -18,7 +18,6 @@ from helpers import (
 from mls import environment, purity, reader, syntax, values
 from mls.environment import BINARY_OPERATORS, Binding, Environment, Promise
 from mls.interpreter import Interpreter, compile_expr
-from mls.refclasses import RefField
 from mls.values import MlsError, Value
 
 # -- operator sites ------------------------------------------------------------
@@ -191,7 +190,7 @@ def test_a_formal_instance_without_an_operator_method_is_not_numeric():
 # -- symbol nodes -----------------------------------------------------------------
 
 _MODES = ("immediate", "pending", "forced", "recursive default", "missing", "active field",
-          "typed field", "unbound")
+          "unbound")
 _FRAMES = ("local", "enclosing", "global", "base")
 
 
@@ -217,11 +216,8 @@ def _symbol_setup(mode, frame):
         entry = Promise(syntax.Symbol("v", loc=(7, 9)), local)
     elif mode == "missing":
         entry = Binding(missing_name="v")
-    elif mode == "active field":
-        getter = interp.eval_source("function() 42")
-        entry = Binding(getter=getter, field=RefField("v", active_get=getter))
-    else:
-        entry = Binding(value=values.scalar_double(2.5), field=RefField("v", "numeric"))
+    else:  # "active field"
+        entry = Binding(getter=interp.eval_source("function() 42"))
     target.bind("v", entry, interp)
     return interp, local, entry
 

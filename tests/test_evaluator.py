@@ -116,6 +116,8 @@ def _names(interp, src):
         ("c(f = function(x) x, list(1))", ["f", ""]),
         ("c(list(1), NULL, e = globalenv())", ["", "e"]),
         ("c(list(1), 2)", None),
+        ("c(list(1), c(a = 2, b = 3))", ["", "a", "b"]),
+        ("c(list(p = 1), x = c(a = 2, 3))", ["p", "a", "x2"]),
     ],
 )
 def test_concat_names(interp, src, names):
@@ -265,6 +267,22 @@ def test_environment_values_alias(interp):
     assert run(interp, "stash").payload == [7]
     run(interp, "e2 <- e; e2$stash <- 8")
     assert run(interp, "stash").payload == [8]
+    assert run(interp, "e$stash").payload == [8]
+    assert run(interp, "e$absent").kind == values.NULL
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ('setClass("Pt", slots = list(x = "numeric")); new("Pt", x = 1)$x',
+         '\'$\' is not valid for an object of class "Pt"; use slot()'),
+        ("x <- 2.5; x$a", "'$' is not valid for an object of class 'numeric'"),
+    ],
+)
+def test_dollar_read_on_a_value_without_fields_is_an_error(interp, src, message):
+    with pytest.raises(MlsError) as err:
+        run(interp, src)
+    assert err.value.message == message
 
 
 def test_deep_copied_environment_still_aliases(interp):
@@ -913,7 +931,7 @@ def test_random_pure_programs_preserve_globals():
 def _frames_reachable(roots):
     """Every environment reachable from `roots` through frame entries,
     promises, closures, environment values, lists, attributes, S4 slots
-    and reference-instance backings."""
+    and reference instances, which are frames themselves."""
     frames, seen, stack = [], set(), list(roots)
     while stack:
         x = stack.pop()
@@ -937,7 +955,7 @@ def _frames_reachable(roots):
             elif x.kind == values.ENVIRONMENT:
                 stack.append(payload)
             elif x.kind == values.REF_INSTANCE:
-                stack.append(payload.backing)
+                stack.append(payload)
             elif x.kind == values.S4_INSTANCE:
                 stack += payload.slot_values.values()
     return frames
@@ -964,7 +982,7 @@ def _run_checking_frames(source):
         for name, entry in env.frame.items():
             if entry.__class__ in (values.Value, Promise) or installed.get(name) is entry:
                 continue
-            if entry.__class__ is Binding and (entry.getter or entry.field or entry.missing_name):
+            if entry.__class__ is Binding and (entry.getter or entry.missing_name):
                 continue
             bad.append((env.tag, name, entry))
     assert bad == [], source

@@ -1,4 +1,7 @@
-from mls import printer, values
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mls import printer, syntax, values
 
 
 def fmt(interp, src):
@@ -16,6 +19,17 @@ def test_double_formatting():
     assert printer.format_double(1e15) == "1000000000000000"
     assert printer.format_double(-9999999999999998.0) == "-9999999999999998"
     assert printer.format_double(1e16) == "1e+16"
+
+
+def _escape_each_character(s):
+    table = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"}
+    return '"' + "".join(table.get(ch, ch) for ch in s) + '"'
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from('\\"\n\t\r`ab é中\x00')) | st.text())
+def test_escape_string_escapes_backslash_quote_newline_and_tab_only(s):
+    assert syntax.escape_string(s) == _escape_each_character(s)
 
 
 def test_vector_formats(interp):
