@@ -5,7 +5,10 @@ A reference in MLS is a name plus an environment.  A frame entry is a
 `Binding` for the modes that need more: an active field that runs
 accessor functions, or a missing argument.  `entry_value` reads any
 entry.  `Environment.bind` is the one frame write; the rules for
-writing a reference-class field are `refclasses.write_field`'s.
+writing a reference-class field are `refclasses.write_field`'s.  A
+frame is a plain `Environment` (base, global), an `interpreter.CallFrame`
+that is a closure call's record, or a `refclasses.InstanceFrame` that
+is a reference instance.
 """
 
 from __future__ import annotations

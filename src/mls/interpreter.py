@@ -2,7 +2,7 @@
 
 Each expression node compiles once, on first evaluation, into a Python
 closure.  Calls to closures bind their arguments as lazy promises and
-evaluate bodies in a fresh environment chained to the closure's
+evaluate bodies in a fresh `CallFrame` chained to the closure's
 enclosure.  A builtin is either lazy or eager.  Lazy builtins (`&&`,
 `||` and S4 generics) receive promises; every other builtin, the
 reference-class generators among them, receives its argument values,
@@ -64,16 +64,19 @@ class BuiltinContext:
         self.loc = loc
 
 
-class CallFrame:
-    __slots__ = ("closure_value", "call_env", "caller_env", "call_loc", "args")
+class CallFrame(Environment):
+    """The frame of one closure call and the call's record: the caller's
+    environment, the call's location, and the original (name or None,
+    Promise) arguments in call order, which `UseMethod` passes on."""
 
-    def __init__(self, closure_value: Value, call_env: Environment, caller_env: Environment,
-                 call_loc, args: list):
+    __slots__ = ("closure_value", "caller_env", "call_loc", "args")
+
+    def __init__(self, closure_value: Value, caller_env, call_loc, args: list, tag: str):
+        super().__init__(closure_value.payload.enclosure, tag)
         self.closure_value = closure_value
-        self.call_env = call_env
         self.caller_env = caller_env
         self.call_loc = call_loc
-        self.args = args  # original (name or None, Promise) in call order
+        self.args = args
 
 
 def apply_operator(interp, op, lhs, rhs, env, loc=None) -> Value:
@@ -122,7 +125,7 @@ class Interpreter:
         self.stderr = stderr
         self.base_env = Environment(None, "base")
         self.global_env = Environment(self.base_env, "global")
-        self.frames: list = []
+        self.frames: list = []  # the running CallFrames, innermost last
         self.visible = True
         self.base_names = builtin_defs.BUILTIN_NAMES
         self.shadowed: set = set()  # the base names some frame has bound
@@ -215,38 +218,38 @@ class Interpreter:
             self.visible = not payload.invisible
             return result
         if fn.kind == values.CLOSURE:
-            call_env = self.match_arguments(fn.payload, args, loc, label)
-            return self.exec_closure(fn, call_env, caller_env, loc, args)
+            return self.exec_closure(self.match_arguments(fn, args, loc, caller_env, label))
         raise MlsError("attempt to apply non-function", loc)
 
-    def match_arguments(self, closure: values.Closure, args, loc=None, label=None) -> Environment:
-        """Build the call environment: each formal is bound to the caller's
-        promise or to a promise of its default in the new environment
-        itself; unmatched formals without defaults bind a missing marker
+    def match_arguments(self, fn: Value, args, loc, caller_env, label=None) -> CallFrame:
+        """Build the frame of a call to the closure `fn`, the one place a
+        call's frame is made: each formal binds the caller's promise, a
+        promise of its default in the frame itself, or a missing marker
         that errors when read."""
-        call_env = Environment(closure.enclosure, f"call:{label or 'function'}")
-        matched, extra = match_formals(closure.formals, args, loc)
+        frame = CallFrame(fn, caller_env, loc, args, f"call:{label or 'function'}")
+        matched, extra = match_formals(fn.payload.formals, args, loc)
         if extra:
             detail = syntax.deparse(extra[0].expr) if extra[0].expr is not None else "value"
             raise MlsError(f"unused argument ({detail})", loc)
-        for name, default in closure.formals:
+        for name, default in fn.payload.formals:
             if name in matched:
-                call_env.bind(name, matched[name], self)
+                frame.bind(name, matched[name], self)
             elif default is not None:
-                call_env.bind(name, Promise(default, call_env), self)
+                frame.bind(name, Promise(default, frame), self)
             else:
-                call_env.bind(name, Binding(missing_name=name), self)
-        return call_env
+                frame.bind(name, Binding(missing_name=name), self)
+        return frame
 
-    def exec_closure(self, fn: Value, call_env, caller_env, loc, args) -> Value:
+    def exec_closure(self, frame: CallFrame) -> Value:
+        """Run the closure's body in `frame`, on `frames` meanwhile."""
         if len(self.frames) >= MAX_CALL_DEPTH:
             raise MlsError(
-                "evaluation nested too deeply (possible infinite recursion)", loc
+                "evaluation nested too deeply (possible infinite recursion)", frame.call_loc
             )
-        self.frames.append(CallFrame(fn, call_env, caller_env, loc, args))
-        body = fn.payload.body
+        self.frames.append(frame)
+        body = frame.closure_value.payload.body
         try:
-            return (body._run or compile_expr(body))(self, call_env)
+            return (body._run or compile_expr(body))(self, frame)
         except s3.UseMethodExit as exit_:  # raised for this call, the innermost one
             return exit_.value
         finally:
@@ -479,7 +482,7 @@ def _compile_call(e: syntax.Call):
                     and not lhs.attributes and not rhs.attributes):
                 x, y = lhs.payload[0], rhs.payload[0]
                 if compare is not None:
-                    value = Value(values.LOGICAL, [bool(compare(x, y))])
+                    value = Value(values.LOGICAL, [compare(x, y)])
                 elif arith is None:  # "/"
                     value = Value(values.DOUBLE, [ops._safe_div(x, y)])
                 elif lhs.kind == rhs.kind == values.INTEGER:

@@ -103,14 +103,8 @@ def arith_binary(op: str, a: Value, b: Value, loc=None) -> Value:
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
-_COMPARE = {
-    "<": lambda x, y: x < y,
-    "<=": lambda x, y: x <= y,
-    ">": lambda x, y: x > y,
-    ">=": lambda x, y: x >= y,
-    "==": lambda x, y: x == y,
-    "!=": lambda x, y: x != y,
-}
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+            "==": operator.eq, "!=": operator.ne}
 
 
 def compare_binary(op: str, a: Value, b: Value, loc=None) -> Value:
@@ -123,7 +117,7 @@ def compare_binary(op: str, a: Value, b: Value, loc=None) -> Value:
         ys, _ = _as_number_list(b, op, loc)
     xs, ys = _recycle(xs, ys, loc)
     fn = _COMPARE[op]
-    out = [bool(fn(x, y)) for x, y in zip(xs, ys)]
+    out = [fn(x, y) for x, y in zip(xs, ys)]
     names = _result_names(len(out), a, b)
     if names is not None:
         return Value(values.LOGICAL, out, {"names": names})

@@ -106,14 +106,9 @@ def _format_lines(v: values.Value, interp, with_attrs: bool = True) -> list:
         p = v.payload
         lines = [f'Reference class object of class "{p.class_name}"']
         for name in p.fields:
-            fv = entry_value(p.frame[name], interp)
-            if values.is_function(fv):
-                continue
             lines.append(f'Field "{name}":')
-            lines.extend(_format_lines(fv, interp))
+            lines.extend(_format_lines(entry_value(p.frame[name], interp), interp))
             lines.append("")
-    else:
-        lines = [f"<{v.kind}>"]
     if with_attrs:
         lines.extend(_attribute_trailer(v, interp))
     return lines

@@ -44,7 +44,7 @@ def use_method(interp, generic_name: str, loc=None):
             f"UseMethod('{generic_name}') requires a function with at least one argument", loc
         )
     first = closure.formals[0][0]
-    obj = entry_value(frame.call_env.frame[first], interp, loc)
+    obj = entry_value(frame.frame[first], interp, loc)
     classes = class_vector(interp, obj)
     for cls in classes + ["default"]:
         fn = lookup_method(interp, f"{generic_name}.{cls}", frame.caller_env)

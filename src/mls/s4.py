@@ -335,19 +335,20 @@ def slot_set(interp, obj: Value, name: str, v: Value, loc=None) -> Value:
 
 
 def call_generic(interp, gdef: GenericDef, args, caller_env, loc=None) -> Value:
-    """Dispatch a generic call: force only the dispatch arguments, select
-    the best method, and run it with the original promises."""
+    """Dispatch a generic call: match the generic's formals into a call
+    frame, force only the dispatch arguments, and run the best method in
+    that frame, now under the method's enclosure, so a default still
+    unforced sees the method's locals."""
     shim = values.Closure(gdef.formals, None, gdef.def_env or interp.global_env)
-    call_env = interp.match_arguments(shim, args, loc, gdef.name)
+    frame = interp.match_arguments(Value(values.CLOSURE, shim), args, loc, caller_env, gdef.name)
     actual_classes = []
     for name in gdef.signature:
-        v = entry_value(call_env.frame[name], interp, loc)
+        v = entry_value(frame.frame[name], interp, loc)
         actual_classes.append(dispatch_class_of(v))
     mdef = interp.s4.select_method(gdef, actual_classes, loc)
-    method_env = Environment(mdef.fn.payload.enclosure, f"call:{gdef.name}")
-    for name, entry in call_env.frame.items():
-        method_env.bind(name, entry, interp)
-    return interp.exec_closure(mdef.fn, method_env, caller_env, loc, args)
+    frame.closure_value = mdef.fn
+    frame.parent = mdef.fn.payload.enclosure
+    return interp.exec_closure(frame)
 
 
 def is_standard_generic_body(body) -> bool:

@@ -169,10 +169,6 @@ def is_null(v: Value) -> bool:
     return v.kind == NULL
 
 
-def is_function(v: Value) -> bool:
-    return v.kind in (CLOSURE, BUILTIN)
-
-
 def implicit_class(v: Value) -> Value:
     """The class vector used for dispatch: the `class` attribute when
     present, otherwise a synthesized one-element vector naming the base

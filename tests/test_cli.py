@@ -240,6 +240,47 @@ def test_reader_edge_cases_through_the_cli(tmp_path, capsys, source, code, out, 
 
 
 @pytest.mark.parametrize(
+    "source, out, err",
+    [
+        ("length(NULL)", "[1] 0\n", ""),
+        ("length(function(x) x)", "[1] 1\n", ""),
+        ("is_null(NULL)", "[1] TRUE\n", ""),
+        ('attr(set_attr(1, "units", "cm"), "units")', '[1] "cm"\n', ""),
+        ("names(-c(a = 1, b = 2))", '[1] "a" "b"\n', ""),
+        ('names(c(set_attr(c(1, 2), "names", c("", "")), 3))', "NULL\n", ""),
+        ("l <- list(a = 1); l$a <- NULL; names(l)", "NULL\n", ""),
+        ("f <- function() list(); f()$x <- 1",
+         "", "cannot assign to a field of a temporary value (line 1, column 25)"),
+        ("x <- 1; x$f <- 2",
+         "", "cannot set a field on an object of class 'integer' (line 1, column 9)"),
+        ('UseMethod("f")', "", "UseMethod called from outside a function (line 1, column 1)"),
+        ('f <- function() UseMethod("f"); f()', "",
+         "UseMethod('f') requires a function with at least one argument (line 1, column 17)"),
+        ('setMethod("nog", "numeric", function(x) x)',
+         "", "no generic function 'nog' is defined (line 1, column 1)"),
+        ('setGeneric("g", function(x) standardGeneric("g")); setMethod("g", "numeric", 5)',
+         "", "method implementation must be a function (line 1, column 52)"),
+        ('slot(1, "x")', "", "slot() requires a formally classed object (line 1, column 1)"),
+        ('slot_set(1, "x", 2)',
+         "", "slot_set() requires a formally classed object (line 1, column 1)"),
+        ("if (0/0) 1", "", "missing value where TRUE/FALSE needed (line 1, column 5)"),
+        ("if (c(TRUE)[c(FALSE)]) 1", "", "argument is of length zero (line 1, column 5)"),
+        ('!"a"', "", "invalid argument type to '!' (line 1, column 1)"),
+        ('G <- setRefClass("G", fields = list(f = "function")); G()',
+         "", "field 'f' of class 'G' requires an explicit value (line 1, column 55)"),
+        ('G <- setRefClass("G", fields = list()); G$foo',
+         "", "unknown generator field 'foo' (line 1, column 41)"),
+    ],
+)
+def test_run_edge_values_and_errors(tmp_path, capsys, source, out, err):
+    script = tmp_path / "edge.mls"
+    script.write_text(source + "\n")
+    code = 1 if err else 0
+    err = f"error: {err}\n" if err else ""
+    assert run_cli(["run", str(script)], capsys) == (code, out, err)
+
+
+@pytest.mark.parametrize(
     "source, code, message",
     [
         ("x <- " + "+".join(["1"] * 8000) + "\n", 1, "evaluation nested too deeply (line 1"),

@@ -285,6 +285,21 @@ def test_dollar_read_on_a_value_without_fields_is_an_error(interp, src, message)
     assert err.value.message == message
 
 
+def test_a_call_frame_is_the_environment_of_its_call(interp):
+    seen = []
+    interp.register_foreign("top_frame", lambda i, args: seen.append(i.frames[-1]) or args[0])
+    e = run(interp, 'f <- function() { e <- environment(); foreign("top_frame", e) }; f()')
+    assert seen == [e.payload]
+    assert isinstance(e.payload, interpreter.CallFrame)
+
+
+def test_an_error_unwinds_every_call_frame(interp):
+    run(interp, "f <- function() g(); g <- function() h(); h <- function() stop('deep')")
+    with pytest.raises(MlsError, match="deep"):
+        run(interp, "f()")
+    assert interp.frames == []
+
+
 def test_deep_copied_environment_still_aliases(interp):
     run(interp, "e <- globalenv(); e2 <- copy(e); e2$k <- 5")
     assert run(interp, "k").payload == [5]
@@ -969,16 +984,16 @@ def _run_checking_frames(source):
     closure calls the run made."""
     interp = Interpreter(stdout=io.StringIO(), stderr=io.StringIO())
     installed = dict(interp.base_env.frame)
-    call_envs = []
+    call_frames = []
 
-    def exec_closure(fn, call_env, *rest, _run=interp.exec_closure):
-        call_envs.append(call_env)
-        return _run(fn, call_env, *rest)
+    def exec_closure(frame, _run=interp.exec_closure):
+        call_frames.append(frame)
+        return _run(frame)
 
     interp.exec_closure = exec_closure
     interp.run_top_level(reader.parse_program(source))
     bad = []
-    for env in _frames_reachable([interp.global_env, interp.base_env, *call_envs]):
+    for env in _frames_reachable([interp.global_env, interp.base_env, *call_frames]):
         for name, entry in env.frame.items():
             if entry.__class__ in (values.Value, Promise) or installed.get(name) is entry:
                 continue
@@ -986,7 +1001,7 @@ def _run_checking_frames(source):
                 continue
             bad.append((env.tag, name, entry))
     assert bad == [], source
-    return len(call_envs)
+    return len(call_frames)
 
 
 def test_frame_entries_are_values_promises_or_special_bindings():

@@ -75,6 +75,16 @@ def test_ref_instance_format(interp):
     )
 
 
+def test_ref_instance_prints_a_function_valued_field(interp):
+    interp.eval_source('P <- setRefClass("P", fields = list(f = "ANY", n = "numeric"))')
+    out = fmt(interp, "p <- P(n = 1); p$f <- function(x) x; p")
+    assert out == (
+        'Reference class object of class "P"\n'
+        'Field "f":\nfunction(x) x\n\n'
+        'Field "n":\n[1] 1\n'
+    )
+
+
 def test_generator_and_builtin_format(interp):
     interp.eval_source('G <- setRefClass("G", fields = list())')
     assert fmt(interp, "G") == 'Generator for class "G"'

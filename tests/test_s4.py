@@ -370,6 +370,12 @@ def test_dispatch_on_defaulted_argument(interp):
     assert run(interp, "hdef()").payload == [10]
 
 
+def test_unforced_generic_default_runs_in_the_method_frame(interp):
+    run(interp, 'setGeneric("gk", function(x, n = k) standardGeneric("gk"), signature = "x")')
+    run(interp, 'setMethod("gk", c("numeric"), function(x, n = k) { k <- 10; x + n })')
+    assert run(interp, "k <- 1; gk(1)").payload == [11]
+
+
 def test_two_argument_dispatch_per_argument(interp):
     run(
         interp,
