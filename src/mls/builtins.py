@@ -10,7 +10,7 @@ import math
 
 from . import ops, printer, refclasses, s3, s4, values
 from .environment import Binding
-from .interpreter import BINARY_OPERATORS, REQUIRED, BuiltinPayload, apply_operator
+from .interpreter import REQUIRED, BuiltinPayload, apply_operator
 from .values import MlsError, Value
 
 
@@ -241,16 +241,9 @@ def _class_def_reflection(cdef: s4.ClassDef, lin: s4.Lineage) -> Value:
     slots = values.string_vec(list(lin.slots.values()))
     if lin.slots:
         slots = Value(values.STRING, slots.payload, {"names": values.string_vec(list(lin.slots))})
-    out = values.list_value(
-        [
-            values.scalar_string(cdef.name),
-            slots,
-            values.string_vec(cdef.contains),
-            values.scalar_bool(cdef.virtual),
-        ],
-        names=["name", "slots", "contains", "virtual"],
-    )
-    return values.set_attribute(out, "class", values.string_vec(["classDefinition"]))
+    return values.record("classDefinition", name=values.scalar_string(cdef.name), slots=slots,
+                         contains=values.string_vec(cdef.contains),
+                         virtual=values.scalar_bool(cdef.virtual))
 
 
 def _bi_set_class(ctx, name, slots, contains, virtual):
@@ -270,15 +263,10 @@ def _bi_set_class(ctx, name, slots, contains, virtual):
 
 
 def _generic_reflection(gdef: s4.GenericDef) -> Value:
-    out = values.list_value(
-        [
-            values.scalar_string(gdef.name),
-            values.string_vec([n for n, _ in gdef.formals]),
-            values.string_vec(list(gdef.signature)),
-        ],
-        names=["name", "formals", "signature"],
-    )
-    return values.set_attribute(out, "class", values.string_vec(["genericFunction"]))
+    formals = [n for n, _ in gdef.frame_fn.payload.formals]
+    return values.record("genericFunction", name=values.scalar_string(gdef.name),
+                         formals=values.string_vec(formals),
+                         signature=values.string_vec(list(gdef.signature)))
 
 
 def _bi_set_generic(ctx, **kw):
@@ -324,15 +312,8 @@ def _bi_set_method(ctx, name, signature, definition):
     if signature.kind != values.STRING or len(signature.payload) == 0:
         raise MlsError("signature must be a nonempty character vector", ctx.loc)
     mdef = ctx.interp.s4.define_method(gname, tuple(signature.payload), definition, ctx.loc)
-    out = values.list_value(
-        [
-            values.scalar_string(gname),
-            values.string_vec(list(mdef.signature)),
-            mdef.fn,
-        ],
-        names=["generic", "signature", "definition"],
-    )
-    return values.set_attribute(out, "class", values.string_vec(["methodDefinition"]))
+    return values.record("methodDefinition", generic=values.scalar_string(gname),
+                         signature=values.string_vec(list(mdef.signature)), definition=mdef.fn)
 
 
 def _bi_standard_generic(ctx, name):
@@ -382,7 +363,7 @@ def _registry():
     def add(name, fn, purity, formals=None, lazy=False, invisible=False):
         table.append((name, fn, purity, formals, lazy, invisible))
 
-    for op in BINARY_OPERATORS:
+    for op in ops.BINARY:
         add(op, _make_operator(op, unary=op in ("+", "-")), "pure")
     add("!", _bi_not, "pure", [("x", REQUIRED)])
     for op in ("&&", "||"):

@@ -20,10 +20,6 @@ from .values import MlsError
 
 PENDING, FORCING, DONE = 0, 1, 2
 
-# The binary operators a call site may apply directly (`interpreter._compile_call`)
-COMPARISON_OPERATORS = ("<", "<=", ">", ">=", "==", "!=")
-BINARY_OPERATORS = ("+", "-", "*", "/") + COMPARISON_OPERATORS
-
 
 class Promise:
     """An unevaluated expression paired with its origin environment.

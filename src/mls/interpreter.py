@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from . import ops, reader, refclasses, rng, s3, s4, syntax, values
-from .environment import (BINARY_OPERATORS, COMPARISON_OPERATORS, DONE, Binding, Environment,
-                          Promise, entry_value)
+from .environment import DONE, Binding, Environment, Promise, entry_value
 from .reader import HOST_RECURSION_LIMIT, deep_host_stack
 from .values import MlsError, Value
 
@@ -88,7 +87,7 @@ def apply_operator(interp, op, lhs, rhs, env, loc=None) -> Value:
         dispatched = s3.dispatch_binary_op(interp, op, lhs, rhs, env, loc)
         if dispatched is not None:
             return dispatched
-    compute = ops.compare_binary if op in COMPARISON_OPERATORS else ops.arith_binary
+    compute = ops.compare_binary if ops.BINARY[op][1] == values.LOGICAL else ops.arith_binary
     return compute(op, lhs, rhs, loc)
 
 
@@ -381,7 +380,7 @@ class Interpreter:
 # call, not bound at compile time, so wrappers installed on them (as a
 # tracer does) still see every call.  Two common cases make no such call.
 # An operator site computes two attribute-free numeric scalars in place
-# from the per-element functions of `ops`, so a tracer counts that
+# from its `ops.BINARY` row, read at compile time, so a tracer counts that
 # arithmetic as interpreter self time; a symbol reads a frame entry that
 # is a value or a promise, forcing it if pending, without calling
 # `Binding.resolve`.
@@ -464,11 +463,11 @@ def _compile_call(e: syntax.Call):
                 err.loc = loc
             raise
 
-    if fname not in BINARY_OPERATORS or len(arg_runs) != 2 or any(n for n, _ in arg_runs):
+    if fname not in ops.BINARY or len(arg_runs) != 2 or any(n for n, _ in arg_runs):
         return run
     (_, lhs_run), (_, rhs_run) = arg_runs
 
-    compare, arith = ops._COMPARE.get(fname), ops._ARITH.get(fname)
+    fn, fixed_kind = ops.BINARY[fname]
     overflow = f"integer overflow in '{fname}'"
 
     def run_operator(interp, env):
@@ -481,17 +480,15 @@ def _compile_call(e: syntax.Call):
                     and len(lhs.payload) == 1 and len(rhs.payload) == 1
                     and not lhs.attributes and not rhs.attributes):
                 x, y = lhs.payload[0], rhs.payload[0]
-                if compare is not None:
-                    value = Value(values.LOGICAL, [compare(x, y)])
-                elif arith is None:  # "/"
-                    value = Value(values.DOUBLE, [ops._safe_div(x, y)])
+                if fixed_kind is not None:
+                    value = Value(fixed_kind, [fn(x, y)])
                 elif lhs.kind == rhs.kind == values.INTEGER:
-                    z = arith(x, y)
+                    z = fn(x, y)
                     if not -values.INT_MAX <= z <= values.INT_MAX:
                         raise MlsError(overflow, loc)
                     value = Value(values.INTEGER, [z])
                 else:
-                    value = Value(values.DOUBLE, [arith(x, y)])  # int-op-float is a float
+                    value = Value(values.DOUBLE, [fn(x, y)])  # int-op-float is a float
             else:
                 value = apply_operator(interp, fname, lhs, rhs, env, loc)
         except MlsError as err:

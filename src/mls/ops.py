@@ -7,10 +7,10 @@ structure safely.
 Work is done per value, not per element, wherever no element needs its
 own decision: `c()` builds its payload with one bulk copy per part and
 builds a names vector only when some part has an outer name or a
-`names` attribute.  An operator on two attribute-free numeric scalars
-never gets here: its call site computes the one element in place from
-`_ARITH`, `_COMPARE` and `_safe_div`, the one definition of each
-operator on two numbers.
+`names` attribute.  `BINARY` is the one definition of each binary
+operator a call site applies directly, its element function and result
+kind: the builtins, `interpreter.apply_operator`, the vector paths here
+and a call site's in-place path on two numeric scalars all read it.
 
 An integer result beyond `values.INT_MAX` in magnitude is an error.
 """
@@ -82,17 +82,14 @@ def _check_bound(out: list, what: str, loc):
 
 
 def arith_binary(op: str, a: Value, b: Value, loc=None) -> Value:
+    fn, kind = BINARY[op]
     xs, ka = _as_number_list(a, op, loc)
     ys, kb = _as_number_list(b, op, loc)
     xs, ys = _recycle(xs, ys, loc)
-    if op == "/":
-        kind = values.DOUBLE
-        out = [_safe_div(x, y) for x, y in zip(xs, ys)]
-    else:
+    # a DOUBLE payload holds floats, and int-op-float is a float
+    out = [fn(x, y) for x, y in zip(xs, ys)]
+    if kind is None:
         kind = values.DOUBLE if values.DOUBLE in (ka, kb) else values.INTEGER
-        fn = _ARITH[op]
-        # a DOUBLE payload holds floats, and int-op-float is a float
-        out = [fn(x, y) for x, y in zip(xs, ys)]
         if kind == values.INTEGER:
             _check_bound(out, f"'{op}'", loc)
     names = _result_names(len(out), a, b)
@@ -101,10 +98,13 @@ def arith_binary(op: str, a: Value, b: Value, loc=None) -> Value:
     return Value(kind, out)
 
 
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-
-_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
-            "==": operator.eq, "!=": operator.ne}
+# name -> (element function, result kind); a None kind is the operands':
+# integer, bound-checked, unless one of them is a double
+BINARY = {"+": (operator.add, None), "-": (operator.sub, None), "*": (operator.mul, None),
+          "/": (_safe_div, values.DOUBLE),
+          "<": (operator.lt, values.LOGICAL), "<=": (operator.le, values.LOGICAL),
+          ">": (operator.gt, values.LOGICAL), ">=": (operator.ge, values.LOGICAL),
+          "==": (operator.eq, values.LOGICAL), "!=": (operator.ne, values.LOGICAL)}
 
 
 def compare_binary(op: str, a: Value, b: Value, loc=None) -> Value:
@@ -116,7 +116,7 @@ def compare_binary(op: str, a: Value, b: Value, loc=None) -> Value:
         xs, _ = _as_number_list(a, op, loc)
         ys, _ = _as_number_list(b, op, loc)
     xs, ys = _recycle(xs, ys, loc)
-    fn = _COMPARE[op]
+    fn = BINARY[op][0]
     out = [fn(x, y) for x, y in zip(xs, ys)]
     names = _result_names(len(out), a, b)
     if names is not None:

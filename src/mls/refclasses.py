@@ -245,9 +245,6 @@ def generator_field(interp, generator, name: str, loc=None) -> Value:
         cdef, lin = _current(interp, class_name, loc)
         fields, methods = values.string_vec(list(lin.fields)), values.string_vec(list(lin.methods))
         contains = values.scalar_string(cdef.contains[0]) if cdef.contains else values.null_value()
-        out = values.list_value(
-            [values.scalar_string(class_name), fields, methods, contains],
-            names=["name", "fields", "methods", "contains"],
-        )
-        return values.set_attribute(out, "class", values.string_vec(["refClassDefinition"]))
+        return values.record("refClassDefinition", name=values.scalar_string(class_name),
+                             fields=fields, methods=methods, contains=contains)
     raise MlsError(f"unknown generator field '{name}'", loc)

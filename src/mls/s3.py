@@ -24,6 +24,16 @@ def lookup_method(interp, name: str, env) -> Value | None:
     return interp.find_function(name, env)
 
 
+def find_method(interp, generic: str, classes, env):
+    """The first function `generic.cls` bound from `env`, walking
+    `classes` in order, with its name; (None, None) if there is none."""
+    for cls in classes:
+        fn = lookup_method(interp, f"{generic}.{cls}", env)
+        if fn is not None:
+            return fn, f"{generic}.{cls}"
+    return None, None
+
+
 def class_vector(interp, v: Value) -> list:
     """The classes dispatch walks: the implicit class vector, or for a
     formal instance without a class attribute its class's linearization."""
@@ -46,17 +56,12 @@ def use_method(interp, generic_name: str, loc=None):
     first = closure.formals[0][0]
     obj = entry_value(frame.frame[first], interp, loc)
     classes = class_vector(interp, obj)
-    for cls in classes + ["default"]:
-        fn = lookup_method(interp, f"{generic_name}.{cls}", frame.caller_env)
-        if fn is not None:
-            result = interp.call_value(
-                fn,
-                frame.args,
-                loc=frame.call_loc,
-                caller_env=frame.caller_env,
-                label=f"{generic_name}.{cls}",
-            )
-            raise UseMethodExit(result)
+    fn, label = find_method(interp, generic_name, classes + ["default"], frame.caller_env)
+    if fn is not None:
+        result = interp.call_value(
+            fn, frame.args, loc=frame.call_loc, caller_env=frame.caller_env, label=label
+        )
+        raise UseMethodExit(result)
     raise MlsError(
         f"no applicable method for '{generic_name}' applied to an object of class "
         f"({', '.join(classes)})",
@@ -73,14 +78,6 @@ def _operator_classes(interp, v: Value) -> list:
     return []
 
 
-def _find_operator_method(interp, op: str, v: Value, env):
-    for cls in _operator_classes(interp, v):
-        fn = lookup_method(interp, f"{op}.{cls}", env)
-        if fn is not None:
-            return fn, f"{op}.{cls}"
-    return None, None
-
-
 def dispatch_binary_op(interp, op: str, lhs: Value, rhs: Value, env, loc=None) -> Value | None:
     """S3 operator dispatch on either operand's class attribute or, for a
     formal instance without one, its class's linearization.
@@ -88,8 +85,8 @@ def dispatch_binary_op(interp, op: str, lhs: Value, rhs: Value, env, loc=None) -
     Returns None when neither operand selects a method, in which case
     the caller falls through to the builtin operator.
     """
-    left_fn, left_name = _find_operator_method(interp, op, lhs, env)
-    right_fn, right_name = _find_operator_method(interp, op, rhs, env)
+    left_fn, left_name = find_method(interp, op, _operator_classes(interp, lhs), env)
+    right_fn, right_name = find_method(interp, op, _operator_classes(interp, rhs), env)
     if left_fn is not None and right_fn is not None and left_fn.payload is not right_fn.payload:
         interp.warn(f'incompatible methods ("{left_name}", "{right_name}") for "{op}"')
         right_fn = None

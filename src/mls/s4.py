@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import syntax, values
-from .environment import Environment, entry_value
+from .environment import entry_value
 from .values import MlsError, Value
 
 ANY = "ANY"
@@ -62,11 +62,13 @@ class MethodDef:
 
 @dataclass
 class GenericDef:
+    """A generic as declared.  `frame_fn`, built once, is a closure of its
+    formals and defining environment; `call_generic` matches calls into its frame."""
+
     name: str
-    formals: list  # as Closure formals
     signature: tuple  # dispatch argument names
+    frame_fn: Value  # closure
     methods: dict = field(default_factory=dict)  # signature tuple -> MethodDef
-    def_env: Optional[Environment] = None
 
 
 class Registry:
@@ -179,7 +181,8 @@ class Registry:
                     )
             # keep formal-argument order regardless of how the caller spelled it
             signature = tuple(n for n in formal_names if n in set(signature))
-        gdef = GenericDef(name, formals, signature, def_env=def_env)
+        frame_fn = Value(values.CLOSURE, values.Closure(formals, None, def_env))
+        gdef = GenericDef(name, signature, frame_fn)
         self.generics[name] = gdef
         return gdef
 
@@ -200,7 +203,7 @@ class Registry:
         if fn.kind != values.CLOSURE:
             raise MlsError("method implementation must be a function", loc)
         method_names = [n for n, _ in fn.payload.formals]
-        generic_names = [n for n, _ in gdef.formals]
+        generic_names = [n for n, _ in gdef.frame_fn.payload.formals]
         if method_names != generic_names:
             raise MlsError(
                 f"method formals ({', '.join(method_names)}) must match the generic's "
@@ -335,12 +338,11 @@ def slot_set(interp, obj: Value, name: str, v: Value, loc=None) -> Value:
 
 
 def call_generic(interp, gdef: GenericDef, args, caller_env, loc=None) -> Value:
-    """Dispatch a generic call: match the generic's formals into a call
-    frame, force only the dispatch arguments, and run the best method in
-    that frame, now under the method's enclosure, so a default still
-    unforced sees the method's locals."""
-    shim = values.Closure(gdef.formals, None, gdef.def_env or interp.global_env)
-    frame = interp.match_arguments(Value(values.CLOSURE, shim), args, loc, caller_env, gdef.name)
+    """Dispatch a generic call: match the arguments into a frame of the
+    generic's `frame_fn`, force only the dispatch arguments, and run the
+    best method in that frame, now under the method's enclosure, so a
+    default still unforced sees the method's locals."""
+    frame = interp.match_arguments(gdef.frame_fn, args, loc, caller_env, gdef.name)
     actual_classes = []
     for name in gdef.signature:
         v = entry_value(frame.frame[name], interp, loc)

@@ -205,23 +205,17 @@ def escape_string(s: str) -> str:
 
 
 def _deparse_constant(v: values.Value) -> str:
+    # the reader builds only NULL and scalar constants
     if v.kind == values.NULL:
         return "NULL"
-    if v.kind == values.LOGICAL and len(v.payload) == 1:
-        return "TRUE" if v.payload[0] else "FALSE"
-    if v.kind == values.INTEGER and len(v.payload) == 1:
-        return str(v.payload[0])
-    if v.kind == values.DOUBLE and len(v.payload) == 1:
-        return repr(v.payload[0])
-    if v.kind == values.STRING and len(v.payload) == 1:
-        return escape_string(v.payload[0])
-    # non-literal constants only arise from programmatic trees
-    if v.kind in values.VECTOR_KINDS:
-        inner = ", ".join(
-            _deparse_constant(values.Value(v.kind, [x])) for x in v.payload
-        )
-        return f"c({inner})"
-    return f"<{v.kind}>"
+    x = v.payload[0]
+    if v.kind == values.LOGICAL:
+        return "TRUE" if x else "FALSE"
+    if v.kind == values.DOUBLE:
+        return repr(x)
+    if v.kind == values.STRING:
+        return escape_string(x)
+    return str(x)
 
 
 def deparse(e: Expr, indent: int = 0) -> str:

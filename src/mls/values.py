@@ -149,6 +149,12 @@ def list_value(items, names=None) -> Value:
     return Value(LIST, list(items), {"names": string_vec(names)})
 
 
+def record(class_name: str, **fields) -> Value:
+    """A definition object: the list of `fields`, named in order, of class `class_name`."""
+    return Value(LIST, list(fields.values()),
+                 {"names": string_vec(fields), "class": string_vec([class_name])})
+
+
 def scalar_bool(x: bool) -> Value:
     return Value(LOGICAL, [bool(x)])
 

@@ -14,7 +14,7 @@ from typing import Optional
 import pytest
 
 from mls import ops, purity, reader, s3, syntax, values
-from mls.environment import COMPARISON_OPERATORS, entry_value
+from mls.environment import entry_value
 from mls.interpreter import Interpreter
 from mls.values import MlsError
 
@@ -564,6 +564,9 @@ def _reference_plain_scalars(a, b) -> bool:
             and len(b.payload) == 1 and not a.attributes and not b.attributes)
 
 
+COMPARISON_OPERATORS = ("<", "<=", ">", ">=", "==", "!=")
+
+
 def reference_apply_operator(interp, op, lhs, rhs, env, loc=None):
     """`lhs op rhs` as a call site applied it before it computed scalars in
     place: S3 dispatch on an explicit class attribute, then the scalar
@@ -576,12 +579,12 @@ def reference_apply_operator(interp, op, lhs, rhs, env, loc=None):
     if _reference_plain_scalars(lhs, rhs):
         x, y = lhs.payload[0], rhs.payload[0]
         if op in COMPARISON_OPERATORS:
-            return values.Value(values.LOGICAL, [bool(ops._COMPARE[op](x, y))])
+            return values.Value(values.LOGICAL, [bool(ops.BINARY[op][0](x, y))])
         if op == "/":
             return values.Value(values.DOUBLE, [ops._safe_div(x, y)])
         if values.DOUBLE in (lhs.kind, rhs.kind):
-            return values.Value(values.DOUBLE, [float(ops._ARITH[op](x, y))])
-        return values.Value(values.INTEGER, [ops._ARITH[op](x, y)])
+            return values.Value(values.DOUBLE, [float(ops.BINARY[op][0](x, y))])
+        return values.Value(values.INTEGER, [ops.BINARY[op][0](x, y)])
     compute = ops.compare_binary if op in COMPARISON_OPERATORS else ops.arith_binary
     return compute(op, lhs, rhs, loc)
 

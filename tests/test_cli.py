@@ -231,6 +231,8 @@ def test_deep_parenthesis_nesting_runs_and_analyzes(tmp_path):
         ("y <- 1 + \u00b2\n", 2, "", "error: unexpected character '\u00b2' (line 1, column 10)\n"),
         ("x\u00b2 <- 1; x\u00b2\n", 0, "[1] 1\n", ""),
         ('s <- "a\\\nb"\nnope\n', 1, "", "error: object 'nope' not found (line 3, column 1)\n"),
+        ("f <- function() 1; f()[1] <- 2\n", 2, "",
+         "error: indexed assignment requires a named object (line 1, column 27)\n"),
     ],
 )
 def test_reader_edge_cases_through_the_cli(tmp_path, capsys, source, code, out, err):
@@ -270,6 +272,40 @@ def test_reader_edge_cases_through_the_cli(tmp_path, capsys, source, code, out, 
          "", "field 'f' of class 'G' requires an explicit value (line 1, column 55)"),
         ('G <- setRefClass("G", fields = list()); G$foo',
          "", "unknown generator field 'foo' (line 1, column 41)"),
+        ("x <- c(1, 2); x[c(TRUE)]",
+         "", "logical index length 1 does not match length 2 (line 1, column 15)"),
+        ('x <- c(1, 2); x["a"]',
+         "", "cannot index by name: object has no names (line 1, column 15)"),
+        ('x <- c(a = 1); x["z"]', "", "undefined name 'z' in index (line 1, column 16)"),
+        ("x <- c(1, 2); x[list(1)]", "", "invalid index type (line 1, column 15)"),
+        ("x <- c(1, 2); x[1, 2]", "", "matrix indexing is not supported (line 1, column 15)"),
+        ("x <- NULL; x[1]", "", "cannot index NULL (line 1, column 12)"),
+        ("x <- c(1, 2); x[1] <- list(3)",
+         "", "replacement value must be a vector (line 1, column 15)"),
+        ("x <- c(1, 2, 3); x[c(1, 2)] <- c(7, 8, 9)",
+         "", "replacement length 3 does not match 2 positions (line 1, column 18)"),
+        ("l <- list(1, 2); l[c(1, 2)] <- 5",
+         "", "list assignment requires a single position (line 1, column 18)"),
+        ("sum(list(1))", "", "invalid argument to sum() (line 1, column 1)"),
+        ('setGeneric("k", function(x, y) standardGeneric("k"), signature = c("y", "q"))',
+         "", "dispatch argument 'q' is not a formal argument of 'k' (line 1, column 1)"),
+        ('setGeneric("k", function(x, y) standardGeneric("k")); '
+         'setMethod("k", "numeric", function(x, y) x)',
+         "", "method signature for 'k' must have 2 classes, got 1 (line 1, column 55)"),
+        ('setClass("A", slots = 5)', "", "slots must be a named list (line 1, column 1)"),
+        ('setClass("V", virtual = TRUE); new("V")', "",
+         'cannot allocate an object of a virtual class ("V") (line 1, column 32)'),
+        ('new("numeric", x = 1)',
+         "", "cannot pass slot values to basic class 'numeric' (line 1, column 1)"),
+        ('setRefClass("Q", fields = list(a = list(get = 1)))',
+         "", "active field 'a' requires function accessors (line 1, column 1)"),
+        ('setRefClass("Q", fields = list(a = 1))',
+         "", "invalid specification for field 'a' (line 1, column 1)"),
+        ("`&&`(TRUE)", "", "'&&' requires two unnamed arguments (line 1, column 1)"),
+        ("rng_draw(20000000)",
+         "", "invalid count for rng_draw: more than 16777216 draws (line 1, column 1)"),
+        ('foreign(tag = "identity")',
+         "", "foreign() requires a tag as its first argument (line 1, column 1)"),
     ],
 )
 def test_run_edge_values_and_errors(tmp_path, capsys, source, out, err):

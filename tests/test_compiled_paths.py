@@ -15,8 +15,8 @@ from helpers import (
     reference_get_value,
     value_fingerprint,
 )
-from mls import environment, purity, reader, syntax, values
-from mls.environment import BINARY_OPERATORS, Binding, Environment, Promise
+from mls import environment, ops, purity, reader, syntax, values
+from mls.environment import Binding, Environment, Promise
 from mls.interpreter import Interpreter, compile_expr
 from mls.values import MlsError, Value
 
@@ -70,6 +70,7 @@ def _any_operand(draw):
 
 
 _OPERANDS = st.one_of(_plain_number(), _any_operand())
+BINARY_OPERATORS = tuple(ops.BINARY)
 _SITES = {op: reader.parse_one(f"a {op} b") for op in BINARY_OPERATORS}
 
 
@@ -120,6 +121,14 @@ def test_operator_site_computes_plain_scalars_in_place(monkeypatch):
     assert calls == []
     interp.eval_source('c(1, 2) + 1\nset_attr(1, "names", "a") < 2')
     assert calls == ["apply_operator", "arith_binary", "apply_operator", "compare_binary"]
+
+
+def test_every_directly_applied_operator_is_a_binary_operator_and_a_builtin():
+    """`ops.BINARY` holds every binary operator of the grammar but the
+    short-circuiting `&&` and `||`, and base binds each to a builtin."""
+    assert set(ops.BINARY) == set(syntax.BINARY_PRECEDENCE) - {"&&", "||"}
+    base = Interpreter().base_env
+    assert all(base.frame[op].value.kind == values.BUILTIN for op in ops.BINARY)
 
 
 # -- the integer bound -------------------------------------------------------------

@@ -351,6 +351,24 @@ def test_call_generic_per_instance(interp):
     assert run(interp, 'area(new("Square", s = 3))').payload == [9]
 
 
+def test_generic_call_builds_no_closure(interp, monkeypatch):
+    """The closure a call's arguments are matched into is built once, by
+    setGeneric, not again on every call."""
+    run(interp, 'setGeneric("once", function(x) standardGeneric("once"))')
+    run(interp, 'setMethod("once", "numeric", function(x) x)')
+    built = []
+
+    class CountingClosure(values.Closure):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(values, "Closure", CountingClosure)
+    for i in range(10):
+        assert run(interp, f"once({i})").payload == [i]
+    assert built == []
+
+
 def test_generic_signature_subset_and_lazy_nondispatch_arg(interp):
     run(interp, SHAPES)
     run(
