@@ -1,7 +1,8 @@
 """Builtin functions installed in the base environment.
 
-Most builtins take forced values matched against declared formals; a
-few (`&&`, `||`) receive raw promises so they can short-circuit.
+Most builtins take argument values bound to declared formals; a few
+(`&&`, `||`) take the argument entries themselves, promises or values,
+so they can short-circuit.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 import math
 
 from . import ops, printer, refclasses, s3, s4, values
-from .environment import Binding
+from .environment import Binding, entry_value
 from .interpreter import REQUIRED, BuiltinPayload, apply_operator
 from .values import MlsError, Value
 
@@ -57,12 +58,12 @@ def _make_shortcircuit(op):
     def fn(ctx, args):
         if len(args) != 2 or any(n for n, _ in args):
             raise MlsError(f"'{op}' requires two unnamed arguments", ctx.loc)
-        left = ops.truthy(args[0][1].force(ctx.interp), ctx.loc)
+        left = ops.truthy(entry_value(args[0][1], ctx.interp), ctx.loc)
         if op == "&&" and not left:
             return values.scalar_bool(False)
         if op == "||" and left:
             return values.scalar_bool(True)
-        return values.scalar_bool(ops.truthy(args[1][1].force(ctx.interp), ctx.loc))
+        return values.scalar_bool(ops.truthy(entry_value(args[1][1], ctx.interp), ctx.loc))
 
     return fn
 
@@ -424,7 +425,7 @@ def _registry():
 _BUILTINS = _registry()
 # every builtin's purity class, and the prelude's `print` generic, pure
 BUILTIN_PURITY = {name: purity for name, _, purity, *_ in _BUILTINS} | {"print": "pure"}
-# every builtin's formals, as `Interpreter.call_value` matches them; None = variadic
+# every builtin's formals, as `interpreter.bind_builtin_args` binds them; None = variadic
 BUILTIN_FORMALS = {name: formals for name, _, _, formals, *_ in _BUILTINS}
 BUILTIN_NAMES = frozenset(BUILTIN_PURITY)  # every name base binds
 

@@ -3,12 +3,13 @@
 A reference in MLS is a name plus an environment.  A frame entry is a
 `Value` itself, a lazy `Promise` itself (memoized on first force), or a
 `Binding` for the modes that need more: an active field that runs
-accessor functions, or a missing argument.  `entry_value` reads any
-entry.  `Environment.bind` is the one frame write; the rules for
-writing a reference-class field are `refclasses.write_field`'s.  A
-frame is a plain `Environment` (base, global), an `interpreter.CallFrame`
-that is a closure call's record, or a `refclasses.InstanceFrame` that
-is a reference instance.
+accessor functions, or a missing argument.  A call's argument is an
+entry too, a `Promise` or a `Value`.  `entry_value` reads any entry.
+`Environment.bind` is the one frame write; the rules for writing a
+reference-class field are `refclasses.write_field`'s.  A frame is a
+plain `Environment` (base, global), an `interpreter.CallFrame` that is a
+closure call's record, or a `refclasses.InstanceFrame` that is a
+reference instance.
 """
 
 from __future__ import annotations
@@ -34,26 +35,18 @@ class Promise:
         self.value = None
         self.state = PENDING
 
-    @classmethod
-    def forced(cls, value):
-        p = cls(None, None)
-        p.value = value
-        p.state = DONE
-        return p
-
     def force(self, interp):
         if self.state == DONE:
             return self.value
         if self.state == FORCING:
             raise MlsError(
                 "promise already under evaluation: recursive default or forcing cycle",
-                getattr(self.expr, "loc", None),
+                self.expr.loc,
             )
         self.state = FORCING
-        expr = self.expr
-        run = expr._run
+        run = self.expr._run
         try:
-            self.value = run(interp, self.env) if run is not None else interp.eval(expr, self.env)
+            self.value = run(interp, self.env) if run is not None else interp.eval(self.expr, self.env)
         finally:
             if self.state == FORCING:
                 self.state = PENDING
@@ -87,8 +80,8 @@ class Binding:
 
 
 def entry_value(entry, interp, loc=None) -> values.Value:
-    """The value a frame entry stands for: a `Value` itself, a `Promise`
-    forced, or whatever `Binding.resolve` makes of a special mode."""
+    """The value a frame entry stands for: a `Value` itself, a `Promise`'s
+    value, or whatever `Binding.resolve` makes of a special mode."""
     if entry.__class__ is values.Value:
         return entry
     return entry.force(interp) if entry.__class__ is Promise else entry.resolve(interp, loc)

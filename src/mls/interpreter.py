@@ -1,12 +1,11 @@
 """The MLS evaluator.
 
 Each expression node compiles once, on first evaluation, into a Python
-closure.  Calls to closures bind their arguments as lazy promises and
-evaluate bodies in a fresh `CallFrame` chained to the closure's
-enclosure.  A builtin is either lazy or eager.  Lazy builtins (`&&`,
-`||` and S4 generics) receive promises; every other builtin, the
-reference-class generators among them, receives its argument values,
-evaluated in call order in the caller's environment.
+closure.  An argument is a frame entry, a lazy `Promise` or its `Value`.
+A closure call binds the entries in a fresh `CallFrame` chained to the
+closure's enclosure; a lazy builtin (`&&`, `||`, an S4 generic) takes
+them as they are; every other builtin takes their values, bound to its
+formals by `bind_builtin_args`, the rule the analyzer shares.
 
 Locality is preserved because nothing ever mutates a value in place:
 modification forms build a new value and rebind the local name.  The
@@ -66,7 +65,7 @@ class BuiltinContext:
 class CallFrame(Environment):
     """The frame of one closure call and the call's record: the caller's
     environment, the call's location, and the original (name or None,
-    Promise) arguments in call order, which `UseMethod` passes on."""
+    entry) arguments in call order, which `UseMethod` passes on."""
 
     __slots__ = ("closure_value", "caller_env", "call_loc", "args")
 
@@ -114,6 +113,22 @@ def match_formals(formals, args, loc=None):
         if formal not in matched:
             matched[formal] = positional.pop(0)
     return matched, positional
+
+
+def bind_builtin_args(name, formals, args, loc=None) -> dict:
+    """Bind (name or None, actual) pairs to the formals of the builtin
+    `name`, for a call and for the analyzer alike: `match_formals`, then
+    an error for a leftover positional actual or a missing `REQUIRED`
+    formal, and its default for any other unmatched formal."""
+    matched, extra = match_formals(formals, args, loc)
+    if extra:
+        raise MlsError(f"unused arguments for '{name}'", loc)
+    for formal, default in formals:
+        if formal not in matched:
+            if default is REQUIRED:
+                raise MlsError(f"argument '{formal}' is missing, with no default", loc)
+            matched[formal] = default
+    return matched
 
 
 class Interpreter:
@@ -188,32 +203,22 @@ class Interpreter:
             raise MlsError(f"could not find function '{name}'", loc)
         return fn
 
-    def call_value(self, fn: Value, args, loc=None, caller_env=None, label=None,
-                   forced=False) -> Value:
-        """Apply a function value to (name, Promise) argument pairs or, when
-        `forced`, an eager builtin to (name, Value) pairs evaluated in call
-        order.  A lazy builtin takes the promises as they are; every other
-        builtin takes their values, matched to its formals unless it is
-        variadic."""
+    def call_value(self, fn: Value, args, loc=None, caller_env=None, label=None) -> Value:
+        """Apply a function value to (name or None, entry) argument pairs,
+        each entry a `Promise` or, once evaluated, a `Value`.  A closure
+        binds the entries in its frame; a lazy builtin takes them as they
+        are; every other builtin takes their values, bound to its formals
+        by `bind_builtin_args` unless it is variadic."""
         caller_env = caller_env if caller_env is not None else self.global_env
         if fn.kind == values.BUILTIN:
             payload = fn.payload
-            if not (forced or payload.lazy):
-                args = [(n, p.force(self)) for n, p in args]
+            if not payload.lazy:
+                args = [(n, a if a.__class__ is Value else a.force(self)) for n, a in args]
             ctx = BuiltinContext(self, caller_env, loc)
-            formals = payload.formals
-            if formals is None:
+            if payload.formals is None:
                 result = payload.fn(ctx, args)
             else:
-                matched, extra = match_formals(formals, args, loc)
-                if extra:
-                    raise MlsError(f"unused arguments for '{payload.name}'", loc)
-                for name, default in formals:
-                    if name not in matched:
-                        if default is REQUIRED:
-                            raise MlsError(f"argument '{name}' is missing, with no default", loc)
-                        matched[name] = default
-                result = payload.fn(ctx, **matched)
+                result = payload.fn(ctx, **bind_builtin_args(payload.name, payload.formals, args, loc))
             self.visible = not payload.invisible
             return result
         if fn.kind == values.CLOSURE:
@@ -228,7 +233,7 @@ class Interpreter:
         frame = CallFrame(fn, caller_env, loc, args, f"call:{label or 'function'}")
         matched, extra = match_formals(fn.payload.formals, args, loc)
         if extra:
-            detail = syntax.deparse(extra[0].expr) if extra[0].expr is not None else "value"
+            detail = syntax.deparse(extra[0].expr) if extra[0].__class__ is Promise else "value"
             raise MlsError(f"unused argument ({detail})", loc)
         for name, default in fn.payload.formals:
             if name in matched:
@@ -345,7 +350,7 @@ class Interpreter:
         """Print a value through the S3 print generic so class methods apply."""
         env = env or self.global_env
         fn = self.lookup_function("print", env)
-        self.call_value(fn, [(None, Promise.forced(v))], caller_env=env, label="print")
+        self.call_value(fn, [(None, v)], caller_env=env, label="print")
 
     def run_top_level(self, exprs, env: Environment = None):
         """Evaluate each expression in turn and print its value if visible."""
@@ -407,7 +412,7 @@ def _compile_constant(e: syntax.Constant):
 def _compile_symbol(e: syntax.Symbol):
     """Walk the frames from `env` outward to the first entry for the
     name and test its class once: a `Value` is the value, a `Promise`
-    gives its value (forced here if pending), and a `Binding` gives
+    gives its value (run here if pending), and a `Binding` gives
     whatever `Binding.resolve` makes of a missing formal or an active
     field."""
     name, loc = e.name, e.loc
@@ -455,8 +460,8 @@ def _compile_call(e: syntax.Call):
         try:
             if fn.kind == values.BUILTIN and not fn.payload.lazy:
                 args = [(name, arg(interp, env)) for name, arg in arg_runs]
-                return interp.call_value(fn, args, loc, env, fname, forced=True)
-            args = [(name, Promise(arg, env)) for name, arg in arg_exprs]
+            else:
+                args = [(name, Promise(arg, env)) for name, arg in arg_exprs]
             return interp.call_value(fn, args, loc, env, fname)
         except MlsError as err:
             if err.loc is None:

@@ -26,12 +26,14 @@ from .values import MlsError, Value
 _NUMERIC_RANK = {values.LOGICAL: 0, values.INTEGER: 1, values.DOUBLE: 2, values.STRING: 3}
 
 
-def _as_number_list(v: Value, op: str, loc):
+def _as_number_list(v: Value, op, loc):
+    """An operand's numbers and their kind; `op` is None for a unary operator."""
     if v.kind == values.LOGICAL:
         return [int(x) for x in v.payload], values.INTEGER
     if v.kind in (values.INTEGER, values.DOUBLE):
         return v.payload, v.kind
-    raise MlsError(f"non-numeric argument to binary operator '{op}'", loc)
+    raise MlsError("invalid argument to unary operator" if op is None
+                   else f"non-numeric argument to binary operator '{op}'", loc)
 
 
 def _recycle(xs, ys, loc):
@@ -66,7 +68,7 @@ def _safe_div(x, y):
 
 
 def arith_unary(op: str, v: Value, loc=None) -> Value:
-    xs, kind = _as_number_list(v, op, loc)
+    xs, kind = _as_number_list(v, None, loc)
     if op == "-":
         xs = [-x for x in xs]
     names = v.attributes.get("names")

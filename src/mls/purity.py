@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import reader, syntax, values
 from .builtins import BUILTIN_FORMALS, BUILTIN_PURITY
-from .interpreter import REQUIRED, match_formals
+from .interpreter import bind_builtin_args
 from .values import MlsError
 
 NONLOCAL_ASSIGNMENT = "NonlocalAssignment"
@@ -149,19 +149,16 @@ def parse_module(name: str, source: str, path=None) -> ModuleUnit:
 
 def match_builtin_call(call: syntax.Call) -> Optional[dict]:
     """The formals of the builtin `call` names, bound to their actual
-    expressions as `Interpreter.call_value` binds them (a variadic builtin
-    binds none), or None when it rejects the call before the builtin
-    runs."""
+    expressions or defaults by `bind_builtin_args`, as a call binds them
+    (a variadic builtin binds none), or None when it rejects the call
+    before the builtin runs."""
     formals = BUILTIN_FORMALS.get(call.callee.name)
     if formals is None:
         return {}
     try:
-        matched, extra = match_formals(formals, call.args)
+        return bind_builtin_args(call.callee.name, formals, call.args)
     except MlsError:
         return None
-    if extra or any(default is REQUIRED and name not in matched for name, default in formals):
-        return None
-    return matched
 
 
 def _literal(e) -> Optional[str]:
@@ -241,7 +238,7 @@ def scan_function(name: str, literal: syntax.FunctionLiteral) -> FunctionFacts:
                 if cname == "assign":  # a literal name assigned here is a local
                     matched = match_builtin_call(e) or {}
                     assigned = _literal(matched.get("name"))
-                    if assigned is not None and "envir" not in matched:
+                    if assigned is not None and matched.get("envir") is None:
                         local.add(assigned)
                 calls.append(e)
         else:
@@ -278,7 +275,7 @@ def _builtin_violation(name: str, loc, kind: Optional[str],
         if matched is None:  # the call fails, so it assigns and reads nothing
             return None
         if kind == "local_assign":
-            if "envir" not in matched:
+            if matched.get("envir") is None:
                 return None
             return Violation(
                 NONLOCAL_ASSIGNMENT, line, col,
@@ -364,52 +361,39 @@ def resolve_names(module: ModuleUnit, facts: FunctionFacts, universe: dict, poli
 
 
 def _tarjan(nodes, adjacency):
-    """Tarjan's algorithm; emits components callees-first."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    components = []
-    counter = [0]
+    """Tarjan's algorithm over an explicit stack of (node, neighbour
+    iterator) pairs, so a long call chain needs no host recursion; emits
+    components callees-first."""
+    index, low, on_stack, stack, components, work = {}, {}, set(), [], [], []
 
-    def strongconnect(v):
-        work = [(v, 0)]
+    def visit(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        work.append((v, iter(adjacency.get(v, ()))))
+
+    for root in nodes:
+        if root not in index:
+            visit(root)
         while work:
-            node, pi = work[-1]
-            if pi == 0:
-                index[node] = low[node] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                on_stack.add(node)
-            recurse = False
-            neighbors = adjacency.get(node, ())
-            for i in range(pi, len(neighbors)):
-                w = neighbors[i]
+            node, neighbours = work[-1]
+            for w in neighbours:
                 if w not in index:
-                    work[-1] = (node, i + 1)
-                    work.append((w, 0))
-                    recurse = True
+                    visit(w)
                     break
                 if w in on_stack:
                     low[node] = min(low[node], index[w])
-            if recurse:
-                continue
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                components.append(comp)
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    for v in nodes:
-        if v not in index:
-            strongconnect(v)
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    comp = []
+                    while not comp or comp[-1] != node:
+                        comp.append(stack.pop())
+                        on_stack.discard(comp[-1])
+                    components.append(comp)
     return components
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import s4, values
-from .environment import Binding, Environment, Promise, entry_value
+from .environment import Binding, Environment, entry_value
 from .values import MlsError, Value
 
 
@@ -201,7 +201,7 @@ def write_field(interp, frame: InstanceFrame, name: str, v: Value, loc=None):
         setter = frame.frame[name].setter
         if setter is None:
             raise MlsError(f"active field '{name}' has no setter", loc)
-        interp.call_value(setter, [(None, Promise.forced(v))], loc=loc)
+        interp.call_value(setter, [(None, v)], loc=loc)
         return
     if spec.read_only:
         raise MlsError(f"field '{name}' is read-only", loc)

@@ -7,7 +7,7 @@ class vector, walks its class's linearization in the class registry."""
 from __future__ import annotations
 
 from . import values
-from .environment import Promise, entry_value
+from .environment import entry_value
 from .values import MlsError, Value
 
 
@@ -93,5 +93,5 @@ def dispatch_binary_op(interp, op: str, lhs: Value, rhs: Value, env, loc=None) -
     chosen = left_fn if left_fn is not None else right_fn
     if chosen is None:
         return None
-    args = [(None, Promise.forced(lhs)), (None, Promise.forced(rhs))]
+    args = [(None, lhs), (None, rhs)]
     return interp.call_value(chosen, args, loc=loc, caller_env=env, label=left_name or right_name)

@@ -341,7 +341,7 @@ def call_generic(interp, gdef: GenericDef, args, caller_env, loc=None) -> Value:
     """Dispatch a generic call: match the arguments into a frame of the
     generic's `frame_fn`, force only the dispatch arguments, and run the
     best method in that frame, now under the method's enclosure, so a
-    default still unforced sees the method's locals."""
+    default promise still pending sees the method's locals."""
     frame = interp.match_arguments(gdef.frame_fn, args, loc, caller_env, gdef.name)
     actual_classes = []
     for name in gdef.signature:

@@ -268,6 +268,8 @@ def test_reader_edge_cases_through_the_cli(tmp_path, capsys, source, code, out, 
         ("if (0/0) 1", "", "missing value where TRUE/FALSE needed (line 1, column 5)"),
         ("if (c(TRUE)[c(FALSE)]) 1", "", "argument is of length zero (line 1, column 5)"),
         ('!"a"', "", "invalid argument type to '!' (line 1, column 1)"),
+        ('-"a"', "", "invalid argument to unary operator (line 1, column 1)"),
+        ('+"a"', "", "invalid argument to unary operator (line 1, column 1)"),
         ('G <- setRefClass("G", fields = list(f = "function")); G()',
          "", "field 'f' of class 'G' requires an explicit value (line 1, column 55)"),
         ('G <- setRefClass("G", fields = list()); G$foo',

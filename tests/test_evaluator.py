@@ -401,6 +401,34 @@ def test_builtin_name_rebound_to_closure_is_lazy(capture):
     assert capture.out.getvalue() == "[1] 99\n"
 
 
+# -- arguments that are values ----------------------------------------------------
+#
+# An argument is a promise or, once evaluated, its value.  Operator
+# dispatch, top-level printing and an active field's setter pass values
+# (the setter in `test_refclasses.test_active_fields`).
+
+def test_a_lazy_builtin_as_an_operator_method_reads_value_arguments():
+    setup = '`==.foo` <- `&&`; x <- set_attr(1, "class", "foo")'
+    assert printed(reader.parse_program("x == x"), setup) == "[1] TRUE\n"
+
+
+def test_a_surplus_value_argument_is_reported_as_value(interp):
+    run(interp, '`+.bar` <- function(e1) e1; b <- set_attr(1, "class", "bar")')
+    with pytest.raises(MlsError) as exc:
+        run(interp, "b + b")
+    assert exc.value.message == "unused argument (value)"
+
+
+def test_an_s4_generic_bound_as_an_s3_print_method_prints_a_value():
+    setup = """
+setGeneric("describe", function(x) standardGeneric("describe"))
+setMethod("describe", "ANY", function(x) print.default(el(x, 1)))
+print.foo <- describe
+l <- set_attr(list(7), "class", "foo")
+"""
+    assert printed(reader.parse_program("l"), setup) == "[1] 7\n"
+
+
 # -- interpreter state builtins ------------------------------------------------------
 
 def test_options_roundtrip(interp):
