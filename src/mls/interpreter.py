@@ -4,8 +4,9 @@ Each expression node compiles once, on first evaluation, into a Python
 closure.  An argument is a frame entry, a lazy `Promise` or its `Value`.
 A closure call binds the entries in a fresh `CallFrame` chained to the
 closure's enclosure; a lazy builtin (`&&`, `||`, an S4 generic) takes
-them as they are; every other builtin takes their values, bound to its
-formals by `bind_builtin_args`, the rule the analyzer shares.
+them as they are; every other builtin takes values, which its caller
+evaluates or forces, bound to its formals by `bind_builtin_args`, the
+rule the analyzer shares.
 
 Locality is preserved because nothing ever mutates a value in place:
 modification forms build a new value and rebind the local name.  The
@@ -204,16 +205,14 @@ class Interpreter:
         return fn
 
     def call_value(self, fn: Value, args, loc=None, caller_env=None, label=None) -> Value:
-        """Apply a function value to (name or None, entry) argument pairs,
-        each entry a `Promise` or, once evaluated, a `Value`.  A closure
-        binds the entries in its frame; a lazy builtin takes them as they
-        are; every other builtin takes their values, bound to its formals
-        by `bind_builtin_args` unless it is variadic."""
+        """Apply a function value to (name or None, entry) argument pairs
+        as the caller gives them.  A closure binds the entries in its
+        frame; a lazy builtin takes them as they are; every other builtin
+        takes values only, which the caller evaluated or forced, bound to
+        its formals by `bind_builtin_args` unless it is variadic."""
         caller_env = caller_env if caller_env is not None else self.global_env
         if fn.kind == values.BUILTIN:
             payload = fn.payload
-            if not payload.lazy:
-                args = [(n, a if a.__class__ is Value else a.force(self)) for n, a in args]
             ctx = BuiltinContext(self, caller_env, loc)
             if payload.formals is None:
                 result = payload.fn(ctx, args)
@@ -436,10 +435,10 @@ def _compile_symbol(e: syntax.Symbol):
 
 def _compile_call(e: syntax.Call):
     """The callee is resolved first.  An eager builtin gets its argument
-    values, evaluated in call order in the caller's environment; every
-    other function gets one promise per argument.  The choice is made on
-    the resolved function at each call, so rebinding a builtin's name to
-    a closure restores laziness.
+    values, evaluated here in call order in the caller's environment, as
+    `call_value` forces none; any other function gets one promise per
+    argument.  The choice is made on the resolved function at each call,
+    so rebinding a builtin's name to a closure restores laziness.
 
     A binary operator called with two unnamed arguments is applied
     directly while no frame has bound its name; once `Environment.bind`

@@ -168,25 +168,26 @@ def _literal(e) -> Optional[str]:
     return None
 
 
-# calls that are grammar, such as operator spellings: their arguments are
-# walked, and their head is no user-resolvable callee
-_SYNTAX_HEADS = frozenset(("{", "if", "while", "[", "[<-", "$", "$<-")
-                          + syntax.BINARY_OPS + syntax.UNARY_OPS)
+# An operator call is a call of its name.  No operator's purity depends on
+# its arguments, so the scan records it as a use of the name, which
+# `resolve_names` resolves once per function as a callee.
+_OPERATORS = frozenset(syntax.BINARY_OPS + syntax.UNARY_OPS)
 
 
 def scan_function(name: str, literal: syntax.FunctionLiteral) -> FunctionFacts:
     """Collect superassignments, interesting callees, and free names,
     each with its source location, in one walk of each function body.
 
-    The walk keeps every name use (a Symbol) and every call of a named
-    callee in walk order, and collects each function's locals as it
-    goes: names assigned with `<-` or given literally to an assign()
-    that binds no `envir`, not in nested function literals or formal
-    defaults.  When a function literal's walk ends, the uses its formals
-    and locals bind are dropped; the rest are uses of the enclosing
-    function."""
+    The walk keeps every name use (a Symbol or an operator call) and
+    every other call of a named callee in walk order, and collects each
+    function's locals as it goes: names assigned by an `Assign` node or
+    given literally to an assign() that binds no `envir`, not in nested
+    function literals or formal defaults; a backquoted `<-`(x, v) is an
+    ordinary call.  When a function literal's walk ends, the uses its
+    formals and locals bind are dropped; the rest are uses of the
+    enclosing function."""
     violations = []
-    names = []  # Symbol uses not yet known to be bound
+    names = []  # Symbol uses, operator callees among them, not yet known to be bound
     calls = []  # Calls of a named callee not yet known to be bound
 
     def walk_function(fl: syntax.FunctionLiteral):
@@ -214,7 +215,8 @@ def scan_function(name: str, literal: syntax.FunctionLiteral) -> FunctionFacts:
                 if head == "<-":
                     local.add(e.target.name)
                 else:
-                    superassign(e, e.target.name)
+                    violations.append(Violation(NONLOCAL_ASSIGNMENT, *e.loc, syntax.deparse(e),
+                                                e.target.name))
                 walk(e.value, local)
             else:
                 for x in syntax.child_expressions(e):
@@ -223,18 +225,9 @@ def scan_function(name: str, literal: syntax.FunctionLiteral) -> FunctionFacts:
         callee, args = e.callee, e.args
         if type(callee) is syntax.Symbol:
             cname = callee.name
-            if cname in ("<-", "<<-") and len(args) == 2:
-                # a backquoted assignment: its target is no use, but what the
-                # target assigns is local; other arities are ordinary calls
-                target = args[0][1]
-                kept = len(names), len(calls), len(violations)
-                walk(target, local)
-                del names[kept[0]:], calls[kept[1]:], violations[kept[2]:]
-                if cname == "<<-":
-                    superassign(e, getattr(target, "name", None))
-                walk(args[1][1], local)
-                return
-            if cname not in _SYNTAX_HEADS:
+            if cname in _OPERATORS:
+                names.append(callee)
+            else:
                 if cname == "assign":  # a literal name assigned here is a local
                     matched = match_builtin_call(e) or {}
                     assigned = _literal(matched.get("name"))
@@ -248,9 +241,6 @@ def scan_function(name: str, literal: syntax.FunctionLiteral) -> FunctionFacts:
             walk(callee, local)
         for _, arg in args:
             walk(arg, local)
-
-    def superassign(e, subject):
-        violations.append(Violation(NONLOCAL_ASSIGNMENT, *e.loc, syntax.deparse(e), subject))
 
     walk_function(literal)
     facts = FunctionFacts(name, violations, calls)
@@ -317,7 +307,7 @@ def resolve_names(module: ModuleUnit, facts: FunctionFacts, universe: dict, poli
 
     def resolve(name, loc, call: Optional[syntax.Call]):
         line, col = loc
-        called = call is not None
+        called = call is not None or name in _OPERATORS
         owner = module if name in module.bindings else universe.get(import_map.get(name))
         if owner is not None:
             if name in owner.definitions:

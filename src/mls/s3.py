@@ -44,7 +44,8 @@ def class_vector(interp, v: Value) -> list:
 
 def use_method(interp, generic_name: str, loc=None):
     """Select and run a method for the current call, then return its value
-    as the value of the enclosing generic."""
+    as the value of the enclosing generic.  The one site that passes a
+    frame's promises on, it forces them for an eager builtin method."""
     if not interp.frames:
         raise MlsError("UseMethod called from outside a function", loc)
     frame = interp.frames[-1]
@@ -58,8 +59,10 @@ def use_method(interp, generic_name: str, loc=None):
     classes = class_vector(interp, obj)
     fn, label = find_method(interp, generic_name, classes + ["default"], frame.caller_env)
     if fn is not None:
+        eager = fn.kind == values.BUILTIN and not fn.payload.lazy
+        args = [(n, entry_value(a, interp)) for n, a in frame.args] if eager else frame.args
         result = interp.call_value(
-            fn, frame.args, loc=frame.call_loc, caller_env=frame.caller_env, label=label
+            fn, args, loc=frame.call_loc, caller_env=frame.caller_env, label=label
         )
         raise UseMethodExit(result)
     raise MlsError(

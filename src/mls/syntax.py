@@ -1,10 +1,10 @@
 """Expression trees for MLS source code.
 
-Control syntax is sugar over function calls: every composite node other
-than a Call names, in `HEAD`, the function its call form calls, and the
-purity analyzer reads that name and the node's children.  Every node
-carries the (line, column) it came from so analysis findings can point
-at source.
+Control structures are syntax, and an operator is a Call of its name.
+Every other composite node names, in `HEAD`, the function R's call form
+of it calls; the purity analyzer reads `HEAD` to tell a function literal
+and an assignment from nodes whose children it walks.  Every node carries
+the (line, column) it came from so analysis findings can point at source.
 
 Each node dataclass declares its children once, in its field
 annotations; `child_expressions` walks the `_LAYOUT` read from them.

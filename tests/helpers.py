@@ -495,9 +495,11 @@ def _reference_collect_locals(body, scope: set):
 def reference_scan_function(name, literal):
     """`purity.scan_function` as it was when it walked each function body
     twice, once for its locals and once for its uses, and each sugar node
-    through `as_call`: the oracle for it."""
+    through `as_call`: the oracle for it.  Only an `Assign` or
+    `SuperAssign` node assigns, and an operator call is a use of the
+    operator's name."""
     facts = purity.FunctionFacts(name)
-    grammar = ("{", "if", "while", "[", "[<-", "$", "$<-") + syntax.BINARY_OPS + syntax.UNARY_OPS
+    operators = syntax.BINARY_OPS + syntax.UNARY_OPS
 
     def walk_function(fl, enclosing):
         scope = enclosing | {n for n, _ in fl.formals}
@@ -517,27 +519,25 @@ def reference_scan_function(name, literal):
         if isinstance(e, syntax.FunctionLiteral):
             walk_function(e, scope)
             return
+        if isinstance(e, syntax.SuperAssign):
+            facts.violations.append(purity.Violation(
+                purity.NONLOCAL_ASSIGNMENT, e.loc[0], e.loc[1], syntax.deparse(e),
+                subject=e.target.name,
+            ))
+        if isinstance(e, (syntax.Assign, syntax.SuperAssign)):
+            walk(e.value, scope)
+            return
         call = as_call(e)
         callee = call.callee
+        if call is not e:  # any other sugar node: its head is grammar
+            for _, arg in call.args:
+                walk(arg, scope)
+            return
         if isinstance(callee, syntax.Symbol):
             cname = callee.name
-            assigns = len(call.args) == 2
-            if cname == "<<-" and assigns:
-                target, value = call.args[0][1], call.args[1][1]
-                facts.violations.append(purity.Violation(
-                    purity.NONLOCAL_ASSIGNMENT, e.loc[0], e.loc[1], syntax.deparse(e),
-                    subject=getattr(target, "name", None),
-                ))
-                walk(value, scope)
-                return
-            if cname == "<-" and assigns:
-                walk(call.args[1][1], scope)
-                return
-            if cname in grammar:
-                for _, arg in call.args:
-                    walk(arg, scope)
-                return
-            if cname not in scope:
+            if cname in operators:
+                walk(callee, scope)
+            elif cname not in scope:
                 facts.callees.append(call)
             for _, arg in call.args:
                 walk(arg, scope)

@@ -308,6 +308,70 @@ def test_reader_edge_cases_through_the_cli(tmp_path, capsys, source, code, out, 
          "", "invalid count for rng_draw: more than 16777216 draws (line 1, column 1)"),
         ('foreign(tag = "identity")',
          "", "foreign() requires a tag as its first argument (line 1, column 1)"),
+        # Each input below runs a statement of the value layer, of a builtin,
+        # of the formal class model or of reference classes that no other
+        # test runs; the comment names the function that holds it.
+        # ops.index_assign
+        ("x <- c(1, 2); x[1, 2] <- 3", "", "matrix indexing is not supported (line 1, column 15)"),
+        ("f <- function() 1; f[1] <- 2",
+         "", "object of class 'function' is not subsettable (line 1, column 20)"),
+        # ops._list_index_assign, ops.field_assign_list
+        ('l <- list(a = 1, b = 2); l["a"] <- 5; l$a', "[1] 5\n", ""),
+        ("x <- NULL; x$a <- 1; x", "$a\n[1] 1\n\n", ""),
+        # builtins._scalar_string, _scalar_int
+        ("attr(1, 2)", "", "attribute name must be a single string (line 1, column 1)"),
+        ("el(c(5, 6), 2.0)", "[1] 6\n", ""),
+        # builtins._bi_paste, _bi_el, _bi_stop
+        ("paste(NULL, 1)", '[1] "1"\n', ""),
+        ("paste(list(1))", "", "paste() requires vector arguments (line 1, column 1)"),
+        ("el(NULL, 1)", "", "el() requires a list or vector (line 1, column 1)"),
+        ("el(c(1, 2), 3)", "", "index 3 out of bounds (length 2) (line 1, column 1)"),
+        ("stop()", "", "error (line 1, column 1)"),
+        # builtins._bi_set_class, _bi_set_generic, _bi_set_method, _bi_new
+        ('setClass("A", contains = 1)',
+         "", "contains must be a character vector (line 1, column 1)"),
+        ('setGeneric("length")', "", "setGeneric('length') needs an explicit def: "
+         "no existing function to adopt (line 1, column 1)"),
+        ('setGeneric("g", 1)', "", "def must be a function (line 1, column 1)"),
+        ('setGeneric("h", function(x) x + 1); h(3)', "[1] 4\n", ""),
+        ('setGeneric("k", function(x) standardGeneric("k"), signature = 1)',
+         "", "signature must be a character vector (line 1, column 1)"),
+        ('setGeneric("k", function(x) standardGeneric("k")); setMethod("k", 1, function(x) x)',
+         "", "signature must be a nonempty character vector (line 1, column 52)"),
+        ('new(x = "A")', "", "new() requires a class name as its first argument (line 1, column 1)"),
+        # s4.Registry.define_method, s4.declared_members
+        ('setClass("P", slots = list(x = "numeric")); '
+         'setGeneric("area", function(s) standardGeneric("area")); '
+         'setMethod("area", "Q", function(s) 1)',
+         "", "undefined class 'Q' in method signature (line 1, column 102)"),
+        ('setClass("P", slots = list(1))', "", "every slot must be named (line 1, column 1)"),
+        # s4.new_instance, s4.slot_get, s4.slot_set
+        ('new("Nope")', "", 'undefined class "Nope" (line 1, column 1)'),
+        ('new("environment")',
+         "", "cannot instantiate basic class 'environment' (line 1, column 1)"),
+        ('setClass("P", slots = list(x = "numeric")); new("P", 1)',
+         "", 'unnamed argument in new("P") (line 1, column 45)'),
+        ('setClass("P", slots = list(x = "numeric")); new("P", x = 1, x = 2)',
+         "", "slot 'x' initialized twice (line 1, column 45)"),
+        ('setClass("P", slots = list(x = "numeric")); slot(new("P", x = 1), "y")',
+         "", "no slot 'y' in an object of class \"P\" (line 1, column 45)"),
+        ('setClass("P", slots = list(x = "numeric")); slot_set(new("P", x = 1), "y", 2)',
+         "", "no slot 'y' in an object of class \"P\" (line 1, column 45)"),
+        # refclasses._parse_field_spec, set_ref_class
+        ('setRefClass("R", fields = list(a = list(class = 1)))',
+         "", "invalid class declaration for field 'a' (line 1, column 1)"),
+        ('setRefClass("R", contains = c("A", "B"))',
+         "", "contains must be a single class name (line 1, column 1)"),
+        ('setRefClass("R", methods = list(m = 1))',
+         "", "method 'm' must be a function (line 1, column 1)"),
+        # refclasses._current, generator_new
+        ('R <- setRefClass("R", fields = list(a = "numeric")); '
+         'setClass("R", slots = list(x = "numeric")); R()',
+         "", "unknown reference class 'R' (line 1, column 98)"),
+        ('R <- setRefClass("R", fields = list(a = "numeric")); R(1)',
+         "", "unnamed argument in constructor for 'R' (line 1, column 54)"),
+        ('R <- setRefClass("R", fields = list(a = "numeric")); R(a = 1, a = 2)',
+         "", "field 'a' initialized twice (line 1, column 54)"),
     ],
 )
 def test_run_edge_values_and_errors(tmp_path, capsys, source, out, err):
@@ -325,8 +389,10 @@ def test_run_edge_values_and_errors(tmp_path, capsys, source, out, err):
         # each level costs the reader at least one host frame
         ("x <- " + "(" * HOST_RECURSION_LIMIT + "1" + ")" * HOST_RECURSION_LIMIT + "\n", 2,
          "expression nested too deeply"),
+        # the reader takes one host frame per prefix operator, evaluation more
+        ("x <- " + "-" * 15000 + "1\n", 1, "evaluation nested too deeply (line 1, column 1)"),
     ],
-    ids=["sum", "parens"],
+    ids=["sum", "parens", "prefix"],
 )
 def test_host_recursion_is_an_mls_error_not_a_traceback(tmp_path, capsys, source, code, message):
     script = tmp_path / "deep.mls"

@@ -1041,6 +1041,50 @@ def test_frame_entries_are_values_promises_or_special_bindings():
         assert _run_checking_frames(f"{program}\n{call}") > 0
 
 
+def _run_checking_builtin_arguments(source):
+    """What `run_top_level` prints for `source` in a fresh interpreter whose
+    eager builtins first check that every argument they receive is a
+    `Value` (a formal left at a default of None aside), and the number of
+    eager builtin calls.  `call_value` passes arguments on as its caller
+    gives them, so a caller that hands an eager builtin a promise fails."""
+    out = io.StringIO()
+    interp = Interpreter(stdout=out, stderr=io.StringIO())
+    calls = []
+
+    def checking(payload):
+        fn, defaults = payload.fn, dict(payload.formals or ())
+
+        def checked(ctx, *variadic, **matched):
+            given = [a for _, a in variadic[0]] if variadic else [
+                a for formal, a in matched.items() if a is not defaults[formal]]
+            assert all(a.__class__ is values.Value for a in given), (payload.name, given)
+            calls.append(payload.name)
+            return fn(ctx, *variadic, **matched)
+
+        return checked
+
+    for entry in interp.base_env.frame.values():
+        if entry.__class__ is Binding and not entry.value.payload.lazy:
+            entry.value.payload.fn = checking(entry.value.payload)
+    interp.run_top_level(reader.parse_program(source))
+    return out.getvalue(), len(calls)
+
+
+def test_eager_builtins_receive_only_values():
+    for path in sorted(CORPUS.glob("*.mls")):
+        assert _run_checking_builtin_arguments(path.read_text())[1] > 0
+    gen = PureProgramGenerator(4321)
+    for _ in range(200):
+        program, call = gen.program()
+        assert _run_checking_builtin_arguments(f"{program}\n{call}")[1] > 0
+    # `UseMethod` hands the generic's promises to an eager builtin method
+    assert _run_checking_builtin_arguments("print(1 + 1)") == ("[1] 2\n", 2)
+    assert _run_checking_builtin_arguments(
+        'describe <- function(x) UseMethod("describe"); describe.default <- length; '
+        "describe(c(1, 2))"
+    )[0] == "[1] 2\n"
+
+
 def test_assignment_and_arguments_leave_the_value_itself_in_the_frame():
     interp = Interpreter()
     interp.eval_source("""

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import differential_check, reference_scan_function, report_as_dict
+from helpers import differential_check, load_universe, reference_scan_function, report_as_dict
 from mls import purity, reader, syntax, values
 from mls.builtins import BUILTIN_NAMES
 from mls.interpreter import Interpreter
@@ -50,13 +50,13 @@ def test_scan_pure_body_has_no_facts():
     facts = scan("function(x) x + 1")
     assert facts.violations == []
     assert facts.callees == []
-    assert facts.name_uses == {}
+    assert facts.name_uses == {"+": (1, 15)}  # an operator call is a use of its name
 
 
 def test_scan_records_callees_and_free_names():
     facts = scan("function(n) helper(n) + stray")
     assert [c.callee.name for c in facts.callees] == ["helper"]
-    assert list(facts.name_uses) == ["stray"]
+    assert list(facts.name_uses) == ["+", "stray"]
 
 
 def test_scan_backquoted_function_call_is_a_callee():
@@ -65,13 +65,51 @@ def test_scan_backquoted_function_call_is_a_callee():
     assert [c.callee.name for c in facts.callees] == ["function"]
 
 
-@pytest.mark.parametrize("call", ["`<-`(x)", "`<<-`(x)", "`<-`()"])
-def test_backquoted_assignment_with_other_arity_is_a_callee(call):
+@pytest.mark.parametrize("call", ["`<-`(x, 1)", "`<<-`(x, 1)", "`if`(TRUE, 1)", "`{`(1)",
+                                  "`<-`(x)", "`<<-`(x)", "`<-`()"])
+def test_a_backquoted_syntax_name_is_an_ordinary_callee(call):
+    """Only the reader makes assignments and control nodes: called by its
+    name, `<-` or `if` is a function that no module defines."""
     report = analyze(f"f <- function() {call}")
     head = call[1:call.index("`", 1)]
     reason = verdict_of(report, "f").verdict.reasons[0]
     assert (reason.kind, reason.column) == (purity.GLOBAL_REFERENCE, 17)
     assert reason.detail.startswith(f"'{head}' resolves to no local")
+    with pytest.raises(MlsError, match=f"could not find function '{head}'"):
+        Interpreter().eval_source(call)
+
+
+_IMPURE_OPERATORS = """
+`+` <- function(a, b) { counter <<- 1; 0 }
+`!` <- function(a) { counter <<- 2; TRUE }
+`&&` <- function(a, b) { counter <<- 3; FALSE }
+plus <- function(x) x + 1
+negate <- function(x) !x
+both <- function(x) x && TRUE
+nested <- function(x) { g <- function(y) y + 1; g(x) }
+rebound <- function(x) { `+` <- function(a, b) a; x + 1 }
+minus <- function(x) -x * 2
+"""
+
+
+def test_an_operator_call_is_a_call_of_the_operator_the_module_defines():
+    report = analyze(_IMPURE_OPERATORS)
+    for caller, op in [("plus", "+"), ("negate", "!"), ("both", "&&"), ("nested", "+")]:
+        verdict = verdict_of(report, caller).verdict
+        assert (verdict.status, verdict.via) == (purity.NONFUNCTIONAL, [op]), caller
+        assert [v.kind for v in verdict.reasons] == [purity.NONLOCAL_ASSIGNMENT]
+    # the interpreter agrees: each caller runs the module's operator
+    for caller, op in [("plus", "+"), ("negate", "!"), ("both", "&&")]:
+        interp = load_universe([module_of(_IMPURE_OPERATORS)])
+        interp.eval_source(f"counter <- 0; {caller}(TRUE)")
+        assert interp.global_env.frame["counter"].payload == [
+            {"+": 1, "!": 2, "&&": 3}[op]], caller
+    functional = [fr.name for _, reports in report.modules for fr in reports
+                  if fr.verdict.status == purity.FUNCTIONAL]
+    assert functional == ["rebound", "minus"]
+    for name in functional:
+        assert differential_check([module_of(_IMPURE_OPERATORS)], f"{name}(3)").payload == [
+            {"rebound": 3, "minus": -6}[name]]
 
 
 def test_scan_nested_function_facts_merge():
@@ -117,10 +155,10 @@ def assert_scan_matches_the_reference(literal):
 @pytest.mark.parametrize(
     "src, free",
     [
-        # a backquoted `<-` or `<<-` walks only its value, but an
-        # assignment inside its target still binds a local
-        ("function() { `<-`(h(y <- 1), y + w); y }", ["w"]),
-        ('function() { `<<-`(h(assign("z", 1)), z); z + w }', ["w"]),
+        # a backquoted `<-` or `<<-` is an ordinary call, and an
+        # assignment inside its arguments binds a local
+        ("function() { `<-`(h(y <- 1), y + w); y }", ["+", "w"]),
+        ('function() { `<<-`(h(assign("z", 1)), z); z + w }', ["+", "w"]),
         ("function() { `<-`(h(function() v <- 1), 2); v }", ["v"]),
         # an assignment in a formal default binds no local
         ("function(a = (b <- 1)) b", ["b"]),
@@ -129,10 +167,10 @@ def assert_scan_matches_the_reference(literal):
         ("function() { print(x); x <- 1 }", []),
         ('function() { u; assign("u", 2) }', []),
         # a nested function reads a local its enclosing function assigns later
-        ("function() { g <- function() x + k; x <- 1; g() }", ["k"]),
-        ("function() { g <- function(h) h(1) + k(2); g }", []),
+        ("function() { g <- function() x + k; x <- 1; g() }", ["+", "k"]),
+        ("function() { g <- function(h) h(1) + k(2); g }", ["+"]),
         ("function(p) { g <- function(q = x) { h <- function() p + q + x + m; h }; x <- 1 }",
-         ["m"]),
+         ["+", "m"]),
     ],
 )
 def test_scan_binds_locals_as_the_two_pass_scan_did(src, free):
@@ -142,9 +180,9 @@ def test_scan_binds_locals_as_the_two_pass_scan_did(src, free):
 
 
 def _extend_for_scan(children):
-    """`test_reader`'s trees plus the calls the scan treats specially:
-    backquoted `<-` and `<<-` calls, assign() with a literal name, and
-    calls of names a formal binds."""
+    """`test_reader`'s trees plus calls the scan must tell apart:
+    backquoted `<-` and `<<-` calls, which are ordinary calls, assign()
+    with a literal name, and calls of names a formal binds."""
     of_formal = st.builds(
         lambda head, a: syntax.Call(syntax.Symbol(head), [(None, a)]),
         st.sampled_from(["p", "q", "r", "x"]), children,
@@ -339,8 +377,13 @@ def test_import_of_missing_name():
         ("helper <- function(x) rng_draw(x)",
          "import lib (helper)\nhelper <- function(x) x\nf <- function(x) helper(x)",
          purity.FUNCTIONAL, []),
+        # an operator the module binds to a computed value: its callers may run it
+        ("helper <- function(x) x",
+         "make <- function() function(a, b) 0\n`+` <- make()\nf <- function(x) x + 1",
+         purity.UNCERTIFIABLE, [(purity.DYNAMIC_CODE, "'+' is not a statically defined function")]),
     ],
-    ids=["own binding", "imported binding", "import not defined", "own shadows import"],
+    ids=["own binding", "imported binding", "import not defined", "own shadows import",
+         "own operator binding"],
 )
 def test_name_resolution_against_the_owning_module(lib_src, src, status, reasons):
     report = analyze(src, others=[module_of(lib_src, "lib")])
@@ -354,7 +397,7 @@ def test_name_resolution_against_the_owning_module(lib_src, src, status, reasons
 
 def test_nested_function_locals_do_not_leak_to_the_enclosing_function():
     facts = scan("function(a) { g <- function(z) { y <- z + a; y }; c(y, z, g(a)) }")
-    assert set(facts.name_uses) == {"y", "z"}
+    assert set(facts.name_uses) == {"+", "y", "z"}
 
 
 def test_unknown_import_module_errors():
