@@ -6,10 +6,13 @@ Runs the tests under `tests/` in this process through `pytest.main`,
 with a `sys.settrace` line tracer on the `src/mls` files, then prints
 for each module the statements that never ran (docstrings skipped), as
 first lines of the statements, runs of adjacent ones joined as
-"first-last".  The tracer is armed again before each test, because a
-test whose host recursion overflows also turns tracing off.  Tracing
-makes the run several times slower.  Exits with pytest's status.
-Uses the standard library and pytest only.
+"first-last".  A host recursion overflow turns tracing off, so the
+tracer is armed again before each test and whenever an `MlsError` is
+built while it is off: the error that reports the overflow then counts
+the `src/mls` lines running on the stack, its own raise among them.
+The tracer is armed before `mls` is imported, so module-level lines
+count too.  Tracing makes the run several times slower.  Exits with
+pytest's status.  Uses the standard library and pytest only.
 """
 
 from __future__ import annotations
@@ -49,6 +52,23 @@ class LineTracer:
 
     def pytest_runtest_setup(self, item):
         self.arm()
+
+    def rearm_on_error(self, error_class):
+        """Wrap `error_class.__init__`: built while tracing is off, an
+        error counts the package lines on the stack and arms the tracer."""
+        init = error_class.__init__
+
+        def traced_init(error, *args, **kwargs):
+            if sys.gettrace() is None:
+                frame = sys._getframe(1)
+                while frame is not None:
+                    if frame.f_code.co_filename.startswith(self.prefix):
+                        self.hits[frame.f_code.co_filename].add(frame.f_lineno)
+                    frame = frame.f_back
+                self.arm()
+            init(error, *args, **kwargs)
+
+        error_class.__init__ = traced_init
 
 
 def _statements(tree):
@@ -102,6 +122,9 @@ def main() -> int:
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     tracer = LineTracer()
     tracer.arm()
+    from mls import values  # imported under the tracer
+
+    tracer.rearm_on_error(values.MlsError)
     status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")], plugins=[tracer])
     sys.settrace(None)
     total = not_run = 0

@@ -1,8 +1,9 @@
 """Builtin functions installed in the base environment.
 
-Most builtins take argument values bound to declared formals; a few
-(`&&`, `||`) take the argument entries themselves, promises or values,
-so they can short-circuit.
+Most builtins take argument values bound to declared formals, where a
+default of None marks a required one; `&&` and `||` take the argument
+entries themselves, so they can short-circuit.  Operators apply
+`s3.apply_operator`.
 """
 
 from __future__ import annotations
@@ -11,8 +12,7 @@ import math
 
 from . import ops, printer, refclasses, s3, s4, values
 from .environment import Binding, entry_value
-from .interpreter import REQUIRED, BuiltinPayload, apply_operator
-from .values import MlsError, Value
+from .values import BuiltinPayload, MlsError, Value
 
 
 def _scalar_string(v: Value, what: str, loc=None) -> str:
@@ -35,7 +35,7 @@ def _scalar_int(v: Value, what: str, loc=None) -> int:
 
 
 def _make_operator(op, unary=False):
-    """`apply_operator` on two operands; with `unary`, one operand goes
+    """`s3.apply_operator` on two operands; with `unary`, one operand goes
     to `ops.arith_unary`."""
     arity = "one or two arguments" if unary else "two arguments"
 
@@ -45,7 +45,7 @@ def _make_operator(op, unary=False):
             return ops.arith_unary(op, vals[0], ctx.loc)
         if len(vals) != 2:
             raise MlsError(f"operator '{op}' takes {arity}", ctx.loc)
-        return apply_operator(ctx.interp, op, vals[0], vals[1], ctx.env, ctx.loc)
+        return s3.apply_operator(ctx.interp, op, vals[0], vals[1], ctx.env, ctx.loc)
 
     return fn
 
@@ -153,10 +153,9 @@ def _bi_print_default(ctx, x):
     return x
 
 
-def _bi_stop(ctx, message=None):
-    if message is None or values.is_null(message):
-        raise MlsError("error", ctx.loc)
-    raise MlsError(_scalar_string(message, "error message", ctx.loc), ctx.loc)
+def _bi_stop(ctx, message):
+    text = "error" if values.is_null(message) else _scalar_string(message, "error message", ctx.loc)
+    raise MlsError(text, ctx.loc)
 
 
 def _bi_copy(ctx, x):
@@ -176,12 +175,10 @@ def _bi_globalenv(ctx):
     return ctx.interp.global_env.env_value()
 
 
-def _bi_assign(ctx, name, value, envir=None):
-    target = ctx.env
-    if envir is not None and not values.is_null(envir):
-        if envir.kind != values.ENVIRONMENT:
-            raise MlsError("envir must be an environment", ctx.loc)
-        target = envir.payload
+def _bi_assign(ctx, name, value, envir):
+    if not values.is_null(envir) and envir.kind != values.ENVIRONMENT:
+        raise MlsError("envir must be an environment", ctx.loc)
+    target = ctx.env if values.is_null(envir) else envir.payload
     target.bind(_scalar_string(name, "name", ctx.loc), value, ctx.interp)
     return value
 
@@ -366,59 +363,59 @@ def _registry():
 
     for op in ops.BINARY:
         add(op, _make_operator(op, unary=op in ("+", "-")), "pure")
-    add("!", _bi_not, "pure", [("x", REQUIRED)])
+    add("!", _bi_not, "pure", [("x", None)])
     for op in ("&&", "||"):
         add(op, _make_shortcircuit(op), "pure", lazy=True)
 
     add("c", _bi_c, "pure")
     add("list", _bi_list, "pure")
-    add("length", _bi_length, "pure", [("x", REQUIRED)])
-    add("sum", _bi_sum, "pure", [("x", REQUIRED)])
+    add("length", _bi_length, "pure", [("x", None)])
+    add("sum", _bi_sum, "pure", [("x", None)])
     add("paste", _bi_paste, "pure")
-    add("el", _bi_el, "pure", [("x", REQUIRED), ("i", REQUIRED)])
-    add("names", _bi_names, "pure", [("x", REQUIRED)])
-    add("attr", _bi_attr, "pure", [("x", REQUIRED), ("which", REQUIRED)])
-    add("set_attr", _bi_set_attr, "pure", [("x", REQUIRED), ("which", REQUIRED), ("value", null)])
-    add("class", _bi_class, "pure", [("x", REQUIRED)])
-    add("inherits", _bi_inherits, "pure", [("x", REQUIRED), ("what", REQUIRED)])
-    add("is_null", _bi_is_null, "pure", [("x", REQUIRED)])
-    add("identity", _bi_identity, "pure", [("x", REQUIRED)])
+    add("el", _bi_el, "pure", [("x", None), ("i", None)])
+    add("names", _bi_names, "pure", [("x", None)])
+    add("attr", _bi_attr, "pure", [("x", None), ("which", None)])
+    add("set_attr", _bi_set_attr, "pure", [("x", None), ("which", None), ("value", null)])
+    add("class", _bi_class, "pure", [("x", None)])
+    add("inherits", _bi_inherits, "pure", [("x", None), ("what", None)])
+    add("is_null", _bi_is_null, "pure", [("x", None)])
+    add("identity", _bi_identity, "pure", [("x", None)])
     add("invisible", _bi_identity, "pure", [("x", null)], invisible=True)
-    add("print.default", _bi_print_default, "pure", [("x", REQUIRED)], invisible=True)
-    add("stop", _bi_stop, "pure", [("message", None)])
-    add("copy", _bi_copy, "pure", [("x", REQUIRED)])
+    add("print.default", _bi_print_default, "pure", [("x", None)], invisible=True)
+    add("stop", _bi_stop, "pure", [("message", null)])
+    add("copy", _bi_copy, "pure", [("x", None)])
 
     add("environment", _bi_environment, "pure", [])
     add("globalenv", _bi_globalenv, "global_ref", [])
     add("assign", _bi_assign, "local_assign",
-        [("name", REQUIRED), ("value", REQUIRED), ("envir", None)])
+        [("name", None), ("value", None), ("envir", null)])
 
-    add("options", _bi_options, "state_read", [("name", REQUIRED), ("value", REQUIRED)],
+    add("options", _bi_options, "state_read", [("name", None), ("value", None)],
         invisible=True)
-    add("get_option", _bi_get_option, "state_read", [("name", REQUIRED)])
-    add("get_option_from", _bi_get_option_from, "pure", [("opts", REQUIRED), ("name", REQUIRED)])
-    add("set_seed", _bi_set_seed, "rng", [("seed", REQUIRED)], invisible=True)
-    add("rng_draw", _bi_rng_draw, "rng", [("n", REQUIRED)])
+    add("get_option", _bi_get_option, "state_read", [("name", None)])
+    add("get_option_from", _bi_get_option_from, "pure", [("opts", None), ("name", None)])
+    add("set_seed", _bi_set_seed, "rng", [("seed", None)], invisible=True)
+    add("rng_draw", _bi_rng_draw, "rng", [("n", None)])
     add("foreign", _bi_foreign, "foreign")
 
-    add("UseMethod", _bi_use_method, "dynamic", [("generic", REQUIRED)])
+    add("UseMethod", _bi_use_method, "dynamic", [("generic", None)])
 
     add("setClass", _bi_set_class, "dynamic",
-        [("name", REQUIRED), ("slots", null), ("contains", null), ("virtual", null)],
+        [("name", None), ("slots", null), ("contains", null), ("virtual", null)],
         invisible=True)
     add("setGeneric", _bi_set_generic, "dynamic",
-        [("name", REQUIRED), ("def", null), ("signature", null)], invisible=True)
+        [("name", None), ("def", null), ("signature", null)], invisible=True)
     add("setMethod", _bi_set_method, "dynamic",
-        [("name", REQUIRED), ("signature", REQUIRED), ("definition", REQUIRED)],
+        [("name", None), ("signature", None), ("definition", None)],
         invisible=True)
-    add("standardGeneric", _bi_standard_generic, "dynamic", [("name", REQUIRED)])
+    add("standardGeneric", _bi_standard_generic, "dynamic", [("name", None)])
     add("new", _bi_new, "dynamic")
-    add("slot", _bi_slot, "pure", [("obj", REQUIRED), ("name", REQUIRED)])
+    add("slot", _bi_slot, "pure", [("obj", None), ("name", None)])
     add("slot_set", _bi_slot_set, "pure",
-        [("obj", REQUIRED), ("name", REQUIRED), ("value", REQUIRED)])
+        [("obj", None), ("name", None), ("value", None)])
 
     add("setRefClass", _bi_set_ref_class, "dynamic",
-        [("name", REQUIRED), ("fields", null), ("methods", null), ("contains", null)])
+        [("name", None), ("fields", null), ("methods", null), ("contains", null)])
     return table
 
 

@@ -6,7 +6,9 @@ A closure call binds the entries in a fresh `CallFrame` chained to the
 closure's enclosure; a lazy builtin (`&&`, `||`, an S4 generic) takes
 them as they are; every other builtin takes values, which its caller
 evaluates or forces, bound to its formals by `bind_builtin_args`, the
-rule the analyzer shares.
+rule the analyzer shares.  Both mark a required formal by the default
+None.  No layer this module calls, `builtins` and `s3` among them,
+imports it.
 
 Locality is preserved because nothing ever mutates a value in place:
 modification forms build a new value and rebind the local name.  The
@@ -17,10 +19,9 @@ from __future__ import annotations
 
 import functools
 import sys
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
-from . import ops, reader, refclasses, rng, s3, s4, syntax, values
+from . import builtins, ops, reader, refclasses, rng, s3, s4, syntax, values
 from .environment import DONE, Binding, Environment, Promise, entry_value
 from .reader import HOST_RECURSION_LIMIT, deep_host_stack
 from .values import MlsError, Value
@@ -39,19 +40,6 @@ def _prelude() -> list:
     """Parsed by the first interpreter and shared: compiled trees capture
     no interpreter."""
     return reader.parse_program('print <- function(x) UseMethod("print")')
-
-
-@dataclass
-class BuiltinPayload:
-    name: str
-    fn: Any
-    formals: Optional[list] = None  # list of (name, default Value or REQUIRED); None = variadic
-    lazy: bool = False
-    invisible: bool = False
-    meta: Any = None  # s4.GenericDef of a generic, refclasses.RefClassDef of a generator
-
-
-REQUIRED = object()
 
 
 class BuiltinContext:
@@ -76,19 +64,6 @@ class CallFrame(Environment):
         self.caller_env = caller_env
         self.call_loc = call_loc
         self.args = args
-
-
-def apply_operator(interp, op, lhs, rhs, env, loc=None) -> Value:
-    """`lhs op rhs` for a binary operator: the S3 method either operand's
-    class selects, else the base arithmetic or comparison of `ops`.  Only
-    an operand with a class attribute, or a formal instance, selects."""
-    if ("class" in lhs.attributes or "class" in rhs.attributes
-            or lhs.kind in values.FORMAL_KINDS or rhs.kind in values.FORMAL_KINDS):
-        dispatched = s3.dispatch_binary_op(interp, op, lhs, rhs, env, loc)
-        if dispatched is not None:
-            return dispatched
-    compute = ops.compare_binary if ops.BINARY[op][1] == values.LOGICAL else ops.arith_binary
-    return compute(op, lhs, rhs, loc)
 
 
 def match_formals(formals, args, loc=None):
@@ -119,14 +94,14 @@ def match_formals(formals, args, loc=None):
 def bind_builtin_args(name, formals, args, loc=None) -> dict:
     """Bind (name or None, actual) pairs to the formals of the builtin
     `name`, for a call and for the analyzer alike: `match_formals`, then
-    an error for a leftover positional actual or a missing `REQUIRED`
-    formal, and its default for any other unmatched formal."""
+    an error for a leftover positional actual or an unmatched formal
+    whose default is None (required), else the formal's default."""
     matched, extra = match_formals(formals, args, loc)
     if extra:
         raise MlsError(f"unused arguments for '{name}'", loc)
     for formal, default in formals:
         if formal not in matched:
-            if default is REQUIRED:
+            if default is None:
                 raise MlsError(f"argument '{formal}' is missing, with no default", loc)
             matched[formal] = default
     return matched
@@ -134,20 +109,18 @@ def bind_builtin_args(name, formals, args, loc=None) -> dict:
 
 class Interpreter:
     def __init__(self, stdout=None, stderr=None):
-        from . import builtins as builtin_defs
-
         self.stdout = stdout
         self.stderr = stderr
         self.base_env = Environment(None, "base")
         self.global_env = Environment(self.base_env, "global")
         self.frames: list = []  # the running CallFrames, innermost last
         self.visible = True
-        self.base_names = builtin_defs.BUILTIN_NAMES
+        self.base_names = builtins.BUILTIN_NAMES
         self.shadowed: set = set()  # the base names some frame has bound
         self.s4 = s4.Registry()
         self.foreign_stubs: dict = {}
         self.register_foreign("identity", lambda interp, args: args[0] if args else values.null_value())
-        builtin_defs.install(self)
+        builtins.install(self)
         for e in _prelude():
             self.eval(e, self.base_env)
 
@@ -494,7 +467,7 @@ def _compile_call(e: syntax.Call):
                 else:
                     value = Value(values.DOUBLE, [fn(x, y)])  # int-op-float is a float
             else:
-                value = apply_operator(interp, fname, lhs, rhs, env, loc)
+                value = s3.apply_operator(interp, fname, lhs, rhs, env, loc)
         except MlsError as err:
             if err.loc is None:
                 err.loc = loc
@@ -589,7 +562,7 @@ def _compile_index(e: syntax.Index):
 
 def _compile_index_assign(e: syntax.IndexAssign):
     name, loc, value_run = e.obj.name, e.loc, compile_expr(e.value)
-    target_run = _compile_symbol(syntax.Symbol(name, loc=loc))  # errors name the assignment
+    target_run = compile_expr(e.obj)  # the reader puts the assignment at its target
     index_runs = [compile_expr(i) for i in e.indices]
 
     def run(interp, env):

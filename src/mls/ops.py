@@ -9,7 +9,7 @@ own decision: `c()` builds its payload with one bulk copy per part and
 builds a names vector only when some part has an outer name or a
 `names` attribute.  `BINARY` is the one definition of each binary
 operator a call site applies directly, its element function and result
-kind: the builtins, `interpreter.apply_operator`, the vector paths here
+kind: the builtins, `s3.apply_operator`, the vector paths here
 and a call site's in-place path on two numeric scalars all read it.
 
 An integer result beyond `values.INT_MAX` in magnitude is an error.

@@ -45,6 +45,7 @@ NONFUNCTIONAL = "nonfunctional"
 UNCERTIFIABLE = "uncertifiable"
 
 _UNCERTIFIABLE_KINDS = {FOREIGN_CODE, DYNAMIC_CODE}
+_NULL = values.null_value()  # the one NULL
 
 
 @dataclass(frozen=True)
@@ -168,6 +169,12 @@ def _literal(e) -> Optional[str]:
     return None
 
 
+def _binds_envir(matched: dict) -> bool:
+    """Whether assign() has a target: an `envir` but its NULL default or a literal NULL."""
+    envir = matched.get("envir", _NULL)  # unbound: only named, not called
+    return envir is not _NULL and not (type(envir) is syntax.Constant and envir.value is _NULL)
+
+
 # An operator call is a call of its name.  No operator's purity depends on
 # its arguments, so the scan records it as a use of the name, which
 # `resolve_names` resolves once per function as a callee.
@@ -181,11 +188,10 @@ def scan_function(name: str, literal: syntax.FunctionLiteral) -> FunctionFacts:
     The walk keeps every name use (a Symbol or an operator call) and
     every other call of a named callee in walk order, and collects each
     function's locals as it goes: names assigned by an `Assign` node or
-    given literally to an assign() that binds no `envir`, not in nested
-    function literals or formal defaults; a backquoted `<-`(x, v) is an
-    ordinary call.  When a function literal's walk ends, the uses its
-    formals and locals bind are dropped; the rest are uses of the
-    enclosing function."""
+    given literally to an assign() with no target, not in nested function
+    literals or formal defaults; a backquoted `<-`(x, v) is an ordinary
+    call.  When a function literal's walk ends, the uses its formals and
+    locals bind are dropped; the rest are uses of the enclosing function."""
     violations = []
     names = []  # Symbol uses, operator callees among them, not yet known to be bound
     calls = []  # Calls of a named callee not yet known to be bound
@@ -231,7 +237,7 @@ def scan_function(name: str, literal: syntax.FunctionLiteral) -> FunctionFacts:
                 if cname == "assign":  # a literal name assigned here is a local
                     matched = match_builtin_call(e) or {}
                     assigned = _literal(matched.get("name"))
-                    if assigned is not None and matched.get("envir") is None:
+                    if assigned is not None and not _binds_envir(matched):
                         local.add(assigned)
                 calls.append(e)
         else:
@@ -265,7 +271,7 @@ def _builtin_violation(name: str, loc, kind: Optional[str],
         if matched is None:  # the call fails, so it assigns and reads nothing
             return None
         if kind == "local_assign":
-            if matched.get("envir") is None:
+            if not _binds_envir(matched):
                 return None
             return Violation(
                 NONLOCAL_ASSIGNMENT, line, col,

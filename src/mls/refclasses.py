@@ -14,7 +14,7 @@ from typing import Optional
 
 from . import s4, values
 from .environment import Binding, Environment, entry_value
-from .values import MlsError, Value
+from .values import BuiltinPayload, MlsError, Value
 
 
 @dataclass
@@ -106,8 +106,6 @@ def set_ref_class(interp, name, fields_value, methods_value, contains_value, def
 def generator_value(cdef: RefClassDef) -> Value:
     """The generator of class `cdef.name`: an eager builtin whose call, like
     its `$new`, constructs an instance of the class's current definition."""
-    from .interpreter import BuiltinPayload
-
     def construct(ctx, args):
         return generator_new(ctx.interp, cdef.name, args, ctx.loc)
 
@@ -234,8 +232,6 @@ def copy_instance(interp, obj: Value, loc=None) -> Value:
 
 def generator_field(interp, generator, name: str, loc=None) -> Value:
     """`Gen$name` for the payload of generator `Gen`."""
-    from .interpreter import BuiltinPayload
-
     class_name = generator.meta.name
     if name == "new":
         return Value(values.BUILTIN, BuiltinPayload(name=f"{class_name}$new", fn=generator.fn))

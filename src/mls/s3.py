@@ -2,11 +2,12 @@
 naming pattern `generic.class`, and dispatch walks the instance's class
 vector.  Inheritance lives in the object, not in any registry, so
 dispatch is instance-based; only a formal instance, which carries no
-class vector, walks its class's linearization in the class registry."""
+class vector, walks its class's linearization in the class registry.
+An operator applies here too, by `apply_operator`."""
 
 from __future__ import annotations
 
-from . import values
+from . import ops, values
 from .environment import entry_value
 from .values import MlsError, Value
 
@@ -72,13 +73,13 @@ def use_method(interp, generic_name: str, loc=None):
     )
 
 
+def _selects_operator_methods(v: Value) -> bool:
+    """Only an operand with a class attribute, or a formal instance, does."""
+    return "class" in v.attributes or v.kind in values.FORMAL_KINDS
+
+
 def _operator_classes(interp, v: Value) -> list:
-    """The classes operator dispatch walks: those of an operand with a
-    class attribute or of a formal instance; none for any other value,
-    whose implicit class selects no operator method."""
-    if "class" in v.attributes or v.kind in values.FORMAL_KINDS:
-        return class_vector(interp, v)
-    return []
+    return class_vector(interp, v) if _selects_operator_methods(v) else []
 
 
 def dispatch_binary_op(interp, op: str, lhs: Value, rhs: Value, env, loc=None) -> Value | None:
@@ -98,3 +99,13 @@ def dispatch_binary_op(interp, op: str, lhs: Value, rhs: Value, env, loc=None) -
         return None
     args = [(None, lhs), (None, rhs)]
     return interp.call_value(chosen, args, loc=loc, caller_env=env, label=left_name or right_name)
+
+
+def apply_operator(interp, op, lhs, rhs, env, loc=None) -> Value:
+    """`lhs op rhs`: the S3 method an operand selects, else `ops.BINARY`'s operator."""
+    if _selects_operator_methods(lhs) or _selects_operator_methods(rhs):
+        dispatched = dispatch_binary_op(interp, op, lhs, rhs, env, loc)
+        if dispatched is not None:
+            return dispatched
+    compute = ops.compare_binary if ops.BINARY[op][1] == values.LOGICAL else ops.arith_binary
+    return compute(op, lhs, rhs, loc)

@@ -12,7 +12,9 @@ may therefore share payloads and attributes freely, and copying one is
 never needed.  A value built without attributes shares the one
 read-only empty map `NO_ATTRIBUTES`, so a site that gives a fresh value
 attributes passes its dict to the constructor; and every NULL is the one
-value `null_value()` returns.
+value `null_value()` returns.  The payload records live here too: a
+function's, `Closure` or `BuiltinPayload`, marks a required formal by
+the default None.
 """
 
 from __future__ import annotations
@@ -112,6 +114,18 @@ class Closure:
     formals: list  # list of (name, default Expression or None)
     body: Any  # Expression
     enclosure: Any  # Environment
+
+
+@dataclass
+class BuiltinPayload:
+    """A host function: `fn(ctx, args)` if variadic, else `fn(ctx, **matched)`."""
+
+    name: str
+    fn: Any
+    formals: Optional[list] = None  # list of (name, default Value or None); None = variadic
+    lazy: bool = False
+    invisible: bool = False
+    meta: Any = None  # s4.GenericDef of a generic, refclasses.RefClassDef of a generator
 
 
 @dataclass

@@ -130,6 +130,10 @@ def test_analyze_missing_path(capsys):
     assert code == 2
 
 
+def test_analyze_a_directory_without_modules(tmp_path, capsys):
+    assert run_cli(["analyze", str(tmp_path)], capsys) == (2, "", "error: no .mls modules found\n")
+
+
 def test_analyze_duplicate_module_names(tmp_path, capsys):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -154,6 +158,17 @@ def test_repl_session():
     assert "error:" in text  # the malformed ')(' line
     # multi-line continuation prompt appeared
     assert "+ " in text
+
+
+@pytest.mark.parametrize("end", [":quit\n1 + 1\n", ""])  # `1 + 1` never runs
+def test_repl_through_main_previews_a_failing_field_as_an_error(monkeypatch, capsys, end):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(
+        'R <- setRefClass("R", fields = list(f = list(get = function() stop("bad"))))\n'
+        "a <- R()\n:env\n" + end
+    ))
+    code, out, err = run_cli(["repl"], capsys)
+    assert (code, err) == (0, "")
+    assert out.endswith('R: Generator for class "R"\na: <error: bad>\n> ')
 
 
 def test_repl_continues_after_runtime_error():
@@ -233,6 +248,8 @@ def test_deep_parenthesis_nesting_runs_and_analyzes(tmp_path):
         ('s <- "a\\\nb"\nnope\n', 1, "", "error: object 'nope' not found (line 3, column 1)\n"),
         ("f <- function() 1; f()[1] <- 2\n", 2, "",
          "error: indexed assignment requires a named object (line 1, column 27)\n"),
+        ("f() <- 1\n", 2, "", "error: invalid assignment target (line 1, column 5)\n"),
+        ("1 + x <- 2\n", 2, "", "error: invalid assignment target (line 1, column 7)\n"),
     ],
 )
 def test_reader_edge_cases_through_the_cli(tmp_path, capsys, source, code, out, err):

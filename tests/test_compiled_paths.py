@@ -109,10 +109,10 @@ def test_operator_site_matches_the_parent_operator(method_interp, op, lhs, rhs):
 def test_operator_site_computes_plain_scalars_in_place(monkeypatch):
     """Two attribute-free numeric scalars reach neither `apply_operator`
     nor `ops`; anything else does."""
-    from mls import interpreter, ops
+    from mls import ops, s3
 
     calls = []
-    for owner, name in [(interpreter, "apply_operator"), (ops, "arith_binary"),
+    for owner, name in [(s3, "apply_operator"), (ops, "arith_binary"),
                         (ops, "compare_binary")]:
         original = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))

@@ -1,0 +1,56 @@
+"""The modules of `src/mls` form layers: every import statement runs at
+module level, and no module imports one that imports it, directly or
+through others."""
+
+import ast
+import graphlib
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "mls"
+
+
+def _trees() -> dict:
+    return {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+
+
+def _imported_modules(tree) -> set:
+    """The package modules named by any import statement in `tree`,
+    relative (`from . import x`, `from .x import y`) or absolute."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and not module.startswith("mls"):
+                continue
+            module = module.removeprefix("mls").lstrip(".")
+            if module:
+                out.add(module.split(".")[0])
+            else:
+                out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            out.update(a.name.split(".")[1] for a in node.names if a.name.startswith("mls."))
+    return out
+
+
+def test_no_import_statement_sits_inside_a_function():
+    nested = [
+        f"{name}.py:{node.lineno}"
+        for name, tree in _trees().items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert nested == []
+
+
+def test_the_package_import_graph_has_no_cycle():
+    trees = _trees()
+    graph = {name: _imported_modules(tree) & set(trees) for name, tree in trees.items()}
+    assert graph["interpreter"] >= {"builtins", "s3", "refclasses"}
+    try:
+        tuple(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as err:
+        pytest.fail(f"import cycle: {' -> '.join(err.args[1])}")

@@ -252,13 +252,14 @@ _REJECTED_ASSIGNS = ['"x"', 'value = "y"', '"x", "y", e, 1', 'name = "x", name =
 
 @pytest.mark.parametrize("args", [*_shapes([("name", '"x"'), ("value", '"y"')]),
                                   *_shapes([("name", '"x"'), ("value", '"y"'), ("envir", "e")]),
+                                  *_shapes([("name", '"x"'), ("value", '"y"'), ("envir", "NULL")]),
                                   *_REJECTED_ASSIGNS])
 def test_assign_is_nonlocal_exactly_when_the_interpreter_binds_envir(args):
     src = f"f <- function(e) {{ assign({args}); x }}"
     verdict = verdict_of(analyze(src), "f").verdict
     kinds = [v.kind for v in verdict.reasons]
     seen = _run_recorded("assign", src, "f(globalenv())")
-    binds_envir = bool(seen) and seen[0]["envir"] is not None
+    binds_envir = bool(seen) and not values.is_null(seen[0]["envir"])
     assert (purity.NONLOCAL_ASSIGNMENT in kinds) == binds_envir
     if not binds_envir:
         # only the literal the interpreter binds to `name` is a local

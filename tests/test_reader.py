@@ -15,6 +15,7 @@ from helpers import (
     reference_parse_program,
     reference_tokenize,
 )
+import mls
 from mls import reader, syntax, values
 from mls.interpreter import HOST_RECURSION_LIMIT
 from mls.reader import MlsSyntaxError
@@ -162,6 +163,11 @@ def test_index_assign_forms():
     assert e.obj.name == "x"
     e = parse1("p$size <- 1")
     assert isinstance(e, syntax.FieldAssign)
+
+
+def test_parse_one_takes_exactly_one_expression():
+    with pytest.raises(MlsSyntaxError, match="expected a single expression, found 2"):
+        mls.parse_one("1; 2")
 
 
 def test_statement_level_equals_is_an_error():
