@@ -1,9 +1,10 @@
 """Builtin functions installed in the base environment.
 
-Most builtins take argument values bound to declared formals, where a
-default of None marks a required one; `&&` and `||` take the argument
-entries themselves, so they can short-circuit.  Operators apply
-`s3.apply_operator`.
+Each takes the interpreter, the caller's environment and the call's
+location first, `(interp, env, loc, ...)`; then most take argument values
+bound to declared formals, where a default of None marks a required one;
+`&&` and `||` take the argument entries, so they can short-circuit.
+Operators apply `s3.apply_operator`.
 """
 
 from __future__ import annotations
@@ -39,31 +40,31 @@ def _make_operator(op, unary=False):
     to `ops.arith_unary`."""
     arity = "one or two arguments" if unary else "two arguments"
 
-    def fn(ctx, args):
+    def fn(interp, env, loc, args):
         vals = [v for _, v in args]
         if unary and len(vals) == 1:
-            return ops.arith_unary(op, vals[0], ctx.loc)
+            return ops.arith_unary(op, vals[0], loc)
         if len(vals) != 2:
-            raise MlsError(f"operator '{op}' takes {arity}", ctx.loc)
-        return s3.apply_operator(ctx.interp, op, vals[0], vals[1], ctx.env, ctx.loc)
+            raise MlsError(f"operator '{op}' takes {arity}", loc)
+        return s3.apply_operator(interp, op, vals[0], vals[1], env, loc)
 
     return fn
 
 
-def _bi_not(ctx, x):
-    return ops.logical_not(x, ctx.loc)
+def _bi_not(interp, env, loc, x):
+    return ops.logical_not(x, loc)
 
 
 def _make_shortcircuit(op):
-    def fn(ctx, args):
+    def fn(interp, env, loc, args):
         if len(args) != 2 or any(n for n, _ in args):
-            raise MlsError(f"'{op}' requires two unnamed arguments", ctx.loc)
-        left = ops.truthy(entry_value(args[0][1], ctx.interp), ctx.loc)
+            raise MlsError(f"'{op}' requires two unnamed arguments", loc)
+        left = ops.truthy(entry_value(args[0][1], interp), loc)
         if op == "&&" and not left:
             return values.scalar_bool(False)
         if op == "||" and left:
             return values.scalar_bool(True)
-        return values.scalar_bool(ops.truthy(entry_value(args[1][1], ctx.interp), ctx.loc))
+        return values.scalar_bool(ops.truthy(entry_value(args[1][1], interp), loc))
 
     return fn
 
@@ -71,11 +72,11 @@ def _make_shortcircuit(op):
 # -- core ---------------------------------------------------------------------
 
 
-def _bi_c(ctx, args):
-    return ops.concat(args, ctx.loc)
+def _bi_c(interp, env, loc, args):
+    return ops.concat(args, loc)
 
 
-def _bi_list(ctx, args):
+def _bi_list(interp, env, loc, args):
     items = [v for _, v in args]
     names = [n or "" for n, _ in args]
     if any(names):
@@ -83,7 +84,7 @@ def _bi_list(ctx, args):
     return Value(values.LIST, items)
 
 
-def _bi_length(ctx, x):
+def _bi_length(interp, env, loc, x):
     if x.kind == values.NULL:
         return values.scalar_int(0)
     if x.kind in values.VECTOR_KINDS or x.kind == values.LIST:
@@ -91,145 +92,145 @@ def _bi_length(ctx, x):
     return values.scalar_int(1)
 
 
-def _bi_sum(ctx, x):
-    return ops.vector_sum(x, ctx.loc)
+def _bi_sum(interp, env, loc, x):
+    return ops.vector_sum(x, loc)
 
 
-def _bi_paste(ctx, args):
+def _bi_paste(interp, env, loc, args):
     parts = []
     for _, v in args:
         if v.kind == values.NULL:
             continue
         if v.kind not in values.VECTOR_KINDS:
-            raise MlsError("paste() requires vector arguments", ctx.loc)
+            raise MlsError("paste() requires vector arguments", loc)
         parts.extend(
             printer.format_element(v.kind, x, quote_strings=False) for x in v.payload
         )
     return values.scalar_string(" ".join(parts))
 
 
-def _bi_el(ctx, x, i):
-    pos = _scalar_int(i, "element index", ctx.loc)
+def _bi_el(interp, env, loc, x, i):
+    pos = _scalar_int(i, "element index", loc)
     if x.kind not in (values.LIST,) + values.VECTOR_KINDS:
-        raise MlsError("el() requires a list or vector", ctx.loc)
+        raise MlsError("el() requires a list or vector", loc)
     if not 1 <= pos <= len(x.payload):
-        raise MlsError(f"index {pos} out of bounds (length {len(x.payload)})", ctx.loc)
+        raise MlsError(f"index {pos} out of bounds (length {len(x.payload)})", loc)
     if x.kind == values.LIST:
         return x.payload[pos - 1]
     return Value(x.kind, [x.payload[pos - 1]])
 
 
-def _bi_names(ctx, x):
+def _bi_names(interp, env, loc, x):
     return values.get_attribute(x, "names")
 
 
-def _bi_attr(ctx, x, which):
-    return values.get_attribute(x, _scalar_string(which, "attribute name", ctx.loc))
+def _bi_attr(interp, env, loc, x, which):
+    return values.get_attribute(x, _scalar_string(which, "attribute name", loc))
 
 
-def _bi_set_attr(ctx, x, which, value):
-    return values.set_attribute(x, _scalar_string(which, "attribute name", ctx.loc), value)
+def _bi_set_attr(interp, env, loc, x, which, value):
+    return values.set_attribute(x, _scalar_string(which, "attribute name", loc), value)
 
 
-def _bi_class(ctx, x):
+def _bi_class(interp, env, loc, x):
     return values.implicit_class(x)
 
 
-def _bi_inherits(ctx, x, what):
-    cls = _scalar_string(what, "class name", ctx.loc)
-    return values.scalar_bool(cls in s3.class_vector(ctx.interp, x))
+def _bi_inherits(interp, env, loc, x, what):
+    cls = _scalar_string(what, "class name", loc)
+    return values.scalar_bool(cls in s3.class_vector(interp, x))
 
 
-def _bi_is_null(ctx, x):
+def _bi_is_null(interp, env, loc, x):
     return values.scalar_bool(values.is_null(x))
 
 
-def _bi_identity(ctx, x):
+def _bi_identity(interp, env, loc, x):
     return x
 
 
-def _bi_print_default(ctx, x):
-    ctx.interp.write(printer.format_value(x, ctx.interp) + "\n")
+def _bi_print_default(interp, env, loc, x):
+    interp.write(printer.format_value(x, interp) + "\n")
     return x
 
 
-def _bi_stop(ctx, message):
-    text = "error" if values.is_null(message) else _scalar_string(message, "error message", ctx.loc)
-    raise MlsError(text, ctx.loc)
+def _bi_stop(interp, env, loc, message):
+    text = "error" if values.is_null(message) else _scalar_string(message, "error message", loc)
+    raise MlsError(text, loc)
 
 
-def _bi_copy(ctx, x):
+def _bi_copy(interp, env, loc, x):
     if x.kind == values.REF_INSTANCE:
-        return refclasses.copy_instance(ctx.interp, x, ctx.loc)
+        return refclasses.copy_instance(interp, x, loc)
     return values.deep_copy(x)
 
 
 # -- environments ---------------------------------------------------------------
 
 
-def _bi_environment(ctx):
-    return ctx.env.env_value()
+def _bi_environment(interp, env, loc):
+    return env.env_value()
 
 
-def _bi_globalenv(ctx):
-    return ctx.interp.global_env.env_value()
+def _bi_globalenv(interp, env, loc):
+    return interp.global_env.env_value()
 
 
-def _bi_assign(ctx, name, value, envir):
+def _bi_assign(interp, env, loc, name, value, envir):
     if not values.is_null(envir) and envir.kind != values.ENVIRONMENT:
-        raise MlsError("envir must be an environment", ctx.loc)
-    target = ctx.env if values.is_null(envir) else envir.payload
-    target.bind(_scalar_string(name, "name", ctx.loc), value, ctx.interp)
+        raise MlsError("envir must be an environment", loc)
+    target = env if values.is_null(envir) else envir.payload
+    target.bind(_scalar_string(name, "name", loc), value, interp)
     return value
 
 
 # -- interpreter state ------------------------------------------------------------
 
 
-def _bi_options(ctx, name, value):
-    ctx.interp.set_option(_scalar_string(name, "option name", ctx.loc), value)
+def _bi_options(interp, env, loc, name, value):
+    interp.set_option(_scalar_string(name, "option name", loc), value)
     return values.null_value()
 
 
-def _bi_get_option(ctx, name):
-    return ctx.interp.get_option(_scalar_string(name, "option name", ctx.loc))
+def _bi_get_option(interp, env, loc, name):
+    return interp.get_option(_scalar_string(name, "option name", loc))
 
 
-def _bi_get_option_from(ctx, opts, name):
+def _bi_get_option_from(interp, env, loc, opts, name):
     if opts.kind != values.LIST:
-        raise MlsError("opts must be a named list", ctx.loc)
-    return ops.field_get_list(opts, _scalar_string(name, "option name", ctx.loc))
+        raise MlsError("opts must be a named list", loc)
+    return ops.field_get_list(opts, _scalar_string(name, "option name", loc))
 
 
-def _bi_set_seed(ctx, seed):
-    ctx.interp.rng_set_seed(_scalar_int(seed, "seed", ctx.loc))
+def _bi_set_seed(interp, env, loc, seed):
+    interp.rng_set_seed(_scalar_int(seed, "seed", loc))
     return values.null_value()
 
 
-def _bi_rng_draw(ctx, n):
-    count = _scalar_int(n, "count", ctx.loc)
+def _bi_rng_draw(interp, env, loc, n):
+    count = _scalar_int(n, "count", loc)
     if count < 0:
-        raise MlsError("invalid count for rng_draw", ctx.loc)
+        raise MlsError("invalid count for rng_draw", loc)
     if count > values.MAX_LENGTH:
-        raise MlsError(f"invalid count for rng_draw: more than {values.MAX_LENGTH} draws", ctx.loc)
-    return ctx.interp.rng_draw(count)
+        raise MlsError(f"invalid count for rng_draw: more than {values.MAX_LENGTH} draws", loc)
+    return interp.rng_draw(count)
 
 
-def _bi_foreign(ctx, args):
+def _bi_foreign(interp, env, loc, args):
     if not args or args[0][0] is not None:
-        raise MlsError("foreign() requires a tag as its first argument", ctx.loc)
-    tag = _scalar_string(args[0][1], "foreign tag", ctx.loc)
-    stub = ctx.interp.foreign_stubs.get(tag)
+        raise MlsError("foreign() requires a tag as its first argument", loc)
+    tag = _scalar_string(args[0][1], "foreign tag", loc)
+    stub = interp.foreign_stubs.get(tag)
     if stub is None:
-        raise MlsError(f"unknown foreign tag '{tag}'", ctx.loc)
-    return stub(ctx.interp, [v for _, v in args[1:]])
+        raise MlsError(f"unknown foreign tag '{tag}'", loc)
+    return stub(interp, [v for _, v in args[1:]])
 
 
 # -- S3 -----------------------------------------------------------------------
 
 
-def _bi_use_method(ctx, generic):
-    s3.use_method(ctx.interp, _scalar_string(generic, "generic name", ctx.loc), ctx.loc)
+def _bi_use_method(interp, env, loc, generic):
+    s3.use_method(interp, _scalar_string(generic, "generic name", loc), loc)
 
 
 # -- S4 -----------------------------------------------------------------------
@@ -244,20 +245,20 @@ def _class_def_reflection(cdef: s4.ClassDef, lin: s4.Lineage) -> Value:
                          virtual=values.scalar_bool(cdef.virtual))
 
 
-def _bi_set_class(ctx, name, slots, contains, virtual):
-    cname = _scalar_string(name, "class name", ctx.loc)
+def _bi_set_class(interp, env, loc, name, slots, contains, virtual):
+    cname = _scalar_string(name, "class name", loc)
     own_slots = {
-        sname: _scalar_string(sval, f"class of slot '{sname}'", ctx.loc)
-        for sname, sval in s4.declared_members(slots, "slot", cname, ctx.loc).items()
+        sname: _scalar_string(sval, f"class of slot '{sname}'", loc)
+        for sname, sval in s4.declared_members(slots, "slot", cname, loc).items()
     }
     parents = []
     if not values.is_null(contains):
         if contains.kind != values.STRING:
-            raise MlsError("contains must be a character vector", ctx.loc)
+            raise MlsError("contains must be a character vector", loc)
         parents = list(contains.payload)
-    is_virtual = not values.is_null(virtual) and ops.truthy(virtual, ctx.loc)
-    cdef = ctx.interp.s4.define_class(cname, own_slots, parents, is_virtual, loc=ctx.loc)
-    return _class_def_reflection(cdef, ctx.interp.s4.lineage(cname))
+    is_virtual = not values.is_null(virtual) and ops.truthy(virtual, loc)
+    cdef = interp.s4.define_class(cname, own_slots, parents, is_virtual, loc=loc)
+    return _class_def_reflection(cdef, interp.s4.lineage(cname))
 
 
 def _generic_reflection(gdef: s4.GenericDef) -> Value:
@@ -267,85 +268,77 @@ def _generic_reflection(gdef: s4.GenericDef) -> Value:
                          signature=values.string_vec(list(gdef.signature)))
 
 
-def _bi_set_generic(ctx, **kw):
+def _bi_set_generic(interp, env, loc, **kw):
     name, def_, signature = kw["name"], kw["def"], kw["signature"]
-    interp = ctx.interp
-    gname = _scalar_string(name, "generic name", ctx.loc)
+    gname = _scalar_string(name, "generic name", loc)
     default_method = None
     if values.is_null(def_):
-        existing = interp.lookup_function(gname, ctx.env, ctx.loc)
+        existing = interp.lookup_function(gname, env, loc)
         if existing.kind != values.CLOSURE:
             raise MlsError(
-                f"setGeneric('{gname}') needs an explicit def: no existing function to adopt",
-                ctx.loc,
+                f"setGeneric('{gname}') needs an explicit def: no existing function to adopt", loc
             )
         formals = existing.payload.formals
         default_method = existing
     else:
         if def_.kind != values.CLOSURE:
-            raise MlsError("def must be a function", ctx.loc)
+            raise MlsError("def must be a function", loc)
         formals = def_.payload.formals
         if not s4.is_standard_generic_body(def_.payload.body):
             default_method = def_
     sig = None
     if not values.is_null(signature):
         if signature.kind != values.STRING:
-            raise MlsError("signature must be a character vector", ctx.loc)
+            raise MlsError("signature must be a character vector", loc)
         sig = tuple(signature.payload)
-    gdef = interp.s4.define_generic(gname, formals, sig, def_env=ctx.env, loc=ctx.loc)
+    gdef = interp.s4.define_generic(gname, formals, sig, def_env=env, loc=loc)
     if default_method is not None:
-        interp.s4.define_method(
-            gname, tuple(s4.ANY for _ in gdef.signature), default_method, ctx.loc
-        )
-    def call(ctx, args):
-        return s4.call_generic(ctx.interp, gdef, args, ctx.env, ctx.loc)
+        interp.s4.define_method(gname, tuple(s4.ANY for _ in gdef.signature), default_method, loc)
+    def call(interp, env, loc, args):
+        return s4.call_generic(interp, gdef, args, env, loc)
 
     generic = BuiltinPayload(name=gname, fn=call, lazy=True, meta=gdef)
-    ctx.env.bind(gname, Value(values.BUILTIN, generic), interp)
+    env.bind(gname, Value(values.BUILTIN, generic), interp)
     return _generic_reflection(gdef)
 
 
-def _bi_set_method(ctx, name, signature, definition):
-    gname = _scalar_string(name, "generic name", ctx.loc)
+def _bi_set_method(interp, env, loc, name, signature, definition):
+    gname = _scalar_string(name, "generic name", loc)
     if signature.kind != values.STRING or len(signature.payload) == 0:
-        raise MlsError("signature must be a nonempty character vector", ctx.loc)
-    mdef = ctx.interp.s4.define_method(gname, tuple(signature.payload), definition, ctx.loc)
+        raise MlsError("signature must be a nonempty character vector", loc)
+    mdef = interp.s4.define_method(gname, tuple(signature.payload), definition, loc)
     return values.record("methodDefinition", generic=values.scalar_string(gname),
                          signature=values.string_vec(list(mdef.signature)), definition=mdef.fn)
 
 
-def _bi_standard_generic(ctx, name):
-    raise MlsError("standardGeneric called outside a method dispatch", ctx.loc)
+def _bi_standard_generic(interp, env, loc, name):
+    raise MlsError("standardGeneric called outside a method dispatch", loc)
 
 
-def _bi_new(ctx, args):
+def _bi_new(interp, env, loc, args):
     if not args or args[0][0] is not None:
-        raise MlsError("new() requires a class name as its first argument", ctx.loc)
-    cname = _scalar_string(args[0][1], "class name", ctx.loc)
-    cdef = ctx.interp.s4.classes.get(cname)
+        raise MlsError("new() requires a class name as its first argument", loc)
+    cname = _scalar_string(args[0][1], "class name", loc)
+    cdef = interp.s4.classes.get(cname)
     if cdef is not None and cdef.ref is not None:
-        return refclasses.generator_new(ctx.interp, cname, args[1:], ctx.loc)
-    return s4.new_instance(ctx.interp, cname, args[1:], ctx.loc)
+        return refclasses.generator_new(interp, cname, args[1:], loc)
+    return s4.new_instance(interp, cname, args[1:], loc)
 
 
-def _bi_slot(ctx, obj, name):
-    return s4.slot_get(obj, _scalar_string(name, "slot name", ctx.loc), ctx.loc)
+def _bi_slot(interp, env, loc, obj, name):
+    return s4.slot_get(obj, _scalar_string(name, "slot name", loc), loc)
 
 
-def _bi_slot_set(ctx, obj, name, value):
-    return s4.slot_set(
-        ctx.interp, obj, _scalar_string(name, "slot name", ctx.loc), value, ctx.loc
-    )
+def _bi_slot_set(interp, env, loc, obj, name, value):
+    return s4.slot_set(interp, obj, _scalar_string(name, "slot name", loc), value, loc)
 
 
 # -- reference classes -----------------------------------------------------------
 
 
-def _bi_set_ref_class(ctx, name, fields, methods, contains):
-    cname = _scalar_string(name, "class name", ctx.loc)
-    return refclasses.set_ref_class(
-        ctx.interp, cname, fields, methods, contains, ctx.env, ctx.loc
-    )
+def _bi_set_ref_class(interp, env, loc, name, fields, methods, contains):
+    cname = _scalar_string(name, "class name", loc)
+    return refclasses.set_ref_class(interp, cname, fields, methods, contains, env, loc)
 
 
 # -- registration ------------------------------------------------------------------

@@ -131,7 +131,7 @@ def cmd_analyze(paths, report_format: str = "text") -> int:
         if source is None:
             return 2
         try:
-            modules.append(purity.parse_module(f.stem, source, str(f)))
+            modules.append(purity.parse_module(f.stem, source))
         except MlsSyntaxError as exc:
             _fail(f"{f}: {exc}")
             return 2

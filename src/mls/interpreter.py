@@ -3,12 +3,12 @@
 Each expression node compiles once, on first evaluation, into a Python
 closure.  An argument is a frame entry, a lazy `Promise` or its `Value`.
 A closure call binds the entries in a fresh `CallFrame` chained to the
-closure's enclosure; a lazy builtin (`&&`, `||`, an S4 generic) takes
-them as they are; every other builtin takes values, which its caller
-evaluates or forces, bound to its formals by `bind_builtin_args`, the
-rule the analyzer shares.  Both mark a required formal by the default
-None.  No layer this module calls, `builtins` and `s3` among them,
-imports it.
+closure's enclosure.  A builtin takes `(interp, env, loc)` first; a lazy
+one (`&&`, `||`, an S4 generic) then takes the entries as they are, and
+every other takes values, which its caller evaluates or forces, bound to
+its formals by `bind_builtin_args`, the rule the analyzer shares.  Both
+mark a required formal by the default None.  No layer this module
+calls, `builtins` and `s3` among them, imports it.
 
 Locality is preserved because nothing ever mutates a value in place:
 modification forms build a new value and rebind the local name.  The
@@ -40,15 +40,6 @@ def _prelude() -> list:
     """Parsed by the first interpreter and shared: compiled trees capture
     no interpreter."""
     return reader.parse_program('print <- function(x) UseMethod("print")')
-
-
-class BuiltinContext:
-    __slots__ = ("interp", "env", "loc")
-
-    def __init__(self, interp: "Interpreter", env: Environment, loc):
-        self.interp = interp
-        self.env = env
-        self.loc = loc
 
 
 class CallFrame(Environment):
@@ -180,17 +171,17 @@ class Interpreter:
     def call_value(self, fn: Value, args, loc=None, caller_env=None, label=None) -> Value:
         """Apply a function value to (name or None, entry) argument pairs
         as the caller gives them.  A closure binds the entries in its
-        frame; a lazy builtin takes them as they are; every other builtin
-        takes values only, which the caller evaluated or forced, bound to
-        its formals by `bind_builtin_args` unless it is variadic."""
+        frame; a builtin takes `(self, caller_env, loc)`, then the pairs
+        if it is variadic, else its formals bound by `bind_builtin_args`:
+        entries if it is lazy, else values the caller evaluated or forced."""
         caller_env = caller_env if caller_env is not None else self.global_env
         if fn.kind == values.BUILTIN:
             payload = fn.payload
-            ctx = BuiltinContext(self, caller_env, loc)
             if payload.formals is None:
-                result = payload.fn(ctx, args)
+                result = payload.fn(self, caller_env, loc, args)
             else:
-                result = payload.fn(ctx, **bind_builtin_args(payload.name, payload.formals, args, loc))
+                matched = bind_builtin_args(payload.name, payload.formals, args, loc)
+                result = payload.fn(self, caller_env, loc, **matched)
             self.visible = not payload.invisible
             return result
         if fn.kind == values.CLOSURE:

@@ -71,7 +71,7 @@ class ModuleUnit:
     definitions: dict  # name -> FunctionLiteral
     bindings: set  # every top-level assigned name
     imports: list  # (module name, [imported names])
-    path: Optional[str] = None
+    computed: frozenset = frozenset()  # top-level names assigned neither a function nor a constant
 
 
 @dataclass
@@ -115,10 +115,11 @@ def default_policy() -> dict:
 _IMPORT_RE = re.compile(r"^\s*import\s+([A-Za-z_.][A-Za-z0-9_.]*)\s*\(([^)]*)\)\s*$")
 
 
-def parse_module(name: str, source: str, path=None) -> ModuleUnit:
+def parse_module(name: str, source: str) -> ModuleUnit:
     """Parse one module: leading `import mod (a, b)` header lines declare
     imports; the rest is ordinary source whose top-level function
-    assignments are the module's definitions."""
+    assignments are the module's definitions; any other value but a
+    constant makes a top-level name computed."""
     lines = source.split("\n")
     imports = []
     body_start = 0
@@ -136,12 +137,15 @@ def parse_module(name: str, source: str, path=None) -> ModuleUnit:
     exprs = reader.parse_program("\n".join(lines))
     definitions = {}
     bindings = set()
+    computed = set()
     for e in exprs:
         if isinstance(e, syntax.Assign):
             bindings.add(e.target.name)
             if isinstance(e.value, syntax.FunctionLiteral):
                 definitions[e.target.name] = e.value
-    return ModuleUnit(name, definitions, bindings, imports, path)
+            elif not isinstance(e.value, syntax.Constant):
+                computed.add(e.target.name)
+    return ModuleUnit(name, definitions, bindings, imports, frozenset(computed))
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +174,10 @@ def _literal(e) -> Optional[str]:
 
 
 def _binds_envir(matched: dict) -> bool:
-    """Whether assign() has a target: an `envir` but its NULL default or a literal NULL."""
+    """Whether assign() has a target: an `envir` but its NULL default or a
+    constant (NULL binds in the caller's frame; any other fails the call)."""
     envir = matched.get("envir", _NULL)  # unbound: only named, not called
-    return envir is not _NULL and not (type(envir) is syntax.Constant and envir.value is _NULL)
+    return envir is not _NULL and type(envir) is not syntax.Constant
 
 
 # An operator call is a call of its name.  No operator's purity depends on
@@ -331,6 +336,10 @@ def resolve_names(module: ModuleUnit, facts: FunctionFacts, universe: dict, poli
                         DYNAMIC_CODE, line, col,
                         f"'{name}' is not a statically defined function",
                     )
+                )
+            elif name in owner.computed:
+                violations.append(
+                    Violation(DYNAMIC_CODE, line, col, f"'{name}' is bound to a computed value")
                 )
             return
         if name in BUILTIN_PURITY:

@@ -106,8 +106,8 @@ def set_ref_class(interp, name, fields_value, methods_value, contains_value, def
 def generator_value(cdef: RefClassDef) -> Value:
     """The generator of class `cdef.name`: an eager builtin whose call, like
     its `$new`, constructs an instance of the class's current definition."""
-    def construct(ctx, args):
-        return generator_new(ctx.interp, cdef.name, args, ctx.loc)
+    def construct(interp, env, loc, args):
+        return generator_new(interp, cdef.name, args, loc)
 
     return Value(values.BUILTIN, BuiltinPayload(name=cdef.name, fn=construct, meta=cdef))
 

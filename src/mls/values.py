@@ -118,7 +118,8 @@ class Closure:
 
 @dataclass
 class BuiltinPayload:
-    """A host function: `fn(ctx, args)` if variadic, else `fn(ctx, **matched)`."""
+    """A host function: `fn(interp, env, loc, args)` if variadic, else
+    `fn(interp, env, loc, **matched)`."""
 
     name: str
     fn: Any

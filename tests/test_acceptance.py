@@ -225,7 +225,7 @@ def test_criterion_6_simplepop_reproduction():
 
 def load_fixture_modules():
     files = sorted((CORPUS / "analyzer").rglob("*.mls"))
-    return [purity.parse_module(f.stem, f.read_text(), str(f)) for f in files]
+    return [purity.parse_module(f.stem, f.read_text()) for f in files]
 
 
 def test_criterion_7_analyzer_fixtures():

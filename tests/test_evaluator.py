@@ -1,4 +1,5 @@
 import ast
+import inspect
 import io
 import math
 import sys
@@ -16,7 +17,7 @@ from helpers import (
     snapshot_frame,
 )
 import mls
-from mls import environment, interpreter, reader, syntax, values
+from mls import builtins, environment, interpreter, reader, syntax, values
 from mls.environment import Binding, Environment, Promise
 from mls.interpreter import Interpreter
 from mls.values import MlsError
@@ -363,6 +364,26 @@ def test_builtin_argument_matching_errors(interp, src, message):
     assert exc.value.message == message
 
 
+def test_each_builtin_host_signature_matches_its_declared_formals():
+    """`call_value` passes a builtin's host function `interp, env, loc`,
+    then the argument list of a variadic builtin or its matched formals
+    by name; `setGeneric` takes them as `**kw`, since `def` is a Python
+    keyword."""
+    mismatched = []
+    for name, fn, _, formals, *_ in builtins._BUILTINS:
+        params = list(inspect.signature(fn).parameters.values())
+        if formals is None:
+            expected = [("args", inspect.Parameter.POSITIONAL_OR_KEYWORD)]
+        elif name == "setGeneric":
+            expected = [("kw", inspect.Parameter.VAR_KEYWORD)]
+        else:
+            expected = [(f, inspect.Parameter.POSITIONAL_OR_KEYWORD) for f, _ in formals]
+        if [p.name for p in params[:3]] != ["interp", "env", "loc"] or [
+                (p.name, p.kind) for p in params[3:]] != expected:
+            mismatched.append(name)
+    assert mismatched == []
+
+
 # -- laziness ------------------------------------------------------------------
 
 def test_unforced_error_argument_is_harmless(interp):
@@ -626,7 +647,7 @@ def test_operator_call_site_guards_on_the_base_builtin_value(capture):
     payload = capture.base_env.frame["+"].value.payload
     calls = []
     inner = payload.fn
-    payload.fn = lambda ctx, args: calls.append(1) or inner(ctx, args)
+    payload.fn = lambda interp, env, loc, args: calls.append(1) or inner(interp, env, loc, args)
     capture.run_top_level(reader.parse_program("1 + 2\n`+`(e1 = 1, 2)\nf <- `+`\nf(3, 4)"))
     assert capture.out.getvalue() == "[1] 3\n[1] 3\n[1] 7\n"
     assert len(calls) == 2
@@ -1054,12 +1075,12 @@ def _run_checking_builtin_arguments(source):
     def checking(payload):
         fn, defaults = payload.fn, dict(payload.formals or ())
 
-        def checked(ctx, *variadic, **matched):
+        def checked(interp, env, loc, *variadic, **matched):
             given = [a for _, a in variadic[0]] if variadic else [
                 a for formal, a in matched.items() if a is not defaults[formal]]
             assert all(a.__class__ is values.Value for a in given), (payload.name, given)
             calls.append(payload.name)
-            return fn(ctx, *variadic, **matched)
+            return fn(interp, env, loc, *variadic, **matched)
 
         return checked
 

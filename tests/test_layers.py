@@ -1,6 +1,7 @@
 """The modules of `src/mls` form layers: every import statement runs at
-module level, and no module imports one that imports it, directly or
-through others."""
+module level, no module imports one that imports it, directly or
+through others, and README's "Layout" lists each module below every
+module it imports."""
 
 import ast
 import graphlib
@@ -54,3 +55,28 @@ def test_the_package_import_graph_has_no_cycle():
         tuple(graphlib.TopologicalSorter(graph).static_order())
     except graphlib.CycleError as err:
         pytest.fail(f"import cycle: {' -> '.join(err.args[1])}")
+
+
+def _readme_layout() -> list:
+    """The modules README's "Layout" lists under `src/mls/`, in order."""
+    text = (SRC.parent.parent / "README.md").read_text()
+    lines = text[text.index("## Layout"):].split("```")[1].splitlines()
+    layout = []
+    for line in lines[lines.index("src/mls/") + 1:]:
+        if not line.startswith("  "):
+            break
+        layout.append(line.split()[0].removesuffix(".py"))
+    return layout
+
+
+def test_readme_lists_each_module_below_every_module_it_imports():
+    trees = _trees()
+    layout = _readme_layout()
+    assert sorted(layout) == sorted(set(trees) - {"__init__", "__main__"})
+    upward = [
+        f"{name} imports {dep}"
+        for i, name in enumerate(layout)
+        for dep in sorted(_imported_modules(trees[name]) & set(trees))
+        if dep not in layout[:i]
+    ]
+    assert upward == []

@@ -223,9 +223,9 @@ def _run_recorded(builtin, module_src, call_src):
     payload = interp.base_env.frame[builtin].value.payload
     seen, fn = [], payload.fn
 
-    def record(ctx, **matched):
+    def record(interp, env, loc, **matched):
         seen.append(matched)
-        return fn(ctx, **matched)
+        return fn(interp, env, loc, **matched)
 
     payload.fn = record
     interp.eval_source(module_src)
@@ -253,19 +253,22 @@ _REJECTED_ASSIGNS = ['"x"', 'value = "y"', '"x", "y", e, 1', 'name = "x", name =
 @pytest.mark.parametrize("args", [*_shapes([("name", '"x"'), ("value", '"y"')]),
                                   *_shapes([("name", '"x"'), ("value", '"y"'), ("envir", "e")]),
                                   *_shapes([("name", '"x"'), ("value", '"y"'), ("envir", "NULL")]),
+                                  *_shapes([("name", '"x"'), ("value", '"y"'), ("envir", "1")]),
                                   *_REJECTED_ASSIGNS])
 def test_assign_is_nonlocal_exactly_when_the_interpreter_binds_envir(args):
+    """The interpreter binds `envir` when it records an environment there;
+    any other value but NULL makes the call fail."""
     src = f"f <- function(e) {{ assign({args}); x }}"
     verdict = verdict_of(analyze(src), "f").verdict
     kinds = [v.kind for v in verdict.reasons]
     seen = _run_recorded("assign", src, "f(globalenv())")
-    binds_envir = bool(seen) and not values.is_null(seen[0]["envir"])
+    binds_envir = bool(seen) and seen[0]["envir"].kind == values.ENVIRONMENT
     assert (purity.NONLOCAL_ASSIGNMENT in kinds) == binds_envir
     if not binds_envir:
         # only the literal the interpreter binds to `name` is a local
         local_x = bool(seen) and seen[0]["name"] == values.scalar_string("x")
         assert (purity.GLOBAL_REFERENCE in kinds) == (not local_x)
-    if verdict.status == purity.FUNCTIONAL:
+    if verdict.status == purity.FUNCTIONAL and seen and values.is_null(seen[0]["envir"]):
         assert differential_check([module_of(src)], "f(globalenv())").payload == ["y"]
 
 
@@ -362,6 +365,9 @@ def test_import_of_missing_name():
     assert verdict_of(report, "f").verdict.reasons[0].kind == purity.GLOBAL_REFERENCE
 
 
+_MAKE = "make <- function() function(x) { counter <<- x; x }\n"
+
+
 @pytest.mark.parametrize(
     "lib_src, src, status, reasons",
     [
@@ -382,9 +388,20 @@ def test_import_of_missing_name():
         ("helper <- function(x) x",
          "make <- function() function(a, b) 0\n`+` <- make()\nf <- function(x) x + 1",
          purity.UNCERTIFIABLE, [(purity.DYNAMIC_CODE, "'+' is not a statically defined function")]),
+        # a computed value read, not called: it may be any function, an impure one among them
+        ("helper <- function(x) x", _MAKE + "h <- make()\nf <- function(x) { k <- h; k(x) }",
+         purity.UNCERTIFIABLE, [(purity.DYNAMIC_CODE, "'h' is bound to a computed value")]),
+        # the same binding reached through an import
+        (_MAKE + "h <- make()", "import lib (h)\nf <- function(x) { k <- h; k(x) }",
+         purity.UNCERTIFIABLE, [(purity.DYNAMIC_CODE, "'h' is bound to a computed value")]),
+        # a constant is no function
+        ("helper <- function(x) x",
+         "tol <- 0.5\nhelper <- function(x) x\nf <- function(x) helper(x) < tol",
+         purity.FUNCTIONAL, []),
     ],
     ids=["own binding", "imported binding", "import not defined", "own shadows import",
-         "own operator binding"],
+         "own operator binding", "own computed value", "imported computed value",
+         "own constant"],
 )
 def test_name_resolution_against_the_owning_module(lib_src, src, status, reasons):
     report = analyze(src, others=[module_of(lib_src, "lib")])
