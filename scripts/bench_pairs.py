@@ -9,13 +9,23 @@ the parent first on even pairs (0, 2, ...) and the change first on odd
 ones, so slow drift of the machine falls on both sides.  For every
 end-to-end metric in the change's BENCHMARK.json it prints the median
 and quartiles of each side, the change against the parent's median, how
-many pairs the change won, and a verdict: "unresolved" when the parent's
-interquartile range is wider than the gap between the medians, "same"
-when there is no gap, otherwise "better" or "worse".  With `--trace` the
-pairs are traced runs (`--trace 1`) and the comparison covers the
-`per_layer` metrics instead, such as `reader.parse_s`; traced times
-include the tracer's overhead, so compare them only with each other.
-Uses the standard library only.
+many pairs the change won (ties count for neither), and a verdict:
+
+- "better": at least 10 pairs, the change won at least nine tenths of
+  them, and its median beats the parent's by more than the parent's
+  interquartile range (IQR);
+- "worse": the change's median is worse than the parent's by more than
+  the metric's `bound`, a fraction of the parent's median;
+- "unresolved": neither, and the parent's IQR is wider than the bound,
+  unless every run of the change beats every run of the parent;
+- "within bound": neither, otherwise.
+
+With `--trace` the pairs are traced runs (`--trace 1`) and the
+comparison covers the `per_layer` metrics instead, such as
+`reader.parse_s`; these have no bound, so "worse" mirrors "better" and
+any other reading is "same" (equal medians, no spread) or "unresolved".
+Traced times include the tracer's overhead, so compare them only with
+each other.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -53,6 +63,34 @@ def quartiles(xs) -> tuple:
     return q1, q2, q3
 
 
+MIN_PAIRS = 10  # the fewest pairs that can show a gain
+WIN_SHARE = 0.9  # the share of pairs a gain must win
+
+
+def verdict(ps, cs, lower_is_better: bool, bound=None) -> str:
+    """The verdict on one metric from paired runs `ps` (parent) and `cs`
+    (change); `bound` is the metric's tolerated loss as a fraction of the
+    parent's median, or None for a metric with no bound."""
+    sign = -1 if lower_is_better else 1  # a gain is sign * (change - parent) > 0
+    pq, cq = quartiles(ps), quartiles(cs)
+    iqr, gain = pq[2] - pq[0], sign * (cq[1] - pq[1])
+    n = len(ps)
+    wins = sum(sign * (c - p) > 0 for p, c in zip(ps, cs))
+    losses = sum(sign * (c - p) < 0 for p, c in zip(ps, cs))
+    if n >= MIN_PAIRS and wins >= WIN_SHARE * n and gain > iqr:
+        return "better"
+    if bound is None:
+        if n >= MIN_PAIRS and losses >= WIN_SHARE * n and -gain > iqr:
+            return "worse"
+        return "same" if gain == 0 and iqr == 0 else "unresolved"
+    allowed = bound * abs(pq[1])
+    if -gain > allowed:
+        return "worse"
+    if iqr > allowed and not all(sign * (c - p) > 0 for c in cs for p in ps):
+        return "unresolved"
+    return "within bound"
+
+
 def summarize(metrics, parent_runs, change_runs) -> list:
     def side(q):
         return f"{q[1]:.5g} [{q[0]:.5g}, {q[2]:.5g}]"
@@ -68,18 +106,15 @@ def summarize(metrics, parent_runs, change_runs) -> list:
         pq, cq = quartiles(ps), quartiles(cs)
         wins = sum((c < p) if lower_is_better else (c > p) for p, c in zip(ps, cs))
         gap = cq[1] - pq[1]
-        if gap == 0:
-            verdict = "same"
-        elif pq[2] - pq[0] > abs(gap):
-            verdict = "unresolved"
-        else:
-            verdict = "better" if (gap < 0) == lower_is_better else "worse"
         change = f"{100 * gap / pq[1]:>+6.1f}%" if pq[1] else f"{'n/a':>7}"
         lines.append(f"{name:<{width}} {side(pq):<34} {side(cq):<34} "
-                     f"{change} {wins:>3}/{n:<2}  {verdict}")
+                     f"{change} {wins:>3}/{n:<2}  "
+                     f"{verdict(ps, cs, lower_is_better, m.get('bound'))}")
     failed = [sum(r["failed"] for r in runs) for runs in (parent_runs, change_runs)]
     attempted = [sum(r["attempted"] for r in runs) for runs in (parent_runs, change_runs)]
     lines.append(f"failed units: parent {failed[0]}/{attempted[0]}, change {failed[1]}/{attempted[1]}")
+    if n < MIN_PAIRS:
+        lines.append(f"{n} pairs: fewer than {MIN_PAIRS}, so no metric reads better")
     return lines
 
 

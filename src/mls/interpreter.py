@@ -24,7 +24,7 @@ from typing import Optional
 from . import builtins, ops, reader, refclasses, rng, s3, s4, syntax, values
 from .environment import DONE, Binding, Environment, Promise, entry_value
 from .reader import HOST_RECURSION_LIMIT, deep_host_stack
-from .values import MlsError, Value
+from .values import FALSE, SMALL_INTS, TRUE, MlsError, Value
 
 RANDOM_SEED_NAME = ".Random.seed"
 OPTIONS_NAME = ".Options"
@@ -448,15 +448,15 @@ def _compile_call(e: syntax.Call):
                     and len(lhs.payload) == 1 and len(rhs.payload) == 1
                     and not lhs.attributes and not rhs.attributes):
                 x, y = lhs.payload[0], rhs.payload[0]
-                if fixed_kind is not None:
-                    value = Value(fixed_kind, [fn(x, y)])
-                elif lhs.kind == rhs.kind == values.INTEGER:
+                if fixed_kind is values.LOGICAL:
+                    value = TRUE if fn(x, y) else FALSE
+                elif fixed_kind is None and lhs.kind == rhs.kind == values.INTEGER:
                     z = fn(x, y)
                     if not -values.INT_MAX <= z <= values.INT_MAX:
                         raise MlsError(overflow, loc)
-                    value = Value(values.INTEGER, [z])
+                    value = SMALL_INTS[z] if 0 <= z < 256 else Value(values.INTEGER, [z])
                 else:
-                    value = Value(values.DOUBLE, [fn(x, y)])  # int-op-float is a float
+                    value = Value(values.DOUBLE, [fn(x, y)])  # `/`, or int-op-float: a float
             else:
                 value = s3.apply_operator(interp, fname, lhs, rhs, env, loc)
         except MlsError as err:

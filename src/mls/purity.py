@@ -321,7 +321,7 @@ def resolve_names(module: ModuleUnit, facts: FunctionFacts, universe: dict, poli
         called = call is not None or name in _OPERATORS
         owner = module if name in module.bindings else universe.get(import_map.get(name))
         if owner is not None:
-            if name in owner.definitions:
+            if name in owner.definitions and name not in owner.computed:
                 edges.append((owner.name, name))
             elif name not in owner.bindings:
                 violations.append(

@@ -11,10 +11,12 @@ value is built: every modifying operation builds a fresh value.  Values
 may therefore share payloads and attributes freely, and copying one is
 never needed.  A value built without attributes shares the one
 read-only empty map `NO_ATTRIBUTES`, so a site that gives a fresh value
-attributes passes its dict to the constructor; and every NULL is the one
-value `null_value()` returns.  The payload records live here too: a
-function's, `Closure` or `BuiltinPayload`, marks a required formal by
-the default None.
+attributes passes its dict to the constructor.  Equal scalars may be one
+object for the same reason: every NULL is the one value `null_value()`
+returns, `scalar_bool` returns `TRUE` or `FALSE`, and `scalar_int` one
+of `SMALL_INTS` for an integer in 0-255.  The payload records live here
+too: a function's, `Closure` or `BuiltinPayload`, marks a required
+formal by the default None.
 """
 
 from __future__ import annotations
@@ -136,6 +138,9 @@ class S4Payload:
 
 
 _NULL = Value(NULL)
+TRUE = Value(LOGICAL, [True])
+FALSE = Value(LOGICAL, [False])
+SMALL_INTS = tuple(Value(INTEGER, [i]) for i in range(256))  # the integers 0-255
 
 
 def null_value() -> Value:
@@ -171,11 +176,12 @@ def record(class_name: str, **fields) -> Value:
 
 
 def scalar_bool(x: bool) -> Value:
-    return Value(LOGICAL, [bool(x)])
+    return TRUE if x else FALSE
 
 
 def scalar_int(x: int) -> Value:
-    return Value(INTEGER, [int(x)])
+    x = int(x)
+    return SMALL_INTS[x] if 0 <= x < 256 else Value(INTEGER, [x])
 
 
 def scalar_double(x: float) -> Value:

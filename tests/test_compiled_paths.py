@@ -144,6 +144,7 @@ def _error(src):
 
 @pytest.mark.parametrize("src, expected", [
     (f"x <- {BIG}\n1 + x + x", ("integer overflow in '+'", (2, 1))),
+    (f"x <- {values.INT_MAX}\nx + 1", ("integer overflow in '+'", (2, 1))),
     (f"x <- -{BIG}\nx - {BIG} - 1", ("integer overflow in '-'", (2, 1))),
     (f"x <- 10\ny <- x * x * x * x * x\nz <- y * y * y * y", ("integer overflow in '*'", (3, 6))),
     (f"c(1, {BIG}) * 2", ("integer overflow in '*'", (1, 1))),

@@ -1,7 +1,8 @@
 """The modules of `src/mls` form layers: every import statement runs at
 module level, no module imports one that imports it, directly or
 through others, and README's "Layout" lists each module below every
-module it imports."""
+module it imports.  And no statement writes into a value's payload, so
+that values may share payloads and equal scalars may be one object."""
 
 import ast
 import graphlib
@@ -80,3 +81,47 @@ def test_readme_lists_each_module_below_every_module_it_imports():
         if dep not in layout[:i]
     ]
     assert upward == []
+
+
+_LIST_WRITES = {"append", "extend", "insert", "pop", "remove", "sort", "reverse", "clear"}
+
+
+def _is_payload(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "payload"
+
+
+def _payload_writes(tree) -> list:
+    """The lines of `tree` that write into an existing `.payload`: a
+    subscript store or `del`, an augmented assignment, or a list-mutating
+    method call."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            hit = _is_payload(node.value)
+        elif isinstance(node, ast.AugAssign):  # `v.payload[i] += x` is a subscript store
+            hit = _is_payload(node.target)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            hit = node.func.attr in _LIST_WRITES and _is_payload(node.func.value)
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_statement_writes_into_a_payload():
+    writes = [f"{name}.py:{line}" for name, tree in _trees().items()
+              for line in _payload_writes(tree)]
+    assert writes == []
+
+
+@pytest.mark.parametrize("source, lines", [
+    (write, [1]) for write in ("v.payload[0] = 1", "v.payload[1:] = []", "del v.payload[0]",
+                               "v.payload += [1]", "v.payload[0] += 1", "v.payload.append(1)",
+                               "w.x.payload.sort()", "v.payload.clear()")
+] + [
+    (read, []) for read in ("payload[0] = 1", "x = v.payload[0]", "v.payload.index(1)",
+                            "out = list(v.payload); out.append(1)")
+])
+def test_the_payload_scan_sees_writes_not_reads_or_copies(source, lines):
+    assert _payload_writes(ast.parse(source)) == lines

@@ -394,6 +394,14 @@ _MAKE = "make <- function() function(x) { counter <<- x; x }\n"
         # the same binding reached through an import
         (_MAKE + "h <- make()", "import lib (h)\nf <- function(x) { k <- h; k(x) }",
          purity.UNCERTIFIABLE, [(purity.DYNAMIC_CODE, "'h' is bound to a computed value")]),
+        # a function literal rebound to a computed value: the definition is not the binding
+        ("helper <- function(x) x",
+         _MAKE + "h <- function(x) x\nh <- make()\nf <- function(x) { k <- h; k(x) }",
+         purity.UNCERTIFIABLE, [(purity.DYNAMIC_CODE, "'h' is bound to a computed value")]),
+        # the same binding, called directly
+        ("helper <- function(x) x",
+         _MAKE + "h <- function(x) x\nh <- make()\nf <- function(x) h(x)",
+         purity.UNCERTIFIABLE, [(purity.DYNAMIC_CODE, "'h' is not a statically defined function")]),
         # a constant is no function
         ("helper <- function(x) x",
          "tol <- 0.5\nhelper <- function(x) x\nf <- function(x) helper(x) < tol",
@@ -401,7 +409,7 @@ _MAKE = "make <- function() function(x) { counter <<- x; x }\n"
     ],
     ids=["own binding", "imported binding", "import not defined", "own shadows import",
          "own operator binding", "own computed value", "imported computed value",
-         "own constant"],
+         "definition rebound, read", "definition rebound, called", "own constant"],
 )
 def test_name_resolution_against_the_owning_module(lib_src, src, status, reasons):
     report = analyze(src, others=[module_of(lib_src, "lib")])

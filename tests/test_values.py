@@ -114,6 +114,78 @@ def test_every_null_is_one_value(interp):
     assert interp.eval_source("f <- function() NULL; f()") is values.null_value()
 
 
+_SHARED = (values.TRUE, values.FALSE) + values.SMALL_INTS
+
+
+@pytest.mark.parametrize("source, shared", [
+    ("1 < 2", values.TRUE),
+    ("TRUE", values.TRUE),
+    ("2.5 >= 3", values.FALSE),
+    ("FALSE", values.FALSE),
+    ("is_null(NULL)", values.TRUE),
+    ("inherits(1, \"list\")", values.FALSE),
+    ("length(c(1, 2, 3))", values.SMALL_INTS[3]),
+    ("sum(c(TRUE, FALSE, TRUE))", values.SMALL_INTS[2]),
+    ("0", values.SMALL_INTS[0]),
+    ("x <- 200; x + 55", values.SMALL_INTS[255]),
+    (f"x <- {values.INT_MAX}; x - x", values.SMALL_INTS[0]),
+])
+def test_a_logical_scalar_and_an_integer_in_0_255_are_shared_values(interp, source, shared):
+    assert interp.eval_source(source) is shared
+
+
+@pytest.mark.parametrize("source, payload", [
+    ("x <- 200; x + 56", [256]),
+    ("256", [256]),
+    ("0 - 1", [-1]),
+    ("2 / 2", [1.0]),
+    ("3 * 1.0", [3.0]),
+    ("0.0", [0.0]),
+    ("c(TRUE)", [True]),
+])
+def test_other_scalars_are_fresh_values(interp, source, payload):
+    v = interp.eval_source(source)
+    assert v.payload == payload and type(v.payload[0]) is type(payload[0])
+    assert not any(v is s for s in _SHARED)
+    assert interp.eval_source(source) is not v
+
+
+_SHARED_SOURCES = ["1 < 2", "2 < 1", "TRUE", "FALSE", "1 == 1", "is_null(1)", "0", "3",
+                   "length(c(1, 2))", "200 + 55", "7 - 7"]
+_REPLACEMENTS = ["TRUE", "FALSE", "0", "1", "7", "255", "300", "2.5", '"s"', "NULL"]
+_SHARED_EDITS = st.lists(
+    st.one_of(
+        st.tuples(st.just('x <- set_attr(x, "{0}", "a")'), st.sampled_from(["units", "class"])),
+        st.tuples(st.just('x <- set_attr(x, "names", "{0}")'), st.sampled_from("ab")),
+        st.tuples(st.just("x[{0}] <- {1}"), st.integers(1, 2), st.sampled_from(_REPLACEMENTS)),
+        st.tuples(st.just("x <- c(x, {0})"), st.sampled_from(_REPLACEMENTS)),
+        st.tuples(st.just("n <- names(x)")),
+        st.tuples(st.just("l <- list(a = x, b = {0}); l${1} <- {2}; x <- l$a"),
+                  st.sampled_from(_SHARED_SOURCES), st.sampled_from("abc"),
+                  st.sampled_from(_REPLACEMENTS)),
+        st.tuples(st.just("f <- function(a) {{ a[1] <- {0}; a }}; y <- f(x)"),
+                  st.sampled_from(_REPLACEMENTS)),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(start=st.sampled_from(_SHARED_SOURCES), edits=_SHARED_EDITS)
+def test_editing_a_shared_scalar_leaves_every_shared_value_as_built(start, edits):
+    """set_attr, `x[i] <-`, names, c() and a list `$<-` on a comparison
+    result or a small integer build new values: TRUE, FALSE and each of
+    SMALL_INTS keep their payload and gain no attribute."""
+    interp = Interpreter(stdout=io.StringIO())
+    for line in [f"x <- {start}"] + [template.format(*args) for template, *args in edits]:
+        try:
+            interp.eval_source(line)
+        except MlsError:
+            pass
+    assert [v.payload for v in _SHARED] == [[True], [False]] + [[i] for i in range(256)]
+    assert all(v.attributes is values.NO_ATTRIBUTES for v in _SHARED)
+
+
 def test_copying_a_value_returns_it():
     named = values.list_value([values.scalar_int(1)], names=["a"])
     for v in (values.scalar_double(1.5), named, values.null_value()):
