@@ -6,7 +6,8 @@
 Each workload is compared in turn, with the same seeds.  Each pair runs
 `perfbench/run.py --trace 0` once in each checkout with the same seed,
 the parent first on even pairs (0, 2, ...) and the change first on odd
-ones, so slow drift of the machine falls on both sides.  For every
+ones, so slow drift of the machine falls on both sides.  No run reads or
+writes a bytecode cache, so both checkouts compile from source.  For every
 end-to-end metric in the change's BENCHMARK.json it prints the median
 and quartiles of each side, the change against the parent's median, how
 many pairs the change won (ties count for neither), and a verdict:
@@ -32,9 +33,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
@@ -48,9 +51,15 @@ def parse_seeds(specs) -> list:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
+    """One benchmark run.  It writes no bytecode and reads none: its
+    cache prefix is a new empty directory, so each side compiles `src/mls`
+    from source, and a stale `.pyc` in one checkout cannot change its
+    import or its memory."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(int(trace))]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache)
+        proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, env=env)
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: exit {proc.returncode}\n{proc.stderr[-2000:]}")
     return json.loads(proc.stdout.strip().splitlines()[-1])

@@ -197,67 +197,78 @@ def scan_function(name: str, literal: syntax.FunctionLiteral) -> FunctionFacts:
     literals or formal defaults; a backquoted `<-`(x, v) is an ordinary
     call.  When a function literal's walk ends, the uses its formals and
     locals bind are dropped; the rest are uses of the enclosing function."""
-    violations = []
-    names = []  # Symbol uses, operator callees among them, not yet known to be bound
-    calls = []  # Calls of a named callee not yet known to be bound
+    scan = _Scan()
+    scan.function(literal)
+    facts = FunctionFacts(name, scan.violations, scan.calls)
+    for s in scan.names:
+        facts.name_uses.setdefault(s.name, s.loc)
+    return facts
 
-    def walk_function(fl: syntax.FunctionLiteral):
+
+class _Scan:
+    """One `scan_function` walk.  Its steps are methods: two nested
+    functions that call each other hold each other through their cells,
+    a cycle that only the cyclic collector frees."""
+
+    __slots__ = ("violations", "names", "calls")
+
+    def __init__(self):
+        self.violations = []
+        self.names = []  # Symbol uses, operator callees among them, not yet known to be bound
+        self.calls = []  # Calls of a named callee not yet known to be bound
+
+    def function(self, fl: syntax.FunctionLiteral):
+        names, calls = self.names, self.calls
         n0, c0 = len(names), len(calls)
         for _, default in fl.formals:
             if default is not None:
-                walk(default, set())  # an assignment in a default binds no local
+                self.walk(default, set())  # an assignment in a default binds no local
         bound = {n for n, _ in fl.formals}
-        walk(fl.body, bound)
+        self.walk(fl.body, bound)
         names[n0:] = [s for s in names[n0:] if s.name not in bound]
         calls[c0:] = [c for c in calls[c0:] if c.callee.name not in bound]
 
-    def walk(e, local: set):
+    def walk(self, e, local: set):
         cls = type(e)
         if cls is syntax.Symbol:
-            names.append(e)
+            self.names.append(e)
             return
         if cls is syntax.Constant:
             return
         if cls is not syntax.Call:
             head = e.HEAD
             if head == "function":
-                walk_function(e)
+                self.function(e)
             elif head in ("<-", "<<-"):
                 if head == "<-":
                     local.add(e.target.name)
                 else:
-                    violations.append(Violation(NONLOCAL_ASSIGNMENT, *e.loc, syntax.deparse(e),
-                                                e.target.name))
-                walk(e.value, local)
+                    self.violations.append(Violation(NONLOCAL_ASSIGNMENT, *e.loc,
+                                                     syntax.deparse(e), e.target.name))
+                self.walk(e.value, local)
             else:
                 for x in syntax.child_expressions(e):
-                    walk(x, local)
+                    self.walk(x, local)
             return
         callee, args = e.callee, e.args
         if type(callee) is syntax.Symbol:
             cname = callee.name
             if cname in _OPERATORS:
-                names.append(callee)
+                self.names.append(callee)
             else:
                 if cname == "assign":  # a literal name assigned here is a local
                     matched = match_builtin_call(e) or {}
                     assigned = _literal(matched.get("name"))
                     if assigned is not None and not _binds_envir(matched):
                         local.add(assigned)
-                calls.append(e)
+                self.calls.append(e)
         else:
             # computed callee: the target of the call cannot be resolved statically
-            violations.append(Violation(DYNAMIC_CODE, *callee.loc,
-                                        f"computed callee: {syntax.deparse(callee)}"))
-            walk(callee, local)
+            self.violations.append(Violation(DYNAMIC_CODE, *callee.loc,
+                                             f"computed callee: {syntax.deparse(callee)}"))
+            self.walk(callee, local)
         for _, arg in args:
-            walk(arg, local)
-
-    walk_function(literal)
-    facts = FunctionFacts(name, violations, calls)
-    for s in names:
-        facts.name_uses.setdefault(s.name, s.loc)
-    return facts
+            self.walk(arg, local)
 
 
 # ---------------------------------------------------------------------------

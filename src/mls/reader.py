@@ -37,6 +37,7 @@ about 8,000.
 
 from __future__ import annotations
 
+import gc
 import re
 import sys
 
@@ -206,17 +207,17 @@ class Parser:
         if op_tok[TEXT] == "<<-":
             if not isinstance(target, syntax.Symbol):
                 raise MlsSyntaxError("invalid superassignment target", op_tok[LOC])
-            return syntax.SuperAssign(target, value, loc=loc)
+            return syntax.SuperAssign(target, value, loc)
         if isinstance(target, syntax.Symbol):
-            return syntax.Assign(target, value, loc=loc)
+            return syntax.Assign(target, value, loc)
         if isinstance(target, syntax.Index):
             if not isinstance(target.obj, syntax.Symbol):
                 raise MlsSyntaxError(
                     "indexed assignment requires a named object", op_tok[LOC]
                 )
-            return syntax.IndexAssign(target.obj, target.indices, value, loc=loc)
+            return syntax.IndexAssign(target.obj, target.indices, value, loc)
         if isinstance(target, syntax.FieldAccess):
-            return syntax.FieldAssign(target.obj, target.name, value, loc=loc)
+            return syntax.FieldAssign(target.obj, target.name, value, loc)
         raise MlsSyntaxError("invalid assignment target", op_tok[LOC])
 
     def operand(self, min_prec):
@@ -234,18 +235,18 @@ class Parser:
             self.pos += 1
             self.tok = tokens[self.pos]
             inner = self.operand(prec)
-            left = syntax.Call(syntax.Symbol(text, loc=loc), [(None, inner)], loc=loc)
+            left = syntax.Call(syntax.Symbol(text, loc), [(None, inner)], loc)
         elif kind in _LEAVES:
             self.pos += 1
             self.tok = tokens[self.pos]
             if kind == "SYM":
-                left = syntax.Symbol(value, loc=loc)
+                left = syntax.Symbol(value, loc)
             elif kind == "INT":
-                left = syntax.Constant(values.scalar_int(value), loc=loc)
+                left = syntax.Constant(values.scalar_int(value), loc)
             elif kind == "NUM":
-                left = syntax.Constant(values.scalar_double(value), loc=loc)
+                left = syntax.Constant(values.scalar_double(value), loc)
             else:
-                left = syntax.Constant(values.scalar_string(value), loc=loc)
+                left = syntax.Constant(values.scalar_string(value), loc)
         else:
             left = self.primary()
         while True:
@@ -261,11 +262,11 @@ class Parser:
                 self.tok = tokens[self.pos]
                 right = self.operand(prec + 1)
                 left = syntax.Call(
-                    syntax.Symbol(text, loc=tok[LOC]), [(None, left), (None, right)], loc=left.loc
+                    syntax.Symbol(text, tok[LOC]), [(None, left), (None, right)], left.loc
                 )
             elif text == "(":
                 self.advance()
-                left = syntax.Call(left, self.call_args(), loc=left.loc)
+                left = syntax.Call(left, self.call_args(), left.loc)
             elif text == "[":
                 self.advance()
                 if self.at("OP", "]"):
@@ -275,14 +276,14 @@ class Parser:
                     self.advance()
                     indices.append(self.operand(0))
                 self.expect("OP", "]")
-                left = syntax.Index(left, indices, loc=left.loc)
+                left = syntax.Index(left, indices, left.loc)
             elif text == "$":
                 self.advance()
                 name_tok = self.tok
                 if name_tok[TYPE] not in ("SYM", "STR"):
                     self.error_here("expected a field name after '$'")
                 self.advance()
-                left = syntax.FieldAccess(left, str(name_tok[VALUE]), loc=left.loc)
+                left = syntax.FieldAccess(left, str(name_tok[VALUE]), left.loc)
             elif text == "<-" or text == "<<-":
                 if min_prec:
                     return left
@@ -331,13 +332,13 @@ class Parser:
         if kind == "KW":
             if text == "TRUE":
                 self.advance()
-                return syntax.Constant(values.scalar_bool(True), loc=tok[LOC])
+                return syntax.Constant(values.scalar_bool(True), tok[LOC])
             if text == "FALSE":
                 self.advance()
-                return syntax.Constant(values.scalar_bool(False), loc=tok[LOC])
+                return syntax.Constant(values.scalar_bool(False), tok[LOC])
             if text == "NULL":
                 self.advance()
-                return syntax.Constant(values.null_value(), loc=tok[LOC])
+                return syntax.Constant(values.null_value(), tok[LOC])
             if text == "function":
                 return self.function_literal()
             if text == "if":
@@ -352,7 +353,7 @@ class Parser:
             return inner
         if kind == "OP" and text == "{":
             self.advance()
-            return syntax.Block(self.statements("}"), loc=tok[LOC])
+            return syntax.Block(self.statements("}"), tok[LOC])
         self.unexpected_token()
 
     def function_literal(self):
@@ -381,7 +382,7 @@ class Parser:
                 break
         self.expect("OP", ")")
         body = self.operand(0)
-        return syntax.FunctionLiteral(formals, body, loc=start[LOC])
+        return syntax.FunctionLiteral(formals, body, start[LOC])
 
     def if_expr(self):
         start = self.expect("KW", "if")
@@ -393,7 +394,7 @@ class Parser:
         if self.at("KW", "else"):
             self.advance()
             orelse = self.operand(0)
-        return syntax.If(cond, then, orelse, loc=start[LOC])
+        return syntax.If(cond, then, orelse, start[LOC])
 
     def while_expr(self):
         start = self.expect("KW", "while")
@@ -401,7 +402,7 @@ class Parser:
         cond = self.operand(0)
         self.expect("OP", ")")
         body = self.operand(0)
-        return syntax.While(cond, body, loc=start[LOC])
+        return syntax.While(cond, body, start[LOC])
 
 
 # The reader takes one host frame per level of nested indexing, prefix
@@ -425,13 +426,23 @@ class deep_host_stack:
 def parse_program(source: str) -> list:
     """Parse source text into a list of top-level expressions.  Nesting
     deeper than the host stack allows is a syntax error at the token
-    where the parser gave up."""
-    parser = Parser(tokenize(source))
+    where the parser gave up.
+
+    Reading makes no reference cycle, so a cyclic collection during it
+    could free nothing and would only walk the young tokens and nodes
+    again and again.  The collector is paused while it reads and left as
+    it was found however reading ends."""
+    collecting = gc.isenabled()
+    gc.disable()
     try:
+        parser = Parser(tokenize(source))
         with deep_host_stack():
             return parser.statements("")
     except RecursionError:
         raise MlsSyntaxError("expression nested too deeply", parser.tok[LOC]) from None
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def parse_one(source: str) -> syntax.Expr:

@@ -73,11 +73,10 @@ def _parse_field_spec(name, spec: Value, loc) -> RefField:
             if declared.kind != values.STRING or len(declared.payload) != 1:
                 raise MlsError(f"invalid class declaration for field '{name}'", loc)
             declared_name = declared.payload[0]
-        read_only = False
-        ro = entries.get("readonly")
-        if ro is not None:
-            read_only = bool(ro.payload and ro.payload[0])
-        return RefField(name, declared_name, read_only)
+        ro = entries.get("readonly", values.FALSE)
+        if ro.kind != values.LOGICAL or len(ro.payload) != 1:
+            raise MlsError(f"invalid readonly declaration for field '{name}'", loc)
+        return RefField(name, declared_name, ro.payload[0])
     raise MlsError(f"invalid specification for field '{name}'", loc)
 
 

@@ -8,12 +8,15 @@ the (line, column) it came from so analysis findings can point at source.
 
 Each node dataclass declares its children once, in its field
 annotations; `child_expressions` walks the `_LAYOUT` read from them.
+Its last field is `loc`, with the default (0, 0), and the reader passes
+it positionally: a keyword argument would build a dict for each of the
+thousands of nodes a module makes.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from . import values
@@ -41,10 +44,7 @@ KEYWORDS = frozenset({"function", "if", "else", "while", "TRUE", "FALSE", "NULL"
 _POSTFIX_PREC = 9
 
 
-@dataclass
 class Expr:
-    loc: Loc = field(default=(0, 0), kw_only=True)
-
     # The evaluator's compiled closure for this node, cached on first
     # evaluation; a class attribute, not a field, so equality and repr
     # ignore it.
@@ -58,17 +58,20 @@ class Expr:
 @dataclass
 class Constant(Expr):
     value: values.Value
+    loc: Loc = (0, 0)
 
 
 @dataclass
 class Symbol(Expr):
     name: str
+    loc: Loc = (0, 0)
 
 
 @dataclass
 class Call(Expr):
     callee: Expr
     args: Args
+    loc: Loc = (0, 0)
 
 
 @dataclass
@@ -76,6 +79,7 @@ class FunctionLiteral(Expr):
     HEAD = "function"
     formals: Formals
     body: Expr
+    loc: Loc = (0, 0)
 
 
 @dataclass
@@ -83,6 +87,7 @@ class Assign(Expr):
     HEAD = "<-"
     target: Symbol
     value: Expr
+    loc: Loc = (0, 0)
 
 
 @dataclass
@@ -90,12 +95,14 @@ class SuperAssign(Expr):
     HEAD = "<<-"
     target: Symbol
     value: Expr
+    loc: Loc = (0, 0)
 
 
 @dataclass
 class Block(Expr):
     HEAD = "{"
     body: Exprs
+    loc: Loc = (0, 0)
 
 
 @dataclass
@@ -104,6 +111,7 @@ class If(Expr):
     cond: Expr
     then: Expr
     orelse: Optional[Expr]
+    loc: Loc = (0, 0)
 
 
 @dataclass
@@ -111,6 +119,7 @@ class While(Expr):
     HEAD = "while"
     cond: Expr
     body: Expr
+    loc: Loc = (0, 0)
 
 
 @dataclass
@@ -118,6 +127,7 @@ class Index(Expr):
     HEAD = "["
     obj: Expr
     indices: Exprs
+    loc: Loc = (0, 0)
 
 
 @dataclass
@@ -126,6 +136,7 @@ class IndexAssign(Expr):
     obj: Symbol
     indices: Exprs
     value: Expr
+    loc: Loc = (0, 0)
 
 
 @dataclass
@@ -133,6 +144,7 @@ class FieldAccess(Expr):
     HEAD = "$"
     obj: Expr
     name: str
+    loc: Loc = (0, 0)
 
 
 @dataclass
@@ -141,6 +153,7 @@ class FieldAssign(Expr):
     obj: Expr
     name: str
     value: Expr
+    loc: Loc = (0, 0)
 
 
 # How a field holds subexpressions, by its annotation: a function from
@@ -164,7 +177,7 @@ class _Layouts(dict):
         raise TypeError(f"unhandled node {cls.__name__}")
 
 
-# Each node class's fields after `loc`, in evaluation order, with their
+# Each node class's fields but `loc`, in evaluation order, with their
 # slot functions; an annotation missing from _SLOTS fails here.
 _LAYOUT = _Layouts(
     (cls, tuple((f.name, _SLOTS[f.type]) for f in fields(cls) if f.name != "loc"))

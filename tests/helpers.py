@@ -1,11 +1,13 @@
 """Shared test utilities: state snapshots, the differential purity
 harness, a generator of random pure programs, structural equality of
 syntax trees, the Call view of a node, the dict form of an analysis
-report, a guard against host recursion errors, and the reference
+report, a guard against host recursion errors, a clean pause of the
+cyclic collector, and the reference
 tokenizers, parser, purity scan, operator and variable read that the
 fast ones are checked against."""
 
 import contextlib
+import gc
 import random
 import re
 from dataclasses import dataclass
@@ -30,6 +32,21 @@ def no_host_recursion():
         raise pytest.fail.Exception(
             f"host RecursionError escaped: {exc}", pytrace=False
         ) from None
+
+
+@contextlib.contextmanager
+def collector_paused(enabled=False):
+    """Collect, then run the block with the cyclic collector off, or on
+    with `enabled`; the state it had is restored after.  A
+    `gc.collect()` at the block's end counts what the block left
+    unreachable."""
+    was = gc.isenabled()
+    gc.collect()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def expr_equal(a, b) -> bool:

@@ -1,9 +1,10 @@
 """`scripts/bench_pairs.py` decides a metric's verdict from paired runs:
 a gain needs ten pairs, nine tenths of them won and a median gap wider
 than the parent's interquartile range; a loss counts only past the
-metric's bound."""
+metric's bound.  Each run reads and writes no bytecode cache."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -74,3 +75,23 @@ def test_summarize_reports_wins_failures_and_too_few_pairs():
     assert " 2/3 " in lines[1]
     assert lines[2] == "failed units: parent 3/300, change 0/300"
     assert lines[3] == "3 pairs: fewer than 10, so no metric reads better"
+
+
+def test_run_once_runs_each_side_without_a_bytecode_cache(monkeypatch, tmp_path):
+    seen = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((cwd, env["PYTHONDONTWRITEBYTECODE"], cache, list(cache.iterdir())))
+        result = '{"metrics": {}, "failed": 0, "attempted": 1}'
+        return subprocess.CompletedProcess(cmd, 0, stdout=f"# comment\n{result}\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    for side in ("parent", "change"):
+        assert bench_pairs.run_once(tmp_path / side, "calls", 11, 1.0, False)["attempted"] == 1
+    (cwd_p, write_p, cache_p, files_p), (cwd_c, write_c, cache_c, files_c) = seen
+    assert (cwd_p, cwd_c) == (tmp_path / "parent", tmp_path / "change")
+    assert write_p == write_c == "1"
+    # each run's cache prefix is its own empty directory, gone after the run
+    assert cache_p != cache_c and files_p == files_c == []
+    assert not cache_p.exists() and not cache_c.exists()

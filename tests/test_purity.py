@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 
@@ -5,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import differential_check, load_universe, reference_scan_function, report_as_dict
+from helpers import (
+    collector_paused,
+    differential_check,
+    load_universe,
+    reference_scan_function,
+    report_as_dict,
+)
 from mls import purity, reader, syntax, values
 from mls.builtins import BUILTIN_NAMES
 from mls.interpreter import Interpreter
@@ -661,6 +668,18 @@ def test_operator_named_definitions_are_analyzed(corpus_dir):
     stats = {fr.name: fr.verdict.status for _, rs in report.modules for fr in rs}
     assert "+.money" in stats
     assert all(status == purity.FUNCTIONAL for status in stats.values())
+
+
+def test_analysis_makes_no_reference_cycle(corpus_dir):
+    """The scan's walk is no pair of closures calling each other, so
+    analysing and rendering the fixture modules leaves nothing for the
+    cyclic collector to free."""
+    modules = [purity.parse_module(p.stem, p.read_text())
+               for p in sorted((corpus_dir / "analyzer").rglob("*.mls"))]
+    assert len(modules) == 12
+    with collector_paused():
+        purity.render_json(purity.analyze_modules(modules))
+        assert gc.collect() == 0
 
 
 def test_differential_harness_on_pure_module():

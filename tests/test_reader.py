@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import dataclasses
+import gc
 import sys
 from functools import partial
 from pathlib import Path
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     as_call,
+    collector_paused,
     expr_equal,
     no_host_recursion,
     reference_parse_program,
@@ -434,6 +437,44 @@ def test_nesting_deeper_than_the_host_stack_is_a_syntax_error():
     depth = HOST_RECURSION_LIMIT  # each level costs at least one host frame
     with no_host_recursion(), pytest.raises(MlsSyntaxError, match="nested too deeply"):
         reader.parse_program("x <- " + "(" * depth + "1" + ")" * depth)
+
+
+# -- the collector pause -------------------------------------------------------
+
+# a clean read, three syntax errors, and nesting past the host stack
+_CLEAN = "f <- function(x) { y <- x[1]; if (y > 0) y else -y }"
+_ERRORS = ["f(", "x <- )", "'abc", "x <- " + "(" * 30_000 + "1" + ")" * 30_000]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("source", [_CLEAN, _ERRORS[0], _ERRORS[3]],
+                         ids=["clean", "syntax error", "nested too deeply"])
+def test_parse_program_pauses_the_collector_and_restores_it(enabled, source, monkeypatch):
+    seen = []
+    tokenize = reader.tokenize
+    monkeypatch.setattr(reader, "tokenize", lambda s: seen.append(gc.isenabled()) or tokenize(s))
+    with collector_paused(enabled):
+        with no_host_recursion(), contextlib.suppress(MlsSyntaxError):
+            reader.parse_program(source)
+        assert seen == [False]
+        assert gc.isenabled() == enabled
+
+
+def test_reading_makes_no_reference_cycle():
+    """So a collection while the reader runs could free nothing: with the
+    collector off, reading the corpus scripts and the error inputs leaves
+    no unreachable object."""
+    errors = 0
+    with collector_paused():
+        for path in sorted((REPO / "corpus").glob("*.mls")):
+            reader.parse_program(path.read_text())
+        for source in _ERRORS:
+            try:
+                reader.parse_program(source)
+            except MlsSyntaxError:
+                errors += 1
+        assert gc.collect() == 0
+    assert errors == len(_ERRORS)
 
 
 def test_dangling_else_deparse():

@@ -142,6 +142,27 @@ obj <- Locked(k = 1)
         run(interp, "obj$tamper()")
 
 
+@pytest.mark.parametrize("spec", ["invisible", "function() 1", "environment()", '"no"',
+                                  "c(FALSE, TRUE)"])
+def test_readonly_must_be_one_logical(interp, spec):
+    line = f'P <- setRefClass("P", fields = list(a = list(class = "numeric", readonly = {spec})))'
+    with pytest.raises(MlsError) as exc:
+        run(interp, "x <- 1\n" + line)
+    assert (exc.value.message, exc.value.loc) == (
+        "invalid readonly declaration for field 'a'", (2, line.index("setRefClass") + 1))
+
+
+@pytest.mark.parametrize("spec, writable", [("TRUE", False), ("FALSE", True)])
+def test_readonly_true_or_false(interp, spec, writable):
+    run(interp, f'P <- setRefClass("P", fields = list(a = list(readonly = {spec}))); p <- P(a = 1)')
+    if writable:
+        run(interp, "p$a <- 2")
+        assert run(interp, "p$a").payload == [2]
+    else:
+        with pytest.raises(MlsError, match="read-only"):
+            run(interp, "p$a <- 2")
+
+
 def test_field_type_checked_on_set(interp):
     make_pop(interp)
     with pytest.raises(MlsError, match="expected 'numeric'"):
