@@ -50,7 +50,9 @@ class CallFrame(Environment):
     __slots__ = ("closure_value", "caller_env", "call_loc", "args")
 
     def __init__(self, closure_value: Value, caller_env, call_loc, args: list, tag: str):
-        super().__init__(closure_value.payload.enclosure, tag)
+        self.frame = {}  # `Environment`'s slots, set without a call of its __init__
+        self.parent = closure_value.payload.enclosure
+        self.tag = tag
         self.closure_value = closure_value
         self.caller_env = caller_env
         self.call_loc = call_loc
@@ -347,11 +349,19 @@ class Interpreter:
 # Functions of other modules (`ops.*`, `interp.*`) are looked up at each
 # call, not bound at compile time, so wrappers installed on them (as a
 # tracer does) still see every call.  Two common cases make no such call.
-# An operator site computes two attribute-free numeric scalars in place
-# from its `ops.BINARY` row, read at compile time, so a tracer counts that
-# arithmetic as interpreter self time; a symbol reads a frame entry that
-# is a value or a promise, forcing it if pending, without calling
-# `Binding.resolve`.
+# A symbol reads a frame entry that is a value or a promise, forcing it if
+# pending, without calling `Binding.resolve`.  An operator site computes
+# two attribute-free numeric scalars in place, so a tracer counts that
+# arithmetic as interpreter self time, and is specialized at compile time
+# on what the tree fixes (Würthinger et al., "Self-optimizing AST
+# interpreters", DLS 2012): its `ops.BINARY` row gives a comparison a
+# closure that returns `TRUE` or `FALSE` and arithmetic one that picks
+# integer or double, and a right operand that is a literal numeric scalar
+# is checked once and held as its element.  Each specialized closure
+# tests first that no frame has bound the operator's name, and takes the
+# site's general call if one has; an operand that is not a plain numeric
+# scalar goes to `s3.apply_operator`.  `if` and `while` take the shared
+# `TRUE` and `FALSE` by identity before they call `ops.truthy`.
 
 
 def compile_expr(e: syntax.Expr):
@@ -405,8 +415,10 @@ def _compile_call(e: syntax.Call):
     so rebinding a builtin's name to a closure restores laziness.
 
     A binary operator called with two unnamed arguments is applied
-    directly while no frame has bound its name; once `Environment.bind`
-    has marked it in `interp.shadowed`, the site takes the general call.
+    directly, by one of four closures chosen here (comparison or
+    arithmetic, with a constant right operand or not), while no frame
+    has bound its name; once `Environment.bind` has marked it in
+    `interp.shadowed`, the site takes the general call.
     The same mark lets `Interpreter.find_function` return an unbound base
     name's builtin without walking the frames: an assumption that a
     write invalidates, with a fallback (Würthinger et al., Onward! 2013)."""
@@ -419,7 +431,12 @@ def _compile_call(e: syntax.Call):
         fname, callee_run = None, compile_expr(e.callee)
 
     def run(interp, env):
-        fn = callee_run(interp, env) if callee_run else interp.lookup_function(fname, env, loc)
+        if callee_run is None:
+            fn = interp.find_function(fname, env, loc)
+            if fn is None:
+                raise MlsError(f"could not find function '{fname}'", loc)
+        else:
+            fn = callee_run(interp, env)
         try:
             if fn.kind == values.BUILTIN and not fn.payload.lazy:
                 args = [(name, arg(interp, env)) for name, arg in arg_runs]
@@ -434,11 +451,87 @@ def _compile_call(e: syntax.Call):
     if fname not in ops.BINARY or len(arg_runs) != 2 or any(n for n, _ in arg_runs):
         return run
     (_, lhs_run), (_, rhs_run) = arg_runs
-
     fn, fixed_kind = ops.BINARY[fname]
+    const = arg_exprs[1][1].value if isinstance(arg_exprs[1][1], syntax.Constant) else None
+    if const is not None and (const.kind not in _NUMBER_KINDS or len(const.payload) != 1
+                              or const.attributes):
+        const = None
+
+    if fixed_kind is values.LOGICAL and const is not None:
+        y = const.payload[0]
+
+        def run_compare_constant(interp, env):
+            if fname in interp.shadowed:
+                return run(interp, env)
+            try:
+                lhs = lhs_run(interp, env)
+                if lhs.kind in _NUMBER_KINDS and len(lhs.payload) == 1 and not lhs.attributes:
+                    value = TRUE if fn(lhs.payload[0], y) else FALSE
+                else:
+                    value = s3.apply_operator(interp, fname, lhs, const, env, loc)
+            except MlsError as err:
+                if err.loc is None:
+                    err.loc = loc
+                raise
+            interp.visible = True
+            return value
+
+        return run_compare_constant
+
+    if fixed_kind is values.LOGICAL:
+
+        def run_compare(interp, env):
+            if fname in interp.shadowed:
+                return run(interp, env)
+            try:
+                lhs = lhs_run(interp, env)
+                rhs = rhs_run(interp, env)
+                if (lhs.kind in _NUMBER_KINDS and rhs.kind in _NUMBER_KINDS
+                        and len(lhs.payload) == 1 and len(rhs.payload) == 1
+                        and not lhs.attributes and not rhs.attributes):
+                    value = TRUE if fn(lhs.payload[0], rhs.payload[0]) else FALSE
+                else:
+                    value = s3.apply_operator(interp, fname, lhs, rhs, env, loc)
+            except MlsError as err:
+                if err.loc is None:
+                    err.loc = loc
+                raise
+            interp.visible = True
+            return value
+
+        return run_compare
+
     overflow = f"integer overflow in '{fname}'"
 
-    def run_operator(interp, env):
+    if const is not None:
+        y = const.payload[0]
+        int_const = fixed_kind is None and const.kind == values.INTEGER
+
+        def run_arith_constant(interp, env):
+            if fname in interp.shadowed:
+                return run(interp, env)
+            try:
+                lhs = lhs_run(interp, env)
+                if lhs.kind in _NUMBER_KINDS and len(lhs.payload) == 1 and not lhs.attributes:
+                    z = fn(lhs.payload[0], y)
+                    if int_const and lhs.kind == values.INTEGER:
+                        if not -values.INT_MAX <= z <= values.INT_MAX:
+                            raise MlsError(overflow, loc)
+                        value = SMALL_INTS[z] if 0 <= z < 256 else Value(values.INTEGER, [z])
+                    else:
+                        value = Value(values.DOUBLE, [z])  # `/`, or int-op-float: a float
+                else:
+                    value = s3.apply_operator(interp, fname, lhs, const, env, loc)
+            except MlsError as err:
+                if err.loc is None:
+                    err.loc = loc
+                raise
+            interp.visible = True
+            return value
+
+        return run_arith_constant
+
+    def run_arith(interp, env):
         if fname in interp.shadowed:
             return run(interp, env)
         try:
@@ -447,16 +540,13 @@ def _compile_call(e: syntax.Call):
             if (lhs.kind in _NUMBER_KINDS and rhs.kind in _NUMBER_KINDS
                     and len(lhs.payload) == 1 and len(rhs.payload) == 1
                     and not lhs.attributes and not rhs.attributes):
-                x, y = lhs.payload[0], rhs.payload[0]
-                if fixed_kind is values.LOGICAL:
-                    value = TRUE if fn(x, y) else FALSE
-                elif fixed_kind is None and lhs.kind == rhs.kind == values.INTEGER:
-                    z = fn(x, y)
+                z = fn(lhs.payload[0], rhs.payload[0])
+                if fixed_kind is None and lhs.kind == rhs.kind == values.INTEGER:
                     if not -values.INT_MAX <= z <= values.INT_MAX:
                         raise MlsError(overflow, loc)
                     value = SMALL_INTS[z] if 0 <= z < 256 else Value(values.INTEGER, [z])
                 else:
-                    value = Value(values.DOUBLE, [fn(x, y)])  # `/`, or int-op-float: a float
+                    value = Value(values.DOUBLE, [z])  # `/`, or int-op-float: a float
             else:
                 value = s3.apply_operator(interp, fname, lhs, rhs, env, loc)
         except MlsError as err:
@@ -466,7 +556,7 @@ def _compile_call(e: syntax.Call):
         interp.visible = True
         return value
 
-    return run_operator
+    return run_arith
 
 
 def _compile_assign(e):
@@ -506,7 +596,8 @@ def _compile_if(e: syntax.If):
     else_run = compile_expr(e.orelse) if e.orelse is not None else None
 
     def run(interp, env):
-        if ops.truthy(cond_run(interp, env), cond_loc):
+        cond = cond_run(interp, env)
+        if cond is TRUE or cond is not FALSE and ops.truthy(cond, cond_loc):
             return then_run(interp, env)
         if else_run is not None:
             return else_run(interp, env)
@@ -520,7 +611,8 @@ def _compile_while(e: syntax.While):
     cond_run, cond_loc, body_run = compile_expr(e.cond), e.cond.loc, compile_expr(e.body)
 
     def run(interp, env):
-        while ops.truthy(cond_run(interp, env), cond_loc):
+        while (cond := cond_run(interp, env)) is TRUE or (
+                cond is not FALSE and ops.truthy(cond, cond_loc)):
             body_run(interp, env)
         interp.visible = False
         return values.null_value()

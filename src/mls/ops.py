@@ -158,10 +158,14 @@ def _coerce_vector_elements(items, from_kind, to_kind):
 
 
 def concat(args, loc=None) -> Value:
-    """The c() builtin: args is a list of (name or None, Value)."""
+    """The c() builtin: args is a list of (name or None, Value).  A result
+    longer than `values.MAX_LENGTH` is an error before it is built."""
     parts = [(n, v) for n, v in args if not values.is_null(v)]
     if not parts:
         return values.null_value()
+    if sum(len(v.payload) if v.kind == values.LIST or v.kind in values.VECTOR_KINDS else 1
+           for _, v in parts) > values.MAX_LENGTH:
+        raise MlsError(f"c() would build more than {values.MAX_LENGTH} elements", loc)
     items = []
     if any(v.kind not in values.VECTOR_KINDS for _, v in parts):
         kind = values.LIST

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -349,6 +350,7 @@ def test_reader_edge_cases_through_the_cli(tmp_path, capsys, source, code, out, 
          "", "contains must be a character vector (line 1, column 1)"),
         ('setGeneric("length")', "", "setGeneric('length') needs an explicit def: "
          "no existing function to adopt (line 1, column 1)"),
+        ('setGeneric("nope")', "", "could not find function 'nope' (line 1, column 1)"),
         ('setGeneric("g", 1)', "", "def must be a function (line 1, column 1)"),
         ('setGeneric("h", function(x) x + 1); h(3)', "[1] 4\n", ""),
         ('setGeneric("k", function(x) standardGeneric("k"), signature = 1)',
@@ -463,6 +465,28 @@ def test_infinite_index_and_overflowing_sum_end_in_mls_exit_codes(tmp_path, caps
     assert run_cli(["run", str(script)], capsys) == (
         1, "", "error: invalid index -Inf (line 2, column 1)\n"
     )
+
+
+def _limit_address_space():
+    limit = 3 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_c_past_the_length_bound_is_an_error_before_it_allocates(tmp_path):
+    """Doubling a vector with `c()` stops at `values.MAX_LENGTH` with an
+    MLS error; without the bound it ran out of a 3 GB address space (set
+    on the child only) and ended in a host MemoryError, exit 5."""
+    script = tmp_path / "grow.mls"
+    script.write_text("x <- c(1); i <- 0; while (i < 40) { x <- c(x, x); i <- i + 1 }\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "mls", "run", str(script)],
+        capture_output=True,
+        text=True,
+        preexec_fn=_limit_address_space,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: c() would build more than 16777216 elements (line 1, column 42)\n"
 
 
 class _ClosedStdout(io.StringIO):

@@ -106,6 +106,102 @@ def test_operator_site_matches_the_parent_operator(method_interp, op, lhs, rhs):
     assert got == expected
 
 
+# each kind of constant the reader makes: integer (0, small and past the
+# shared 0-255), double, logical, string and NULL; the integer bound,
+# which the reference lacks, has its own tests below
+_LITERALS = ("7", "0", "300", "1e308", "0.5", "0.0", "TRUE", '"b"', "NULL")
+_CONSTANT_SITES = {(op, literal): reader.parse_one(f"a {op} {literal}")
+                   for op in BINARY_OPERATORS for literal in _LITERALS}
+
+
+def test_constant_operands_cover_every_kind_the_reader_makes():
+    constants = [site.args[1][1] for site in _CONSTANT_SITES.values()]
+    assert all(isinstance(c, syntax.Constant) for c in constants)
+    assert {c.value.kind for c in constants} == {
+        values.INTEGER, values.DOUBLE, values.LOGICAL, values.STRING, values.NULL}
+
+
+@settings(max_examples=1500, deadline=None)
+@given(op=st.sampled_from(BINARY_OPERATORS), literal=st.sampled_from(_LITERALS), lhs=_OPERANDS)
+def test_constant_operand_site_matches_the_parent_operator(method_interp, op, literal, lhs):
+    interp, env = method_interp, method_interp.global_env
+    env.bind("a", lhs, interp)
+    site = _CONSTANT_SITES[op, literal]
+    rhs = site.args[1][1].value
+    got = _outcome(interp, lambda: interp.eval(site, env))
+    expected = _outcome(
+        interp, lambda: reference_apply_operator(interp, op, lhs, rhs, env, site.loc), site.loc
+    )
+    assert got == expected
+
+
+@pytest.mark.parametrize("op, site, before", [("<", "x < 3", [True]), ("-", "x - 1", [0])])
+@pytest.mark.parametrize("where", ["global", "frame"])
+def test_a_compiled_operator_site_takes_the_general_call_once_its_name_is_bound(
+        op, site, before, where):
+    """The site has run, and so compiled, before a frame that its
+    function can see binds the operator."""
+    rebind = f"`{op}` <- function(e1, e2) \"bound\""
+    if where == "global":
+        src = f"f <- function(x) {site}\na <- f(1)\n{rebind}\nlist(a, f(1))"
+    else:
+        body = f"f <- function(x) {site}; a <- f(1); {rebind}; list(a, f(1))"
+        src = f"h <- function() {{ {body} }}\nh()"
+    result = Interpreter(stdout=io.StringIO()).eval_source(src)
+    assert [v.payload for v in result.payload] == [before, ["bound"]]
+
+
+@pytest.mark.parametrize("src", ["x[1] < 3", "x[1] < y", "x[1] - 1", "x[1] - y"])
+def test_an_operand_error_without_a_location_gets_the_sites(src, monkeypatch):
+    """Each of the four operator closures puts its own location on an
+    error from an operand that has none."""
+    def failing_index_get(obj, indices, loc):
+        raise MlsError("no location")
+
+    monkeypatch.setattr(ops, "index_get", failing_index_get)
+    site = reader.parse_one("\n  " + src)
+    interp = Interpreter(stdout=io.StringIO())
+    interp.eval_source("x <- 1\ny <- 2")
+    with pytest.raises(MlsError) as exc:
+        interp.eval(site, interp.global_env)
+    assert (exc.value.message, exc.value.loc) == ("no location", site.loc)
+    assert site.loc == (2, 3)
+
+
+_CONDITIONS = {
+    "TRUE": values.TRUE,
+    "FALSE": values.FALSE,
+    "an unshared TRUE": Value(values.LOGICAL, [True]),
+    "an unshared FALSE": Value(values.LOGICAL, [False]),
+    "an integer 0": values.scalar_int(0),
+    "a double 2": values.scalar_double(2.0),
+    "a double NaN": values.scalar_double(math.nan),
+    "a length-0 logical": Value(values.LOGICAL, []),
+    "a length-2 logical": Value(values.LOGICAL, [False, True]),
+    "NULL": values.null_value(),
+    "a string": values.scalar_string("TRUE"),
+}
+_IF = reader.parse_one("if (cond) 1 else 0")
+_WHILE = reader.parse_program("k <- 0\nwhile (cond) { k <- k + 1; cond <- FALSE }\nk")
+
+
+@pytest.mark.parametrize("name", list(_CONDITIONS))
+def test_if_and_while_read_a_condition_as_truthy_does(name):
+    cond = _CONDITIONS[name]
+    for program, cond_loc in (([_IF], _IF.cond.loc), (_WHILE, _WHILE[1].cond.loc)):
+        interp = Interpreter(stdout=io.StringIO())
+        interp.global_env.bind("cond", cond, interp)
+        try:
+            got = ("value", interp.eval_program(program).payload)
+        except MlsError as err:
+            got = ("error", err.message, err.loc)
+        try:
+            expected = ("value", [int(ops.truthy(cond, cond_loc))])
+        except MlsError as err:
+            expected = ("error", err.message, err.loc)
+        assert got == expected
+
+
 def test_operator_site_computes_plain_scalars_in_place(monkeypatch):
     """Two attribute-free numeric scalars reach neither `apply_operator`
     nor `ops`; anything else does."""
@@ -117,7 +213,7 @@ def test_operator_site_computes_plain_scalars_in_place(monkeypatch):
         original = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
     interp = Interpreter(stdout=io.StringIO())
-    interp.eval_source("x <- 2\ny <- 0.5\nx + y\nx / y\nx < y\nx * 3")
+    interp.eval_source("x <- 2\ny <- 0.5\nx + y\nx / y\nx < y\nx * 3\nx - 1\nx == 0.5\ny / 0")
     assert calls == []
     interp.eval_source('c(1, 2) + 1\nset_attr(1, "names", "a") < 2')
     assert calls == ["apply_operator", "arith_binary", "apply_operator", "compare_binary"]
@@ -129,6 +225,18 @@ def test_every_directly_applied_operator_is_a_binary_operator_and_a_builtin():
     assert set(ops.BINARY) == set(syntax.BINARY_PRECEDENCE) - {"&&", "||"}
     base = Interpreter().base_env
     assert all(base.frame[op].value.kind == values.BUILTIN for op in ops.BINARY)
+
+
+# -- closure calls ------------------------------------------------------------------
+
+
+def test_a_call_frame_sets_every_environment_slot():
+    """`CallFrame.__init__` sets `Environment`'s slots itself."""
+    interp = Interpreter(stdout=io.StringIO())
+    fn = interp.eval_source("function(x) x")
+    frame = interp.match_arguments(fn, [(None, values.scalar_int(1))], None, interp.global_env, "f")
+    assert all(hasattr(frame, slot) for slot in Environment.__slots__)
+    assert (frame.parent, frame.tag, list(frame.frame)) == (interp.global_env, "call:f", ["x"])
 
 
 # -- the integer bound -------------------------------------------------------------
@@ -147,6 +255,7 @@ def _error(src):
     (f"x <- {values.INT_MAX}\nx + 1", ("integer overflow in '+'", (2, 1))),
     (f"x <- -{BIG}\nx - {BIG} - 1", ("integer overflow in '-'", (2, 1))),
     (f"x <- 10\ny <- x * x * x * x * x\nz <- y * y * y * y", ("integer overflow in '*'", (3, 6))),
+    (f"x <- 3\nx * {BIG}", ("integer overflow in '*'", (2, 1))),
     (f"c(1, {BIG}) * 2", ("integer overflow in '*'", (1, 1))),
     (f"f <- `+`\nf(c({BIG}, 1), {BIG})", ("integer overflow in '+'", (2, 1))),
     (f"sum(c({BIG}, {BIG}, 1))", ("integer overflow in sum()", (1, 1))),

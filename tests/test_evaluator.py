@@ -135,6 +135,25 @@ def test_concat_with_a_list_part_gives_a_list(interp):
     assert [x.payload for x in v.payload[3:5]] == [[3], [4]]
 
 
+@pytest.mark.parametrize("src, length", [
+    ("c(c(1, 2), NULL, c(3, 4))", 4),
+    ("c(list(1, list(2)), f, 3)", 4),  # a list part splices, a function counts one
+    ("c(c(1, 2), list(3), f)", 4),
+])
+@pytest.mark.parametrize("bound", [3, 4])
+def test_concat_counts_its_result_against_the_length_bound(interp, monkeypatch, src, length,
+                                                           bound):
+    monkeypatch.setattr(values, "MAX_LENGTH", bound)
+    run(interp, "f <- function(x) x")
+    if length <= bound:
+        assert len(run(interp, src).payload) == length
+    else:
+        with pytest.raises(MlsError) as exc:
+            run(interp, src)
+        assert (exc.value.message, exc.value.loc) == (
+            f"c() would build more than {bound} elements", (1, 1))
+
+
 def test_concat_coercion(interp):
     v = run(interp, "c(TRUE, 2)")
     assert (v.kind, v.payload) == (values.INTEGER, [1, 2])
