@@ -2,15 +2,14 @@
 
     python3 scripts/gc_probe.py --workload analyze --seed 11 [--scale 1]
 
-Generates the units of one benchmark workload with
-`perfbench/mlsbench/harness.generate` and runs each once in this
-process, the way `perfbench/run.py` does: the benchmark's own objects
-frozen out of the collector's scans, a few warm-up units first, and a
-`gc.collect()` between units, outside what is counted.  A unit is split
-into the phases a harness runner calls: for `mls run` workloads
-`parse_program`, `Interpreter()` and `run_top_level`; for `analyze`
-`parse_module` (every module of the set), `analyze_modules` and
-`render_json`.  A `gc.callbacks` hook charges each collection to the
+Generates the units of one benchmark workload and runs each once in
+this process (`scripts/probe_setup.py`), the way `perfbench/run.py`
+does: the benchmark's own objects frozen out of the collector's scans,
+a few warm-up units first, and a `gc.collect()` between units, outside
+what is counted.  A unit is split into the phases a harness runner
+calls: for `mls run` workloads `parse_program`, `Interpreter()` and
+`run_top_level`; for `analyze` `parse_module` (every module of the
+set), `analyze_modules` and `render_json`.  A `gc.callbacks` hook charges each collection to the
 phase it ran in.  For each phase the probe prints, per unit, the
 collections of generations 0, 1 and 2, the collector's milliseconds,
 the phase's own milliseconds (collections included) and the objects the
@@ -21,17 +20,12 @@ this probe.  Uses the standard library only.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import io
 import sys
-from pathlib import Path
 from time import perf_counter
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
-
-from mlsbench import harness  # noqa: E402
+from probe_setup import load_units, main, warm_up
 
 PHASES = {
     "analyze": ("parse_module", "analyze_modules", "render_json"),
@@ -92,14 +86,12 @@ def unit_steps(workload: str, mls: dict):
 
 def probe_workload(workload: str, seed: int, scale: float) -> tuple:
     """(units run, {phase: {column: total over the units}})."""
-    mls = harness.load_mls(ROOT)
-    units = harness.generate(workload, seed, scale, ROOT)
+    mls, units = load_units(workload, seed, scale)
     run_unit = unit_steps(workload, mls)
     phases = PHASES["analyze" if workload == "analyze" else "run"]
     gc.collect()
     gc.freeze()
-    for unit in units[:harness.WARMUP_UNITS]:
-        run_unit(Probe(phases), unit)
+    warm_up(lambda unit: run_unit(Probe(phases), unit), units)
     probe = Probe(phases)
     gc.callbacks.append(probe.on_gc)
     try:
@@ -122,17 +114,5 @@ def report(workload: str, seed: int, scale: float, n: int, totals: dict) -> list
     return lines
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True, choices=harness.WORKLOADS)
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="the generators' size factor; 1 is the benchmark's")
-    args = parser.parse_args(argv)
-    n, totals = probe_workload(args.workload, args.seed, args.scale)
-    print("\n".join(report(args.workload, args.seed, args.scale, n, totals)))
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(__doc__.split("\n\n")[0], probe_workload, report))

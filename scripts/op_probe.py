@@ -1,16 +1,15 @@
 """How many Python opcodes and Python calls one benchmark unit takes.
 
-    python3 scripts/op_probe.py --workload calls --seed 11 [--scale 1] [--top 15]
+    python3 scripts/op_probe.py --workload calls --seed 11 [--scale 1]
 
-Generates the units of one benchmark workload with
-`perfbench/mlsbench/harness.generate` and runs each once in this
-process through the workload's harness runner, as `scripts/gc_probe.py`
-does: a few warm-up units first, untraced.  Then `sys.settrace`, with
+Generates the units of one benchmark workload and runs each once in
+this process (`scripts/probe_setup.py`) through the workload's harness
+runner: a few warm-up units first, untraced.  Then `sys.settrace`, with
 opcode events on and line events off in every frame, counts each
 executed opcode and each Python frame entered (a function call or a
 generator resumed) while the runner executes each unit, and charges it
 to the code object that ran it; the output check runs untraced.  The
-probe prints the totals per unit, then the `--top` functions by opcodes,
+probe prints the totals per unit, then the `TOP` functions by opcodes,
 each with its opcodes and calls per unit and its share of all opcodes.
 A unit whose output the runner rejects is an error.
 
@@ -23,15 +22,13 @@ standard library only.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from collections import Counter
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
+from probe_setup import harness, load_units, main, warm_up
 
-from mlsbench import harness  # noqa: E402
+TOP = 15  # functions listed
 
 
 def function_name(code) -> str:
@@ -75,11 +72,9 @@ def check(runner, unit, result):
 
 def probe_workload(workload: str, seed: int, scale: float) -> tuple:
     """(units run, {function: [opcodes, calls]} totals over the units)."""
-    mls = harness.load_mls(ROOT)
-    units = harness.generate(workload, seed, scale, ROOT)
+    mls, units = load_units(workload, seed, scale)
     runner = harness.runner_for(workload, mls)
-    for unit in units[:harness.WARMUP_UNITS]:
-        check(runner, unit, runner.execute(unit))
+    warm_up(lambda unit: check(runner, unit, runner.execute(unit)), units)
     opcodes, calls = count_units(runner, units)
     table = {}
     for code in opcodes.keys() | calls.keys():
@@ -89,30 +84,17 @@ def probe_workload(workload: str, seed: int, scale: float) -> tuple:
     return len(units), table
 
 
-def report(workload: str, seed: int, scale: float, n: int, table: dict, top: int) -> list:
+def report(workload: str, seed: int, scale: float, n: int, table: dict) -> list:
     total_ops = sum(row[0] for row in table.values())
     total_calls = sum(row[1] for row in table.values())
     lines = [f"workload {workload}, seed {seed}, scale {scale:g}: {n} units, per unit",
              f"opcodes {total_ops / n:.1f}  calls {total_calls / n:.1f}",
              f"{'function':<56}{'opcodes':>12}{'share':>8}{'calls':>10}"]
     ranked = sorted(table.items(), key=lambda item: (-item[1][0], item[0]))
-    for name, (ops, calls) in ranked[:top]:
+    for name, (ops, calls) in ranked[:TOP]:
         lines.append(f"{name[:55]:<56}{ops / n:>12.1f}{ops / total_ops:>8.1%}{calls / n:>10.1f}")
     return lines
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True, choices=harness.WORKLOADS)
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="the generators' size factor; 1 is the benchmark's")
-    parser.add_argument("--top", type=int, default=15, help="how many functions to list")
-    args = parser.parse_args(argv)
-    n, table = probe_workload(args.workload, args.seed, args.scale)
-    print("\n".join(report(args.workload, args.seed, args.scale, n, table, args.top)))
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(__doc__.split("\n\n")[0], probe_workload, report))

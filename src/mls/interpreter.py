@@ -33,6 +33,7 @@ DEFAULT_SEED = 0
 MAX_CALL_DEPTH = HOST_RECURSION_LIMIT // 24  # one MLS call takes up to 24 host frames
 
 _NUMBER_KINDS = (values.INTEGER, values.DOUBLE)
+_NO_FUNCTION = "could not find function '{}'"  # `lookup_function`'s and a call site's
 
 
 @functools.cache
@@ -167,7 +168,7 @@ class Interpreter:
     def lookup_function(self, name: str, env: Environment, loc=None) -> Value:
         fn = self.find_function(name, env, loc)
         if fn is None:
-            raise MlsError(f"could not find function '{name}'", loc)
+            raise MlsError(_NO_FUNCTION.format(name), loc)
         return fn
 
     def call_value(self, fn: Value, args, loc=None, caller_env=None, label=None) -> Value:
@@ -354,10 +355,10 @@ class Interpreter:
 # two attribute-free numeric scalars in place, so a tracer counts that
 # arithmetic as interpreter self time, and is specialized at compile time
 # on what the tree fixes (Würthinger et al., "Self-optimizing AST
-# interpreters", DLS 2012): its `ops.BINARY` row gives a comparison a
-# closure that returns `TRUE` or `FALSE` and arithmetic one that picks
-# integer or double, and a right operand that is a literal numeric scalar
-# is checked once and held as its element.  Each specialized closure
+# interpreters", DLS 2012): whether it compares or picks an integer or a
+# double result is read from its `ops.BINARY` row, and a right operand
+# that is a literal numeric scalar is checked once and held as its
+# element, so the site makes no call for it.  Each specialized closure
 # tests first that no frame has bound the operator's name, and takes the
 # site's general call if one has; an operand that is not a plain numeric
 # scalar goes to `s3.apply_operator`.  `if` and `while` take the shared
@@ -415,13 +416,13 @@ def _compile_call(e: syntax.Call):
     so rebinding a builtin's name to a closure restores laziness.
 
     A binary operator called with two unnamed arguments is applied
-    directly, by one of four closures chosen here (comparison or
-    arithmetic, with a constant right operand or not), while no frame
-    has bound its name; once `Environment.bind` has marked it in
-    `interp.shadowed`, the site takes the general call.
-    The same mark lets `Interpreter.find_function` return an unbound base
-    name's builtin without walking the frames: an assumption that a
-    write invalidates, with a fallback (Würthinger et al., Onward! 2013)."""
+    directly, by one of two closures chosen here (with a constant right
+    operand or not), while no frame has bound its name; once
+    `Environment.bind` has marked it in `interp.shadowed`, the site
+    takes the general call.  The same mark lets
+    `Interpreter.find_function` return an unbound base name's builtin
+    without walking the frames: an assumption that a write invalidates,
+    with a fallback (Würthinger et al., Onward! 2013)."""
     loc = e.loc
     arg_exprs = e.args
     arg_runs = [(name, compile_expr(arg)) for name, arg in e.args]
@@ -434,7 +435,7 @@ def _compile_call(e: syntax.Call):
         if callee_run is None:
             fn = interp.find_function(fname, env, loc)
             if fn is None:
-                raise MlsError(f"could not find function '{fname}'", loc)
+                raise MlsError(_NO_FUNCTION.format(fname), loc)
         else:
             fn = callee_run(interp, env)
         try:
@@ -457,64 +458,22 @@ def _compile_call(e: syntax.Call):
                               or const.attributes):
         const = None
 
-    if fixed_kind is values.LOGICAL and const is not None:
-        y = const.payload[0]
-
-        def run_compare_constant(interp, env):
-            if fname in interp.shadowed:
-                return run(interp, env)
-            try:
-                lhs = lhs_run(interp, env)
-                if lhs.kind in _NUMBER_KINDS and len(lhs.payload) == 1 and not lhs.attributes:
-                    value = TRUE if fn(lhs.payload[0], y) else FALSE
-                else:
-                    value = s3.apply_operator(interp, fname, lhs, const, env, loc)
-            except MlsError as err:
-                if err.loc is None:
-                    err.loc = loc
-                raise
-            interp.visible = True
-            return value
-
-        return run_compare_constant
-
-    if fixed_kind is values.LOGICAL:
-
-        def run_compare(interp, env):
-            if fname in interp.shadowed:
-                return run(interp, env)
-            try:
-                lhs = lhs_run(interp, env)
-                rhs = rhs_run(interp, env)
-                if (lhs.kind in _NUMBER_KINDS and rhs.kind in _NUMBER_KINDS
-                        and len(lhs.payload) == 1 and len(rhs.payload) == 1
-                        and not lhs.attributes and not rhs.attributes):
-                    value = TRUE if fn(lhs.payload[0], rhs.payload[0]) else FALSE
-                else:
-                    value = s3.apply_operator(interp, fname, lhs, rhs, env, loc)
-            except MlsError as err:
-                if err.loc is None:
-                    err.loc = loc
-                raise
-            interp.visible = True
-            return value
-
-        return run_compare
-
-    overflow = f"integer overflow in '{fname}'"
+    compare, overflow = fixed_kind is values.LOGICAL, f"integer overflow in '{fname}'"
 
     if const is not None:
         y = const.payload[0]
-        int_const = fixed_kind is None and const.kind == values.INTEGER
+        integer = fixed_kind is None and const.kind == values.INTEGER
 
-        def run_arith_constant(interp, env):
+        def run_operator_constant(interp, env):
             if fname in interp.shadowed:
                 return run(interp, env)
             try:
                 lhs = lhs_run(interp, env)
                 if lhs.kind in _NUMBER_KINDS and len(lhs.payload) == 1 and not lhs.attributes:
                     z = fn(lhs.payload[0], y)
-                    if int_const and lhs.kind == values.INTEGER:
+                    if compare:
+                        value = TRUE if z else FALSE
+                    elif integer and lhs.kind == values.INTEGER:
                         if not -values.INT_MAX <= z <= values.INT_MAX:
                             raise MlsError(overflow, loc)
                         value = SMALL_INTS[z] if 0 <= z < 256 else Value(values.INTEGER, [z])
@@ -529,9 +488,11 @@ def _compile_call(e: syntax.Call):
             interp.visible = True
             return value
 
-        return run_arith_constant
+        return run_operator_constant
 
-    def run_arith(interp, env):
+    integer = fixed_kind is None
+
+    def run_operator(interp, env):
         if fname in interp.shadowed:
             return run(interp, env)
         try:
@@ -541,7 +502,9 @@ def _compile_call(e: syntax.Call):
                     and len(lhs.payload) == 1 and len(rhs.payload) == 1
                     and not lhs.attributes and not rhs.attributes):
                 z = fn(lhs.payload[0], rhs.payload[0])
-                if fixed_kind is None and lhs.kind == rhs.kind == values.INTEGER:
+                if compare:
+                    value = TRUE if z else FALSE
+                elif integer and lhs.kind == rhs.kind == values.INTEGER:
                     if not -values.INT_MAX <= z <= values.INT_MAX:
                         raise MlsError(overflow, loc)
                     value = SMALL_INTS[z] if 0 <= z < 256 else Value(values.INTEGER, [z])
@@ -556,7 +519,7 @@ def _compile_call(e: syntax.Call):
         interp.visible = True
         return value
 
-    return run_arith
+    return run_operator
 
 
 def _compile_assign(e):

@@ -153,8 +153,9 @@ def test_a_compiled_operator_site_takes_the_general_call_once_its_name_is_bound(
 
 @pytest.mark.parametrize("src", ["x[1] < 3", "x[1] < y", "x[1] - 1", "x[1] - y"])
 def test_an_operand_error_without_a_location_gets_the_sites(src, monkeypatch):
-    """Each of the four operator closures puts its own location on an
-    error from an operand that has none."""
+    """Both operator closures, with a constant right operand or not, put
+    their own location on an error from an operand that has none, both
+    comparing and computing."""
     def failing_index_get(obj, indices, loc):
         raise MlsError("no location")
 

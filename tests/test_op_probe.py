@@ -9,10 +9,10 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 
 
-def probe(workload, top):
+def probe(workload):
     proc = subprocess.run(
         [sys.executable, "scripts/op_probe.py", "--workload", workload, "--seed", "11",
-         "--scale", "0.05", "--top", str(top)],
+         "--scale", "0.05"],
         cwd=REPO, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
@@ -22,12 +22,12 @@ first_probe = functools.cache(probe)
 
 
 def test_probe_reports_totals_and_the_leading_functions_per_unit():
-    title, totals, header, *rows = first_probe("calls", 5)
+    title, totals, header, *rows = first_probe("calls")
     assert title == "workload calls, seed 11, scale 0.05: 5 units, per unit"
     assert header.split() == ["function", "opcodes", "share", "calls"]
     opcodes, calls = float(totals.split()[1]), float(totals.split()[3])
     assert opcodes > calls > 0
-    assert len(rows) == 5
+    assert len(rows) == 15
     table = {row[:56].strip(): row[56:].split() for row in rows}
     counts = [float(cells[0]) for cells in table.values()]
     assert counts == sorted(counts, reverse=True) and sum(counts) <= opcodes
@@ -37,4 +37,4 @@ def test_probe_reports_totals_and_the_leading_functions_per_unit():
 
 def test_the_counts_do_not_depend_on_the_pass():
     """Unlike wall time, two passes of the same units count the same."""
-    assert probe("calls", 5) == first_probe("calls", 5)
+    assert probe("calls") == first_probe("calls")
