@@ -41,14 +41,15 @@ class LineTracer:
         filename = frame.f_code.co_filename
         if not filename.startswith(self.prefix):
             return None
-        hit = self.hits[filename]
+        return self.line
 
-        def line(frame, event, arg):
-            if event == "line":
-                hit.add(frame.f_lineno)
-            return line
-
-        return line
+    def line(self, frame, event, arg):
+        """The local trace function of every traced frame: one closure per
+        frame would refer to itself, and each traced call would leave a
+        cycle for the tests that count what the collector frees."""
+        if event == "line":
+            self.hits[frame.f_code.co_filename].add(frame.f_lineno)
+        return self.line
 
     def pytest_runtest_setup(self, item):
         self.arm()

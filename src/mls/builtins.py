@@ -273,8 +273,8 @@ def _bi_set_generic(interp, env, loc, **kw):
     gname = _scalar_string(name, "generic name", loc)
     default_method = None
     if values.is_null(def_):
-        existing = interp.lookup_function(gname, env, loc)
-        if existing.kind != values.CLOSURE:
+        existing = interp.find_function(gname, env, loc)
+        if existing is None or existing.kind != values.CLOSURE:
             raise MlsError(
                 f"setGeneric('{gname}') needs an explicit def: no existing function to adopt", loc
             )

@@ -33,7 +33,7 @@ DEFAULT_SEED = 0
 MAX_CALL_DEPTH = HOST_RECURSION_LIMIT // 24  # one MLS call takes up to 24 host frames
 
 _NUMBER_KINDS = (values.INTEGER, values.DOUBLE)
-_NO_FUNCTION = "could not find function '{}'"  # `lookup_function`'s and a call site's
+_NO_FUNCTION = "could not find function '{}'"  # a call site's and `print_value`'s
 
 
 @functools.cache
@@ -164,12 +164,6 @@ class Interpreter:
                     return v
             cur = cur.parent
         return None
-
-    def lookup_function(self, name: str, env: Environment, loc=None) -> Value:
-        fn = self.find_function(name, env, loc)
-        if fn is None:
-            raise MlsError(_NO_FUNCTION.format(name), loc)
-        return fn
 
     def call_value(self, fn: Value, args, loc=None, caller_env=None, label=None) -> Value:
         """Apply a function value to (name or None, entry) argument pairs
@@ -315,7 +309,9 @@ class Interpreter:
     def print_value(self, v: Value, env: Environment = None):
         """Print a value through the S3 print generic so class methods apply."""
         env = env or self.global_env
-        fn = self.lookup_function("print", env)
+        fn = self.find_function("print", env)
+        if fn is None:  # `print <<- 1` at top level rebinds base's `print`
+            raise MlsError(_NO_FUNCTION.format("print"))
         self.call_value(fn, [(None, v)], caller_env=env, label="print")
 
     def run_top_level(self, exprs, env: Environment = None):

@@ -14,15 +14,16 @@ read-only empty map `NO_ATTRIBUTES`, so a site that gives a fresh value
 attributes passes its dict to the constructor.  Equal scalars may be one
 object for the same reason: every NULL is the one value `null_value()`
 returns, `scalar_bool` returns `TRUE` or `FALSE`, and `scalar_int` one
-of `SMALL_INTS` for an integer in 0-255.  The payload records live here
+of `SMALL_INTS` for an integer in 0-255.  A Value compares and hashes
+by identity, as a shared immutable object may: no evaluation asks
+whether two values are structurally equal, so that equality is the
+tests' `values_equal`.  The payload records live here
 too: a function's, `Closure` or `BuiltinPayload`, marks a required
 formal by the default None.
 """
 
 from __future__ import annotations
 
-import math
-import struct
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Optional
@@ -90,20 +91,6 @@ class Value:
         self.kind = kind
         self.payload = payload
         self.attributes = attributes
-
-    def __eq__(self, other):
-        if other.__class__ is not Value:
-            return NotImplemented
-        return (self.kind, self.payload, self.attributes) == (
-            other.kind, other.payload, other.attributes)
-
-    __hash__ = None
-
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
 
     def __repr__(self):  # debugging aid only; user printing lives in printer
         return f"Value({self.kind}, {self.payload!r})"
@@ -249,45 +236,6 @@ def deep_copy(v: Value) -> Value:
     itself a fresh frame.
     """
     return v
-
-
-def _double_eq(a: float, b: float) -> bool:
-    # bitwise comparison, except NaN compares equal to NaN
-    if math.isnan(a) and math.isnan(b):
-        return True
-    return struct.pack("<d", a) == struct.pack("<d", b)
-
-
-def values_equal(a: Value, b: Value) -> bool:
-    """Structural equality used by tests and state snapshots."""
-    if a.kind != b.kind:
-        return False
-    if set(a.attributes) != set(b.attributes):
-        return False
-    for name in a.attributes:
-        if not values_equal(a.attributes[name], b.attributes[name]):
-            return False
-    if a.kind == NULL:
-        return True
-    if a.kind == DOUBLE:
-        return len(a.payload) == len(b.payload) and all(
-            _double_eq(x, y) for x, y in zip(a.payload, b.payload)
-        )
-    if a.kind in (LOGICAL, INTEGER, STRING):
-        return a.payload == b.payload
-    if a.kind == LIST:
-        return len(a.payload) == len(b.payload) and all(
-            values_equal(x, y) for x, y in zip(a.payload, b.payload)
-        )
-    if a.kind == S4_INSTANCE:
-        pa, pb = a.payload, b.payload
-        return (
-            pa.class_name == pb.class_name
-            and set(pa.slot_values) == set(pb.slot_values)
-            and all(values_equal(pa.slot_values[k], pb.slot_values[k]) for k in pa.slot_values)
-        )
-    # closures, builtins, environments, ref instances: identity
-    return a.payload is b.payload
 
 
 def element_names(v: Value) -> Optional[list]:

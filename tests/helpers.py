@@ -1,6 +1,7 @@
 """Shared test utilities: state snapshots, the differential purity
 harness, a generator of random pure programs, structural equality of
-syntax trees, the Call view of a node, the dict form of an analysis
+values and of syntax trees, an independent copy of a tree, the Call
+view of a node, the dict form of an analysis
 report, a guard against host recursion errors, a clean pause of the
 cyclic collector, and the reference
 tokenizers, parser, purity scan, operator and variable read that the
@@ -8,8 +9,10 @@ fast ones are checked against."""
 
 import contextlib
 import gc
+import math
 import random
 import re
+import struct
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,6 +52,49 @@ def collector_paused(enabled=False):
         (gc.enable if was else gc.disable)()
 
 
+def _double_eq(a: float, b: float) -> bool:
+    # bitwise comparison, except NaN compares equal to NaN
+    if math.isnan(a) and math.isnan(b):
+        return True
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def values_equal(a: values.Value, b: values.Value) -> bool:
+    """Structural equality of values, the tests' one rule: same kind,
+    attributes and elements, doubles bit for bit with NaN equal to NaN,
+    S4 instances slot by slot, and any other function, environment or
+    reference instance by the identity of its payload.  A Value itself
+    compares by identity."""
+    if a.kind != b.kind:
+        return False
+    if set(a.attributes) != set(b.attributes):
+        return False
+    for name in a.attributes:
+        if not values_equal(a.attributes[name], b.attributes[name]):
+            return False
+    if a.kind == values.NULL:
+        return True
+    if a.kind == values.DOUBLE:
+        return len(a.payload) == len(b.payload) and all(
+            _double_eq(x, y) for x, y in zip(a.payload, b.payload)
+        )
+    if a.kind in (values.LOGICAL, values.INTEGER, values.STRING):
+        return a.payload == b.payload
+    if a.kind == values.LIST:
+        return len(a.payload) == len(b.payload) and all(
+            values_equal(x, y) for x, y in zip(a.payload, b.payload)
+        )
+    if a.kind == values.S4_INSTANCE:
+        pa, pb = a.payload, b.payload
+        return (
+            pa.class_name == pb.class_name
+            and set(pa.slot_values) == set(pb.slot_values)
+            and all(values_equal(pa.slot_values[k], pb.slot_values[k]) for k in pa.slot_values)
+        )
+    # closures, builtins, environments, ref instances: identity
+    return a.payload is b.payload
+
+
 def expr_equal(a, b) -> bool:
     """Structural equality of syntax trees, ignoring source locations: the
     reader's round-trip oracle, walking each node's `syntax._LAYOUT`."""
@@ -57,7 +103,7 @@ def expr_equal(a, b) -> bool:
     for name, slots in syntax._LAYOUT[type(a)]:
         x, y = getattr(a, name), getattr(b, name)
         if slots is None:
-            if not (values.values_equal(x, y) if isinstance(x, values.Value) else x == y):
+            if not (values_equal(x, y) if isinstance(x, values.Value) else x == y):
                 return False
             continue
         xs, ys = slots(x), slots(y)
@@ -67,6 +113,19 @@ def expr_equal(a, b) -> bool:
         ):
             return False
     return True
+
+
+def copy_expr(e):
+    """A tree equal to `e` that shares none of its nodes or lists, so
+    either may be edited in place; names and Values are shared."""
+    def copy_field(v):
+        if isinstance(v, syntax.Expr):
+            return copy_expr(v)
+        if isinstance(v, (list, tuple)):
+            return type(v)(map(copy_field, v))
+        return v  # a name, a Value or an absent subexpression
+
+    return type(e)(*(copy_field(getattr(e, name)) for name, _ in syntax._LAYOUT[type(e)]), e.loc)
 
 
 def as_call(e) -> Optional[syntax.Call]:
@@ -686,7 +745,7 @@ def frame_matches_snapshot(env, snap):
     for name, entry in env.frame.items():
         expected = snap[name]
         if expected.__class__ is values.Value:
-            if entry.__class__ is not values.Value or not values.values_equal(entry, expected):
+            if entry.__class__ is not values.Value or not values_equal(entry, expected):
                 return False
         elif entry is not expected:
             return False
@@ -728,7 +787,7 @@ def differential_check(modules, call_source):
         value = interp.eval_source(call_source)
         assert snapshot_unchanged(interp, snap), f"state changed by {call_source}"
         results.append(value)
-    assert values.values_equal(results[0], results[1]), f"nondeterministic: {call_source}"
+    assert values_equal(results[0], results[1]), f"nondeterministic: {call_source}"
     return results[0]
 
 

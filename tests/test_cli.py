@@ -350,8 +350,11 @@ def test_reader_edge_cases_through_the_cli(tmp_path, capsys, source, code, out, 
          "", "contains must be a character vector (line 1, column 1)"),
         ('setGeneric("length")', "", "setGeneric('length') needs an explicit def: "
          "no existing function to adopt (line 1, column 1)"),
-        ('setGeneric("nope")', "", "could not find function 'nope' (line 1, column 1)"),
+        ('setGeneric("nope")', "", "setGeneric('nope') needs an explicit def: "
+         "no existing function to adopt (line 1, column 1)"),
         ('setGeneric("g", 1)', "", "def must be a function (line 1, column 1)"),
+        # Interpreter.print_value
+        ("print <<- 1; 2", "", "could not find function 'print'"),
         ('setGeneric("h", function(x) x + 1); h(3)', "[1] 4\n", ""),
         ('setGeneric("k", function(x) standardGeneric("k"), signature = 1)',
          "", "signature must be a character vector (line 1, column 1)"),

@@ -2,13 +2,18 @@
 module level, no module imports one that imports it, directly or
 through others, and README's "Layout" lists each module below every
 module it imports.  And no statement writes into a value's payload, so
-that values may share payloads and equal scalars may be one object."""
+that values may share payloads and equal scalars may be one object; nor
+does any path compare values with `==`, so that a value may compare by
+identity."""
 
 import ast
 import graphlib
 from pathlib import Path
 
 import pytest
+
+from mls import values
+from test_golden import CASES, expected, run_case
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mls"
 
@@ -125,3 +130,15 @@ def test_no_statement_writes_into_a_payload():
 ])
 def test_the_payload_scan_sees_writes_not_reads_or_copies(source, lines):
     assert _payload_writes(ast.parse(source)) == lines
+
+
+def _refuse_eq(a, b):
+    raise AssertionError("a Value was compared with ==")
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_no_run_or_analysis_compares_values_with_eq(case, monkeypatch):
+    """With `==` on a Value made an error, every corpus script and both
+    analyzer reports still give their golden output."""
+    monkeypatch.setattr(values.Value, "__eq__", _refuse_eq)
+    assert run_case(CASES[case]) == expected(case)

@@ -12,6 +12,7 @@ from helpers import (
     load_universe,
     reference_scan_function,
     report_as_dict,
+    values_equal,
 )
 from mls import purity, reader, syntax, values
 from mls.builtins import BUILTIN_NAMES
@@ -273,7 +274,7 @@ def test_assign_is_nonlocal_exactly_when_the_interpreter_binds_envir(args):
     assert (purity.NONLOCAL_ASSIGNMENT in kinds) == binds_envir
     if not binds_envir:
         # only the literal the interpreter binds to `name` is a local
-        local_x = bool(seen) and seen[0]["name"] == values.scalar_string("x")
+        local_x = bool(seen) and values_equal(seen[0]["name"], values.scalar_string("x"))
         assert (purity.GLOBAL_REFERENCE in kinds) == (not local_x)
     if verdict.status == purity.FUNCTIONAL and seen and values.is_null(seen[0]["envir"]):
         assert differential_check([module_of(src)], "f(globalenv())").payload == ["y"]

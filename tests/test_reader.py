@@ -1,5 +1,4 @@
 import contextlib
-import copy
 import dataclasses
 import gc
 import sys
@@ -13,10 +12,12 @@ from hypothesis import strategies as st
 from helpers import (
     as_call,
     collector_paused,
+    copy_expr,
     expr_equal,
     no_host_recursion,
     reference_parse_program,
     reference_tokenize,
+    values_equal,
 )
 import mls
 from mls import reader, syntax, values
@@ -663,8 +664,8 @@ def _leaf_edits(e):
 @settings(max_examples=200, deadline=None)
 @given(_expressions, st.data())
 def test_changing_one_leaf_breaks_expr_equal(e, data):
-    assert expr_equal(e, copy.deepcopy(e))
-    edited = copy.deepcopy(e)
+    assert expr_equal(e, copy_expr(e))
+    edited = copy_expr(e)
     edits = _leaf_edits(edited)
     assume(edits)
     data.draw(st.sampled_from(edits))()
@@ -703,6 +704,6 @@ def test_canonicalization_totality(e):
         extra = [a for a in args if not any(a is x for x in children)]
         assert len(extra) == len(allowed)
         assert all(
-            isinstance(a, syntax.Constant) and values.values_equal(a.value, v)
+            isinstance(a, syntax.Constant) and values_equal(a.value, v)
             for a, v in zip(extra, allowed)
         )

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import rng_reference as ref
+from helpers import values_equal
 from mls import rng, values
 from mls.values import MlsError
 
@@ -52,7 +53,7 @@ def test_first_word_from_seed_42_matches_reference():
 def test_interpreter_rng_builtins(interp):
     a = interp.eval_source("set_seed(11)\nrng_draw(5)")
     b = interp.eval_source("set_seed(11)\nrng_draw(5)")
-    assert values.values_equal(a, b)
+    assert values_equal(a, b)
     assert len(a.payload) == 5
 
 
@@ -86,7 +87,7 @@ def test_state_lives_in_global_environment(interp):
 def test_state_is_restorable(interp):
     interp.eval_source("set_seed(5)\nsaved <- .Random.seed\nfirst <- rng_draw(3)")
     again = interp.eval_source(".Random.seed <- saved\nrng_draw(3)")
-    assert values.values_equal(interp.eval_source("first"), again)
+    assert values_equal(interp.eval_source("first"), again)
 
 
 def test_default_initialization_is_deterministic():
@@ -94,7 +95,7 @@ def test_default_initialization_is_deterministic():
 
     a = Interpreter().eval_source("rng_draw(4)")
     b = Interpreter().eval_source("rng_draw(4)")
-    assert values.values_equal(a, b)
+    assert values_equal(a, b)
 
 
 # -- the draw count is bounded ----------------------------------------------------
@@ -145,8 +146,8 @@ def test_a_state_above_two_to_the_63_restores_from_a_literal(interp, capsys):
     printed = interp.eval_source("saved").payload[0]
     assert printed < 0
     again = interp.eval_source(f".Random.seed <- {printed}\nrng_draw(3)")
-    assert values.values_equal(interp.eval_source("first"), again)
-    assert values.values_equal(interp.eval_source("saved"), interp.eval_source(f"{printed} + 0"))
+    assert values_equal(interp.eval_source("first"), again)
+    assert values_equal(interp.eval_source("saved"), interp.eval_source(f"{printed} + 0"))
 
 
 def test_the_state_two_to_the_63_is_stored_as_its_signed_reading(interp):

@@ -1,10 +1,10 @@
-import copy
 import io
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import values_equal
 from mls import ops, reader, values
 from mls.interpreter import Interpreter
 from mls.values import MlsError, Value
@@ -91,7 +91,7 @@ def test_copy_vectors_independent(capture):
 
 
 def test_deep_copy_null_identity():
-    assert values.values_equal(values.deep_copy(values.null_value()), values.null_value())
+    assert values_equal(values.deep_copy(values.null_value()), values.null_value())
 
 
 @pytest.mark.parametrize("make", [
@@ -186,21 +186,17 @@ def test_editing_a_shared_scalar_leaves_every_shared_value_as_built(start, edits
     assert all(v.attributes is values.NO_ATTRIBUTES for v in _SHARED)
 
 
-def test_copying_a_value_returns_it():
-    named = values.list_value([values.scalar_int(1)], names=["a"])
-    for v in (values.scalar_double(1.5), named, values.null_value()):
-        assert copy.copy(v) is v
-        assert copy.deepcopy(v) is v
-    assert copy.deepcopy([named]) == [named]
-
-
-def test_values_compare_by_kind_payload_and_attributes_and_do_not_hash():
-    assert Value(values.INTEGER, [1]) == values.scalar_int(1)
-    assert Value(values.INTEGER, [1], {}) == values.scalar_int(1)
-    assert Value(values.INTEGER, [1]) != Value(values.DOUBLE, [1])
-    assert values.list_value([], names=[]) != values.list_value([])
-    with pytest.raises(TypeError):
-        hash(values.scalar_int(1))
+def test_values_compare_and_hash_by_identity():
+    """A value is never written after it is built, so it is the object
+    it is; `values_equal` is the structural comparison."""
+    one, other = Value(values.INTEGER, [1]), Value(values.INTEGER, [1])
+    assert one != other and values_equal(one, other)
+    assert values.scalar_int(1) == values.scalar_int(1)  # one shared SMALL_INTS value
+    assert len({one, other, values.scalar_int(1)}) == 3
+    assert hash(one) == hash(one)
+    assert values_equal(Value(values.INTEGER, [1], {}), values.scalar_int(1))
+    assert not values_equal(Value(values.INTEGER, [1]), Value(values.DOUBLE, [1]))
+    assert not values_equal(values.list_value([], names=[]), values.list_value([]))
 
 
 def test_deep_copy_preserves_environment_aliasing(interp):
@@ -225,28 +221,33 @@ def test_copy_of_list_still_aliases_reference_instance(capture):
     assert printed(capture, src) == "[1] 5\n"
 
 
-def test_values_equal_nan():
+def test_values_equal_on_doubles():
+    """Bit for bit, but NaN equals NaN: 0.0 and -0.0 differ."""
     a = values.double_vec([float("nan")])
     b = values.double_vec([float("nan")])
-    assert values.values_equal(a, b)
-    assert not values.values_equal(a, values.double_vec([0.0]))
+    assert values_equal(a, b)
+    assert not values_equal(a, values.double_vec([0.0]))
+    assert not values_equal(values.double_vec([0.0]), values.double_vec([-0.0]))
 
 
-def test_values_equal_on_instances(interp):
+def test_values_equal_on_instances_and_closures(interp):
     interp.eval_source('setClass("P", slots = list(x = "numeric"))\nsetClass("Q", contains = "P")')
     a, same, other, sub = (
         interp.eval_source(src)
         for src in ('new("P", x = 1)', 'new("P", x = 1)', 'new("P", x = 2)', 'new("Q", x = 1)')
     )
-    assert values.values_equal(a, same)
-    assert not values.values_equal(a, other)
-    assert not values.values_equal(a, sub)
+    assert values_equal(a, same)
+    assert not values_equal(a, other)
+    assert not values_equal(a, sub)
+    f, g = (interp.eval_source("function(x) x") for _ in range(2))
+    assert values_equal(f, f)
+    assert not values_equal(f, g)  # a closure by identity
 
 
 def test_values_equal_checks_attributes():
     a = values.int_vec([1])
     b = values.set_attribute(a, "class", values.string_vec(["x"]))
-    assert not values.values_equal(a, b)
+    assert not values_equal(a, b)
 
 
 @given(
@@ -256,13 +257,13 @@ def test_values_equal_checks_attributes():
 def test_attribute_roundtrip_property(name, items):
     attr = values.string_vec(items)
     v = values.set_attribute(values.double_vec([1.0, 2.0]), name, attr)
-    assert values.values_equal(values.get_attribute(v, name), attr)
+    assert values_equal(values.get_attribute(v, name), attr)
 
 
 @given(st.lists(st.integers(-100, 100), max_size=6))
 def test_deep_copy_structural_equality_property(xs):
     v = values.int_vec(xs)
-    assert values.values_equal(values.deep_copy(v), v)
+    assert values_equal(values.deep_copy(v), v)
 
 
 _ALIAS_EDITS = st.lists(
@@ -330,5 +331,5 @@ def test_scalar_operators_match_the_vector_path(op, a, b):
     one = fn(op, a, b)
     two = fn(op, Value(a.kind, a.payload * 2), Value(b.kind, b.payload * 2))
     assert one.attributes == {} == two.attributes
-    assert values.values_equal(one, Value(two.kind, two.payload[:1]))
+    assert values_equal(one, Value(two.kind, two.payload[:1]))
     assert type(one.payload[0]) is type(two.payload[0])
